@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BoundViolation, InvalidConfig
 from .kde import fit_kde, importance_weights
 from .metrics import sliced_wasserstein, wasserstein_1d
-from .ot import CostMatrix, exact_ot_small, sinkhorn, transport_cost
+from .ot import _as_cost, exact_ot_small, sinkhorn, transport_cost
 from .pipeline import truncate_by_weight
 from .rng import derive_seed, rng_from_seed
 from .sampling import normalize_weights
@@ -50,9 +50,7 @@ def entropic_gap(C, a=None, b=None, epsilon=None, max_iters=5000, tol=1e-10):
     entropic >= exact - 1e-8, raising BoundViolation otherwise; returns the
     GapRecord when both hold.
     """
-    if not isinstance(C, CostMatrix):
-        arr = np.asarray(C, dtype=np.float64)
-        C = CostMatrix(arr, float(np.median(arr)))
+    C = _as_cost(C)
     n, m = C.values.shape
     plan = sinkhorn(C, a, b, epsilon=epsilon, max_iters=max_iters, tol=tol)
     entropic = transport_cost(plan, C)

@@ -7,6 +7,7 @@ and the exit code is nonzero.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,19 +16,18 @@ import numpy as np
 from . import io as pio
 from .checks import convergence_sweep
 from .clients import HttpFalseNegativeFilter, HttpResponder
+from .core import AlignmentConfig
 from .errors import InvalidConfig, PopalignError
 from .metrics import metric_report
 from .pipeline import collect_responses, report_json, run_alignment
 from .retrieval import build_training_pairs, top_k_retrieve
 from .synthetic import PRESETS, sample_population
 
-
-def _load_cli_config(args, overrides):
-    doc = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return pio.config_from_mapping(doc, overrides)
+# every config field is an align flag except item_weights, a per-item vector
+# that only a config file can set; --seed is common to all subcommands
+_ALIGN_FLAG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(AlignmentConfig) if f.name != "item_weights"
+)
 
 
 def _write_or_print(text, out_path):
@@ -39,18 +39,11 @@ def _write_or_print(text, out_path):
 
 
 def _cmd_align(args):
-    overrides = {
-        "seed": args.seed,
-        "n_is_candidates": args.n_is_candidates,
-        "n_final": args.n_final,
-        "bandwidth": args.bandwidth,
-        "retain_fraction": args.retain_fraction,
-        "epsilon": args.epsilon,
-        "sinkhorn_iters": args.sinkhorn_iters,
-        "sinkhorn_tol": args.sinkhorn_tol,
-        "ot_batch_size": args.ot_batch_size,
-    }
-    config = _load_cli_config(args, overrides)
+    overrides = {name: getattr(args, name) for name in _ALIGN_FLAG_FIELDS}
+    if args.config:
+        config = pio.load_config(args.config, overrides)
+    else:
+        config = pio.config_from_mapping({}, overrides)
     pool = pio.load_responses(args.pool)
     reference = pio.load_responses(args.reference)
     personas = pio.load_personas(args.personas)
@@ -210,14 +203,9 @@ def build_parser():
     p.add_argument("--personas", required=True, help="persona file")
     p.add_argument("--out-selected", default="selected.jsonl")
     p.add_argument("--out-report", default="report.json")
-    p.add_argument("--n-is-candidates", type=int, default=None)
-    p.add_argument("--n-final", type=int, default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--retain-fraction", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--sinkhorn-iters", type=int, default=None)
-    p.add_argument("--sinkhorn-tol", type=float, default=None)
-    p.add_argument("--ot-batch-size", type=int, default=None)
+    for f in dataclasses.fields(AlignmentConfig):
+        if f.name in _ALIGN_FLAG_FIELDS and f.name != "seed":
+            p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=None)
     p.add_argument("--epsilon-absolute", type=float, default=None)
     p.add_argument("--kde-fit-subsample", type=int, default=None)
     p.add_argument("--allow-unconverged", action="store_true")

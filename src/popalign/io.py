@@ -20,6 +20,7 @@ config:      one flat JSON document mirroring AlignmentConfig field names;
 report:      one JSON document, schema versioned via "report_version".
 """
 
+import dataclasses
 import json
 import math
 
@@ -300,44 +301,24 @@ def load_pairs(path):
 
 # ------------------------------------------------------------------- config
 
-_CONFIG_FIELDS = (
-    "n_is_candidates",
-    "n_final",
-    "seed",
-    "bandwidth",
-    "retain_fraction",
-    "epsilon",
-    "sinkhorn_iters",
-    "sinkhorn_tol",
-    "item_weights",
-    "ot_batch_size",
-)
+def _config_mapping(config):
+    """Flat JSON-ready mapping of every AlignmentConfig field, by field name."""
+    doc = {f.name: getattr(config, f.name) for f in dataclasses.fields(AlignmentConfig)}
+    if config.item_weights is not None:
+        doc["item_weights"] = [float(v) for v in config.item_weights.weights]
+    return doc
 
 
 def save_config(path, config):
-    doc = {
-        "n_is_candidates": config.n_is_candidates,
-        "n_final": config.n_final,
-        "seed": config.seed,
-        "bandwidth": config.bandwidth,
-        "retain_fraction": config.retain_fraction,
-        "epsilon": config.epsilon,
-        "sinkhorn_iters": config.sinkhorn_iters,
-        "sinkhorn_tol": config.sinkhorn_tol,
-        "item_weights": None
-        if config.item_weights is None
-        else [float(v) for v in config.item_weights.weights],
-        "ot_batch_size": config.ot_batch_size,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc) + "\n")
+        fh.write(canonical_json(_config_mapping(config)) + "\n")
 
 
 def config_from_mapping(doc, overrides=None):
     """AlignmentConfig from a flat mapping, with optional field overrides."""
     if not isinstance(doc, dict):
         raise SchemaError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(AlignmentConfig)}
     if unknown:
         raise SchemaError(f"unknown config fields: {sorted(unknown)}")
     merged = dict(doc)

@@ -17,16 +17,13 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ResponseMatrix
+from .core import ResponseMatrix, _sq_dist_blocks
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
     NonFiniteValue,
     NonPositiveBandwidth,
 )
-
-# cap on elements per distance block so batched evaluation stays in ~300 MB
-_BLOCK_ELEMS = 40_000_000
 
 # d=1 evaluations switch to the Hermite fast Gauss transform above this many
 # source*query pairs; below it the dense path is cheaper than the setup cost
@@ -72,6 +69,16 @@ def fit_kde(samples, bandwidth):
     return DensityModel(samples=samples, bandwidth=h, log_norm_const=log_norm)
 
 
+def _queries(model, X, ndim):
+    """X as a float array of ndim dimensions whose last has length model.d, all finite."""
+    Q = X.values if isinstance(X, ResponseMatrix) else np.asarray(X, dtype=np.float64)
+    if Q.ndim != ndim or Q.shape[-1] != model.d:
+        raise DimensionMismatch(f"query has shape {Q.shape}, model dimension is {model.d}")
+    if not np.isfinite(Q).all():
+        raise NonFiniteValue("query point contains a non-finite entry")
+    return Q
+
+
 def log_density(model, x, include_query=False):
     """log r_hat(x) for a single length-d query point.
 
@@ -81,13 +88,7 @@ def log_density(model, x, include_query=False):
     gains the zero-distance term, normalizer uses M+1), so the result never
     drops below the lone-kernel floor -log((M+1) (2 pi h^2)^{d/2}).
     """
-    q = np.asarray(x, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != model.d:
-        raise DimensionMismatch(
-            f"query has shape {q.shape}, model dimension is {model.d}"
-        )
-    if not np.isfinite(q).all():
-        raise NonFiniteValue("query point contains a non-finite entry")
+    q = _queries(model, x, ndim=1)
     diff = model.samples.values - q
     sq = np.einsum("ij,ij->i", diff, diff)
     scale = -1.0 / (2.0 * model.bandwidth * model.bandwidth)
@@ -154,21 +155,12 @@ def _fgt_gauss_sums_1d(sources, queries, h):
 
 
 def _dense_kernel_lse(S, Q, bandwidth):
-    """logsumexp of the kernel terms per query row, blockwise (no normalizer).
-
-    Squared distances per block use the expansion ||q||^2 + ||s||^2 - 2 q.s
-    with a matrix product, clamped at 0 against cancellation.
-    """
-    s2 = np.einsum("ij,ij->i", S, S)
+    """logsumexp of the kernel terms per query row, blockwise (no normalizer)."""
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
     out = np.empty(Q.shape[0])
-    block = max(1, _BLOCK_ELEMS // max(1, S.shape[0]))
-    for lo in range(0, Q.shape[0], block):
-        q = Q[lo : lo + block]
-        d2 = np.einsum("ij,ij->i", q, q)[:, None] + s2[None, :] - 2.0 * (q @ S.T)
-        np.maximum(d2, 0.0, out=d2)
+    for lo, hi, d2 in _sq_dist_blocks(Q, S):
         d2 *= scale
-        out[lo : lo + block] = logsumexp(d2, axis=1)
+        out[lo:hi] = logsumexp(d2, axis=1)
     return out
 
 
@@ -185,12 +177,7 @@ def log_density_many(model, X, include_query=False):
     missed otherwise gets an arbitrarily small density and an arbitrarily
     large importance ratio.
     """
-    if isinstance(X, ResponseMatrix):
-        Q = X.values
-    else:
-        Q = np.asarray(X, dtype=np.float64)
-    if Q.ndim != 2 or Q.shape[1] != model.d:
-        raise DimensionMismatch(f"queries have shape {Q.shape}, model dimension is {model.d}")
+    Q = _queries(model, X, ndim=2)
     S = model.samples.values
     if model.d == 1 and S.shape[0] * Q.shape[0] >= _FGT_MIN_PAIRS:
         span = max(S[:, 0].max(), Q[:, 0].max()) - min(S[:, 0].min(), Q[:, 0].min())
@@ -242,9 +229,20 @@ def importance_weights(human_model, persona_model, X, log_clamp=30.0,
     exponentiation, so every weight is finite and strictly positive. On
     identical models the ratio is exactly zero and every weight is exactly 1.
     """
-    if not (float(log_clamp) > 0):
-        raise InvalidConfig(f"log_clamp must be positive, got {log_clamp!r}")
     ratios = importance_log_ratios(human_model, persona_model, X,
                                    query_in_source=query_in_source)
-    np.clip(ratios, -float(log_clamp), float(log_clamp), out=ratios)
-    return np.exp(ratios)
+    return _clamped_exp(ratios, log_clamp)[0]
+
+
+def _clamped_exp(log_ratios, log_clamp):
+    """(exp of log_ratios clamped to [-log_clamp, +log_clamp], count clamped).
+
+    Raises InvalidConfig unless log_clamp is positive: a zero clamp sets
+    every weight to 1 and a negative one to a constant, which silently
+    disables importance resampling.
+    """
+    c = float(log_clamp)
+    if not c > 0:
+        raise InvalidConfig(f"log_clamp must be positive, got {log_clamp!r}")
+    clamp_count = int(np.count_nonzero(np.abs(log_ratios) > c))
+    return np.exp(np.clip(log_ratios, -c, c)), clamp_count

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ResponseMatrix
+from .core import ResponseMatrix, _sq_dist_blocks
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -23,9 +23,6 @@ from .errors import (
 from .rng import rng_from_seed
 
 _SW_STREAM = 0x736C696365  # "slice"
-
-# row block size for pairwise-distance accumulations
-_PAIR_BLOCK = 2048
 
 
 def _columns(X):
@@ -127,15 +124,10 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
 
 def _median_pairwise_distance(Z):
     # median over all unordered pairs i < j, blockwise to bound memory
-    n = Z.shape[0]
-    chunks = []
-    z2 = np.einsum("ij,ij->i", Z, Z)
-    for lo in range(0, n, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, n)
-        d2 = z2[lo:hi, None] + z2[None, :] - 2.0 * (Z[lo:hi] @ Z.T)
-        np.maximum(d2, 0.0, out=d2)
-        for r in range(lo, hi):
-            chunks.append(np.sqrt(d2[r - lo, r + 1 :]))
+    cols = np.arange(Z.shape[0])
+    chunks = [
+        np.sqrt(d2[cols[lo:hi, None] < cols[None, :]]) for lo, hi, d2 in _sq_dist_blocks(Z, Z)
+    ]
     flat = np.concatenate(chunks) if chunks else np.empty(0)
     if flat.size == 0:
         return 0.0
@@ -144,16 +136,26 @@ def _median_pairwise_distance(Z):
 
 def _kernel_mean(A, B, inv_two_sigma_sq):
     # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2))
-    a2 = np.einsum("ij,ij->i", A, A)
-    b2 = np.einsum("ij,ij->i", B, B)
     total = 0.0
-    for lo in range(0, A.shape[0], _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, A.shape[0])
-        d2 = a2[lo:hi, None] + b2[None, :] - 2.0 * (A[lo:hi] @ B.T)
-        np.maximum(d2, 0.0, out=d2)
+    for _lo, _hi, d2 in _sq_dist_blocks(A, B):
         d2 *= -inv_two_sigma_sq
-        total += float(np.exp(d2).sum())
+        total += float(np.exp(d2, out=d2).sum())
     return total / (A.shape[0] * B.shape[0])
+
+
+def _mmd_bandwidth(A, B, kernel_bandwidth):
+    """kernel_bandwidth if given, else the pooled sample's median pairwise distance."""
+    if kernel_bandwidth is None:
+        sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
+        if sigma <= 0.0:
+            raise DegenerateBandwidth(
+                "median pairwise distance is 0; pass kernel_bandwidth explicitly"
+            )
+        return sigma
+    sigma = float(kernel_bandwidth)
+    if not np.isfinite(sigma) or sigma <= 0:
+        raise DegenerateBandwidth(f"kernel bandwidth must be positive, got {kernel_bandwidth!r}")
+    return sigma
 
 
 def mmd(X, Y, kernel_bandwidth=None):
@@ -165,16 +167,7 @@ def mmd(X, Y, kernel_bandwidth=None):
     the RKHS norm itself.
     """
     A, B = _pair(X, Y)
-    if kernel_bandwidth is None:
-        sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
-        if sigma <= 0.0:
-            raise DegenerateBandwidth(
-                "median pairwise distance is 0; pass kernel_bandwidth explicitly"
-            )
-    else:
-        sigma = float(kernel_bandwidth)
-        if not np.isfinite(sigma) or sigma <= 0:
-            raise DegenerateBandwidth(f"kernel bandwidth must be positive, got {kernel_bandwidth!r}")
+    sigma = _mmd_bandwidth(A, B, kernel_bandwidth)
     inv = 1.0 / (2.0 * sigma * sigma)
     val = _kernel_mean(A, A, inv) + _kernel_mean(B, B, inv) - 2.0 * _kernel_mean(A, B, inv)
     return max(val, 0.0)
@@ -273,14 +266,7 @@ class MetricReport:
 def metric_report(X, Y, n_projections=512, seed=0, kernel_bandwidth=None):
     """Compute the full suite. mae_corr is None when undefined."""
     A, B = _pair(X, Y)
-    if kernel_bandwidth is None:
-        sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
-        if sigma <= 0.0:
-            raise DegenerateBandwidth(
-                "median pairwise distance is 0; pass kernel_bandwidth explicitly"
-            )
-    else:
-        sigma = float(kernel_bandwidth)
+    sigma = _mmd_bandwidth(A, B, kernel_bandwidth)
     try:
         mc = mae_corr(A, B) if A.shape[1] >= 2 else None
     except ConstantColumn:

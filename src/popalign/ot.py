@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import AlignmentConfig, ItemWeights, ResponseMatrix
+from .core import AlignmentConfig, ItemWeights, ResponseMatrix, _sq_dist_blocks
 from .errors import (
     DegenerateCostScale,
     DimensionMismatch,
@@ -61,8 +61,8 @@ class CostMatrix:
 def cost_matrix(X_dagger, Y, omega=None):
     """C_ij = sum_k omega_k (x_ik - y_jk)^2.
 
-    omega defaults to all-ones. Computed via the quadratic expansion with one
-    matrix product; tiny negatives from cancellation are clamped to 0.
+    omega defaults to all-ones. Computed blockwise via the quadratic expansion
+    (core._sq_dist_blocks); tiny negatives from cancellation are clamped to 0.
     """
     X = X_dagger.values if isinstance(X_dagger, ResponseMatrix) else np.asarray(X_dagger, float)
     Yv = Y.values if isinstance(Y, ResponseMatrix) else np.asarray(Y, float)
@@ -73,21 +73,26 @@ def cost_matrix(X_dagger, Y, omega=None):
             f"sample dimensions differ: {X.shape[1]} vs {Yv.shape[1]}"
         )
     d = X.shape[1]
-    if omega is None:
-        w = np.ones(d)
-    else:
+    w = None
+    if omega is not None:
         if not isinstance(omega, ItemWeights):
             omega = ItemWeights(omega)
         if omega.d != d:
             raise DimensionMismatch(f"{omega.d} item weights for dimension {d}")
         w = omega.weights
 
-    Xw = X * w
-    x2 = np.einsum("ij,ij->i", Xw, X)
-    y2 = np.einsum("ij,ij->i", Yv * w, Yv)
-    C = x2[:, None] + y2[None, :] - 2.0 * (Xw @ Yv.T)
-    np.maximum(C, 0.0, out=C)
+    C = np.empty((X.shape[0], Yv.shape[0]))
+    for lo, hi, D in _sq_dist_blocks(X, Yv, w):
+        C[lo:hi] = D
     return CostMatrix(values=C, median_cost=float(np.median(C)))
+
+
+def _as_cost(C):
+    """C itself if a CostMatrix, else the array as one with its exact median."""
+    if isinstance(C, CostMatrix):
+        return C
+    arr = np.asarray(C, dtype=np.float64)
+    return CostMatrix(arr, float(np.median(arr)))
 
 
 def gibbs_kernel(C, epsilon):
@@ -100,8 +105,7 @@ def gibbs_kernel(C, epsilon):
     eps = float(epsilon)
     if not np.isfinite(eps) or eps <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon!r}")
-    vals = C.values if isinstance(C, CostMatrix) else np.asarray(C, float)
-    return np.exp(vals / -eps)
+    return np.exp(_as_cost(C).values / -eps)
 
 
 def _check_marginal(p, size, name):
@@ -160,8 +164,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6, check_eve
         When a full row/column of the (tilted) kernel underflows to zero, i.e.
         epsilon is too small for this cost scale at double precision.
     """
-    if not isinstance(C, CostMatrix):
-        C = CostMatrix(np.asarray(C, float), float(np.median(np.asarray(C, float))))
+    C = _as_cost(C)
     n, m = C.values.shape
     a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal a")
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "col marginal b")
@@ -273,7 +276,7 @@ def _raise_on_dead_axis(K, label):
 
 def transport_cost(plan, C):
     """<C, gamma>: the transport cost of the plan under cost matrix C."""
-    vals = C.values if isinstance(C, CostMatrix) else np.asarray(C, float)
+    vals = _as_cost(C).values
     if vals.shape != plan.gamma.shape:
         raise DimensionMismatch(
             f"cost shape {vals.shape} does not match plan shape {plan.gamma.shape}"
@@ -384,9 +387,7 @@ def exact_ot_small(C, a, b):
 
     Guarded to n*m <= 10,000 entries. Returns (exact cost, minimizing plan).
     """
-    if not isinstance(C, CostMatrix):
-        arr = np.asarray(C, float)
-        C = CostMatrix(arr, float(np.median(arr)))
+    C = _as_cost(C)
     n, m = C.values.shape
     if n * m > _EXACT_GUARD:
         raise InstanceTooLarge(f"{n}x{m} = {n * m} entries exceeds the {_EXACT_GUARD} guard")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .core import AlignmentConfig, ResponseMatrix, validate_pool
 from .errors import InvalidConfig, PopalignError, ResponderFailure
-from .io import canonical_json
-from .kde import fit_kde, importance_log_ratios
+from .io import _config_mapping, canonical_json
+from .kde import _clamped_exp, fit_kde, importance_log_ratios
 from .metrics import metric_report
 from .ot import batched_ot_weights, resample_ot
 from .rng import derive_seed, rng_from_seed
@@ -106,13 +106,12 @@ def truncate_by_weight(weights, retain_fraction):
 
 
 def _weight_summary(log_ratios, log_clamp):
-    clamped = np.clip(log_ratios, -log_clamp, log_clamp)
-    w = np.exp(clamped)
+    w, clamp_count = _clamped_exp(log_ratios, log_clamp)
     return w, {
         "min": float(w.min()),
         "median": float(np.median(w)),
         "max": float(w.max()),
-        "clamp_count": int(np.count_nonzero(np.abs(log_ratios) > log_clamp)),
+        "clamp_count": clamp_count,
         "log_clamp": float(log_clamp),
     }
 
@@ -156,23 +155,6 @@ class AlignmentReport:
 def report_json(report, include_timings=False):
     """Canonical JSON text of the report (byte-stable for fixed inputs)."""
     return canonical_json(report.to_dict(include_timings=include_timings))
-
-
-def _config_snapshot(config):
-    return {
-        "n_is_candidates": config.n_is_candidates,
-        "n_final": config.n_final,
-        "seed": config.seed,
-        "bandwidth": config.bandwidth,
-        "retain_fraction": config.retain_fraction,
-        "epsilon": config.epsilon,
-        "sinkhorn_iters": config.sinkhorn_iters,
-        "sinkhorn_tol": config.sinkhorn_tol,
-        "item_weights": None
-        if config.item_weights is None
-        else [float(v) for v in config.item_weights.weights],
-        "ot_batch_size": config.ot_batch_size,
-    }
 
 
 def _maybe_subsample(matrix, cap, seed, stream_word):
@@ -295,7 +277,7 @@ def run_alignment(
     for sid in selected_ids:
         counts[sid] = counts.get(sid, 0) + 1
     report = AlignmentReport(
-        config=_config_snapshot(config),
+        config=_config_mapping(config),
         pool_sizes={
             "n_pool": pool_matrix.n,
             "m_reference": reference.n,

@@ -10,6 +10,7 @@ HTTP wire contracts (see popalign.clients); tests use deterministic stubs.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import logging
 
 import numpy as np
@@ -91,6 +92,13 @@ class EmbeddingIndex:
     def dim(self):
         return self.vectors.shape[1]
 
+    @cached_property
+    def _id_rank(self):
+        # position of each row's id in Python str order, the ranking tie-break
+        rank = np.empty(self.size, dtype=np.intp)
+        rank[sorted(range(self.size), key=self.ids.__getitem__)] = np.arange(self.size)
+        return rank
+
 
 def cosine_similarity(a, b):
     """<a,b> / (||a|| ||b||), clamped to [-1, 1] against roundoff."""
@@ -105,11 +113,13 @@ def cosine_similarity(a, b):
     return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
 
 
-def _scores(query, index):
+def _ranked(query, index):
+    """(scores, rows by descending score with ties by ascending id)."""
     q = _unit(query, "query")
     if q.shape[0] != index.dim:
         raise DimensionMismatch(f"query length {q.shape[0]} vs index dimension {index.dim}")
-    return np.clip(index.vectors @ q, -1.0, 1.0)
+    scores = np.clip(index.vectors @ q, -1.0, 1.0)
+    return scores, np.lexsort((index._id_rank, -scores))
 
 
 def top_k_retrieve(query, index, k):
@@ -118,8 +128,7 @@ def top_k_retrieve(query, index, k):
         raise KOutOfRange(f"k must be an integer, got {k!r}")
     if not 1 <= k <= index.size:
         raise KOutOfRange(f"k={k} outside [1, {index.size}]")
-    scores = _scores(query, index)
-    order = sorted(range(index.size), key=lambda r: (-scores[r], index.ids[r]))
+    scores, order = _ranked(query, index)
     return [(index.ids[r], float(scores[r])) for r in order[: int(k)]]
 
 
@@ -212,8 +221,7 @@ def build_training_pairs(
     pairs = []
     empty_queries = []
     for q_pos, (query_id, query_emb, positive_id) in enumerate(queries):
-        scores = _scores(query_emb, index)
-        ranked = sorted(range(index.size), key=lambda r: (-scores[r], index.ids[r]))
+        _, ranked = _ranked(query_emb, index)
         candidates = [index.ids[r] for r in ranked if index.ids[r] != positive_id]
 
         hard = []

@@ -1,5 +1,6 @@
 """CLI subcommands exercised through main(argv) with temp files."""
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,9 +8,29 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from popalign import AlignmentConfig, ItemWeights
 from popalign import io as pio
 from popalign.cli import main
 from popalign.synthetic import sample_population
+
+# a valid value for every AlignmentConfig field that differs from BASE_CONFIG's
+NON_DEFAULT = {
+    "n_is_candidates": 120,
+    "n_final": 30,
+    "seed": 77,
+    "bandwidth": 0.3,
+    "retain_fraction": 0.5,
+    "epsilon": 0.15,
+    "sinkhorn_iters": 300,
+    "sinkhorn_tol": 1e-5,
+    "item_weights": ItemWeights(np.array([1.0, 2.0])),
+    "ot_batch_size": 64,
+}
+BASE_CONFIG = AlignmentConfig(n_is_candidates=100, n_final=40, seed=1)
+
+
+def plain(value):
+    return [float(v) for v in value.weights] if isinstance(value, ItemWeights) else value
 
 
 def read_jsonl(path):
@@ -133,6 +154,38 @@ class TestSimulateAlignMetrics:
         assert doc["config"]["n_final"] == 25  # flag wins
         assert doc["config"]["seed"] == 9      # file value kept
         assert len(read_jsonl(tmp_path / "s.jsonl")) == 25
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AlignmentConfig)])
+def test_config_field_reaches_file_report_and_cli(name, tmp_path, capsys):
+    value = NON_DEFAULT[name]
+    assert plain(value) != plain(getattr(BASE_CONFIG, name))
+    changed = dataclasses.replace(BASE_CONFIG, **{name: value})
+
+    cfg = tmp_path / "cfg.json"
+    pio.save_config(cfg, changed)
+    assert plain(getattr(pio.load_config(cfg), name)) == plain(value)
+
+    pool, ref, personas = (tmp_path / f for f in ("pool.jsonl", "ref.jsonl", "p.jsonl"))
+    main(["simulate", "--n", "200", "--m", "100", "--d", "2", "--seed", "1",
+          "--out-pool", str(pool), "--out-reference", str(ref),
+          "--out-personas", str(personas)])
+    if name == "item_weights":
+        flags = []  # no flag for a per-item vector; the config file carries it
+    else:
+        pio.save_config(cfg, BASE_CONFIG)
+        flags = ["--" + name.replace("_", "-"), str(value)]
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([
+        "align", "--pool", str(pool), "--reference", str(ref),
+        "--personas", str(personas), "--config", str(cfg), *flags,
+        "--out-selected", str(tmp_path / "s.jsonl"), "--out-report", str(report),
+    ])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    assert doc["config"] == pio._config_mapping(changed)
+    assert doc["config"][name] == plain(value)
 
 
 class TestRetrieve:

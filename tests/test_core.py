@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from popalign import (
     AlignmentConfig,
@@ -9,8 +10,14 @@ from popalign import (
     PersonaRecord,
     ResponseMatrix,
     ValidatedPool,
+    core,
+    cost_matrix,
+    fit_kde,
+    log_density,
+    metric_report,
     validate_pool,
 )
+from popalign.kde import log_density_many
 from popalign.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -225,3 +232,35 @@ class TestPersonaRecord:
     def test_seed_id_provenance(self):
         p = PersonaRecord(id="g1", seed_id="p0")
         assert p.seed_id == "p0"
+
+
+class TestSquaredDistanceBlocks:
+    """One squared-distance kernel serves KDE, transport cost and MMD; a small
+    element cap forces several row blocks, a ragged last block, and (cap 1)
+    single-row blocks, each checked against an unblocked oracle."""
+
+    @pytest.fixture(params=[1, 7 * 40, 11 * 40])
+    def small_cap(self, request, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", request.param)
+
+    def test_log_density_many_matches_per_row(self, small_cap):
+        rng = np.random.default_rng(40)
+        model = fit_kde(rng.normal(size=(40, 3)), 0.5)
+        X = rng.normal(size=(30, 3))
+        want = np.array([log_density(model, x) for x in X])
+        np.testing.assert_allclose(log_density_many(model, X), want, rtol=0, atol=1e-11)
+
+    def test_cost_matrix_matches_broadcast(self, small_cap):
+        rng = np.random.default_rng(41)
+        X, Y = rng.normal(size=(30, 4)), rng.normal(size=(40, 4))
+        w = rng.uniform(0.5, 2.0, size=4)
+        want = (w * (X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        C = cost_matrix(X, Y, ItemWeights(w))
+        np.testing.assert_allclose(C.values, want, rtol=0, atol=1e-12)
+        assert C.median_cost == float(np.median(C.values))
+
+    def test_median_heuristic_matches_pdist(self, small_cap):
+        rng = np.random.default_rng(42)
+        X, Y = rng.normal(size=(17, 3)), rng.normal(loc=0.5, size=(23, 3))
+        sigma = metric_report(X, Y).settings["mmd_bandwidth"]
+        assert sigma == pytest.approx(float(np.median(pdist(np.vstack([X, Y])))), rel=1e-12)

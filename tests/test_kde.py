@@ -134,6 +134,16 @@ class TestLogDensityMany:
         with pytest.raises(DimensionMismatch):
             log_density_many(model, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_row(self, bad):
+        model = fit_kde(np.zeros((2, 2)), 1.0)
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            log_density_many(model, X)
+        with pytest.raises(NonFiniteValue):
+            log_density(model, X[1])
+
 
 class TestImportanceWeights:
     def test_identical_models_give_exact_ones(self):

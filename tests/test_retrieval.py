@@ -128,9 +128,16 @@ class TestTopK:
 
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
-        idx = EmbeddingIndex.build(["c", "a", "b", "z"], v)
-        hits = top_k_retrieve(np.array([1.0, 0.0]), idx, 4)
-        assert [h[0] for h in hits] == ["a", "b", "c", "z"]
+        # string order, not numeric: "p10" sorts before "p9"
+        for ids, want in ((["c", "a", "b", "z"], ["a", "b", "c", "z"]),
+                          (["p9", "p10", "p1", "q"], ["p1", "p10", "p9", "q"])):
+            idx = EmbeddingIndex.build(ids, v)
+            hits = top_k_retrieve(np.array([1.0, 0.0]), idx, 4)
+            assert [h[0] for h in hits] == want
+            pairs = build_training_pairs(
+                idx, [("q0", np.array([1.0, 0.0]), want[-1])], n_hard=3, n_random=0
+            )
+            assert list(pairs[0].negative_ids) == want[:3]
 
     @pytest.mark.parametrize("k", [0, -1, 21, 2.5])
     def test_k_out_of_range(self, k):
