@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: align, metrics, collect, retrieve, pairs, simulate, sweep.
-Every subcommand accepts --seed and --config; CLI flags override config-file
-values. On failure a machine-readable JSON error record is printed to stderr
-and the exit code is nonzero.
+Every subcommand but retrieve takes --seed; only align takes --config, a flat
+JSON config file that its flags override. On failure a machine-readable JSON
+error record is printed to stderr and the exit code is nonzero.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from .retrieval import build_training_pairs, top_k_retrieve
 from .synthetic import PRESETS, sample_population
 
 # every config field is an align flag except item_weights, a per-item vector
-# that only a config file can set; --seed is common to all subcommands
+# that only a config file can set
 _ALIGN_FLAG_FIELDS = tuple(
     f.name for f in dataclasses.fields(AlignmentConfig) if f.name != "item_weights"
 )
@@ -192,12 +192,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seeded(p):
         p.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
-        p.add_argument("--config", default=None, help="flat JSON config file")
 
     p = sub.add_parser("align", help="run the two-stage alignment pipeline")
-    common(p)
+    seeded(p)
+    p.add_argument("--config", default=None, help="flat JSON config file")
     p.add_argument("--pool", required=True, help="pool response file")
     p.add_argument("--reference", required=True, help="reference response file")
     p.add_argument("--personas", required=True, help="persona file")
@@ -213,7 +213,7 @@ def build_parser():
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("metrics", help="divergence metrics between two response files")
-    common(p)
+    seeded(p)
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--projections", type=int, default=512)
@@ -222,7 +222,7 @@ def build_parser():
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("collect", help="collect responses through a responder endpoint")
-    common(p)
+    seeded(p)
     p.add_argument("--personas", required=True)
     p.add_argument("--items", required=True)
     p.add_argument("--endpoint", required=True)
@@ -232,7 +232,6 @@ def build_parser():
     p.set_defaults(func=_cmd_collect)
 
     p = sub.add_parser("retrieve", help="rank personas by cosine similarity to a query")
-    common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--query", default=None, help="inline JSON array")
     p.add_argument("--query-file", default=None, help="JSON array or embedding record file")
@@ -241,7 +240,7 @@ def build_parser():
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("pairs", help="build contrastive training pairs")
-    common(p)
+    seeded(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--queries", required=True,
                    help="JSONL of {query_id, embedding, positive_id}")
@@ -256,7 +255,7 @@ def build_parser():
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("simulate", help="write synthetic pool/reference/persona files")
-    common(p)
+    seeded(p)
     p.add_argument("--preset", choices=PRESETS, default="shifted-gaussian")
     p.add_argument("--n", type=int, required=True, help="pool size")
     p.add_argument("--m", type=int, required=True, help="reference size")
@@ -267,7 +266,7 @@ def build_parser():
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="divergence-vs-pool-size sweep table")
-    common(p)
+    seeded(p)
     p.add_argument("--preset", choices=PRESETS, default="shifted-gaussian")
     p.add_argument("--n-grid", default="1000,10000,100000")
     p.add_argument("--d", type=int, default=1)

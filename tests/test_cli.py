@@ -63,6 +63,14 @@ class TestMetrics:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFound"
 
+    def test_config_is_a_usage_error(self, tmp_path):
+        # only align reads a config file; elsewhere --config is not a flag
+        p = tmp_path / "a.jsonl"
+        pio.save_responses(p, np.zeros((5, 2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", str(p), str(p), "--config", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
 
 class TestSimulateAlignMetrics:
     def test_end_to_end(self, tmp_path, capsys):
@@ -223,6 +231,14 @@ class TestRetrieve:
         path = self.setup_index(tmp_path)
         assert main(["retrieve", "--embeddings", str(path), "--k", "1"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+
+    def test_seed_is_a_usage_error(self, tmp_path):
+        # retrieval is deterministic; retrieve takes no --seed
+        path = self.setup_index(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", "--embeddings", str(path), "--query", "[1.0, 0.0]",
+                  "--k", "1", "--seed", "0"])
+        assert exc.value.code == 2
 
 
 class TestPairs:

@@ -9,11 +9,13 @@ log-domain fixed point.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from popalign import ot
 from popalign import (
     AlignmentConfig,
     CostMatrix,
@@ -54,6 +56,27 @@ def random_instance(rng, n, m, d=3):
     X = rng.normal(size=(n, d))
     Y = rng.normal(size=(m, d))
     return cost_matrix(X, Y)
+
+
+def outlier_instance(rng, n, m):
+    """random_instance with 8 far rows: at 0.02 x median their scalings leave
+    the absorption bounds, so sinkhorn must absorb."""
+    X = rng.normal(size=(n, 3))
+    X[:8] += 4.0
+    return cost_matrix(X, rng.normal(size=(m, 3)))
+
+
+def counting_absorptions(monkeypatch):
+    """Count tilted-kernel rebuilds after the first build of each solve."""
+    builds = []
+    real = ot._tilted_kernel
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("out") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ot, "_tilted_kernel", counted)
+    return builds
 
 
 class TestCostMatrix:
@@ -270,6 +293,55 @@ class TestOtWeights:
             ot_weights(plan)
         w = ot_weights(plan, allow_unconverged=True)
         assert w.shape == (10,)
+
+
+class TestPlanConsistency:
+    """The weights path reads the stored row marginal; the lazy gamma agrees."""
+
+    @pytest.mark.parametrize("seed,n,m,eps_scale", [
+        (20, 10, 10, 0.5), (21, 57, 129, 0.1), (22, 200, 150, 0.5),
+        (23, 10, 12, 0.02), (24, 120, 90, 0.02),
+    ])
+    def test_row_marginal_and_col_residual_match_gamma(self, seed, n, m, eps_scale):
+        rng = np.random.default_rng(seed)
+        C = random_instance(rng, n, m) if eps_scale != 0.02 else outlier_instance(rng, n, m)
+        plan = sinkhorn(C, epsilon=eps_scale * C.median_cost, max_iters=2000, tol=1e-9)
+        w = ot_weights(plan, allow_unconverged=True)
+        assert "gamma" not in vars(plan)  # the weights path never built the plan
+        gamma = plan.gamma
+        assert np.abs(w - gamma.sum(axis=1)).max() <= 1e-15
+        col = np.abs(gamma.sum(axis=0) - plan.col_marginal_target).max()
+        assert abs(plan.col_residual - col) <= 1e-15
+
+    def test_absorption_case_absorbs(self, monkeypatch):
+        builds = counting_absorptions(monkeypatch)
+        C = outlier_instance(np.random.default_rng(24), 120, 90)
+        sinkhorn(C, epsilon=0.02 * C.median_cost, max_iters=2000, tol=1e-9)
+        assert any(builds)
+
+    def test_ot_weights_returns_a_copy(self):
+        plan = sinkhorn(random_instance(np.random.default_rng(25), 6, 5), epsilon=1.0)
+        ot_weights(plan)[:] = 0.0
+        assert plan.row_marginal.sum() > 0.99
+
+
+class TestSinkhornMemory:
+    """sinkhorn + ot_weights hold one n x m array (the tilted kernel)."""
+
+    @pytest.mark.parametrize("eps_scale", [0.5, 0.02])
+    def test_peak_is_one_matrix(self, eps_scale, monkeypatch):
+        n, m = 400, 300
+        C = outlier_instance(np.random.default_rng(12), n, m)
+        builds = counting_absorptions(monkeypatch)
+        tracemalloc.start()
+        try:
+            plan = sinkhorn(C, epsilon=eps_scale * C.median_cost)
+            ot_weights(plan, allow_unconverged=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(builds) == (eps_scale == 0.02)  # the small eps absorbs
+        assert peak <= 1.5 * 8 * n * m
 
 
 class TestResampleOt:
