@@ -155,12 +155,23 @@ def _fgt_gauss_sums_1d(sources, queries, h):
 
 
 def _dense_kernel_lse(S, Q, bandwidth):
-    """logsumexp of the kernel terms per query row, blockwise (no normalizer)."""
+    """log sum_i exp(-||q - s_i||^2 / (2 h^2)) per query row (no normalizer).
+
+    Each cache-sized distance block (core._sq_dist_blocks) is shifted in
+    place by its row minimum, scaled and exponentiated, so the nearest source
+    contributes exactly exp(0) = 1 and a row can never underflow to -inf;
+    the shift is added back after the log. That is logsumexp's guarantee
+    inside the block's own buffer, without scipy's temporaries; log_density
+    keeps scipy's logsumexp as the independent oracle.
+    """
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
     out = np.empty(Q.shape[0])
     for lo, hi, d2 in _sq_dist_blocks(Q, S):
+        dmin = d2.min(axis=1)
+        d2 -= dmin[:, None]
         d2 *= scale
-        out[lo:hi] = logsumexp(d2, axis=1)
+        np.exp(d2, out=d2)
+        out[lo:hi] = np.log(d2.sum(axis=1)) + scale * dmin
     return out
 
 

@@ -8,11 +8,14 @@ Every intermediate summary lands in the AlignmentReport; fixed (inputs,
 config) reproduces outputs bit-identically.
 
 Errors raised inside a stage propagate with their original type, a `stage`
-attribute, and a message prefix naming the stage.
+attribute, and a message prefix naming the stage. Each stage, finished or
+raising, logs one DEBUG event with its name and elapsed seconds to the
+`popalign.pipeline` logger.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+import logging
 import math
 import time
 
@@ -28,6 +31,8 @@ from .rng import derive_seed, rng_from_seed
 from .sampling import multinomial_draw, normalize_weights
 
 REPORT_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 # stream tags for the pipeline's independent draw streams
 _STAGE1_STREAM = 11
@@ -51,7 +56,9 @@ def _stage(name, timings):
             e.args = (f"stage {name}",)
         raise
     finally:
-        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        timings[name] = timings.get(name, 0.0) + elapsed
+        logger.debug("stage %s: %.6f s", name, elapsed)
 
 
 def collect_responses(personas, items, responder, seed, retries=2):

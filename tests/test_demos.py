@@ -2,8 +2,9 @@
 
 Each demo runs in its own interpreter. PYTHONPATH is made absolute because
 the CLI walkthrough starts its subcommands from a temporary directory, where
-a relative `src` would not resolve. TMPDIR points at the test's tmp_path so
-that directory is cleaned up with the test's.
+a relative `src` would not resolve. TMPDIR points at the test's tmp_path, so
+a temporary directory a demo leaves behind shows there (and is cleaned up
+with the test's).
 """
 
 import os
@@ -33,3 +34,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]
+    assert not list(tmp_path.glob("popalign-demo-*"))

@@ -6,6 +6,7 @@ underflow cannot occur.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from popalign.errors import (
     NonFiniteValue,
     NonPositiveBandwidth,
 )
-from popalign import kde
+from popalign import core, kde
 from popalign.kde import log_density_many
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -129,6 +130,32 @@ class TestLogDensityMany:
         single = np.array([log_density(model, x) for x in X])
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-11)
 
+    def test_matches_single_point_path_across_blocks(self):
+        # at the default cap 300 queries against 2000 sources span several
+        # multi-row blocks, the last one shorter than the rest
+        rows = core._BLOCK_ELEMS // 2000
+        assert 1 < rows < 300 and 300 % rows
+        rng = np.random.default_rng(4)
+        model = fit_kde(rng.normal(size=(2000, 5)), 0.4)
+        X = rng.normal(scale=1.5, size=(300, 5))
+        want = np.array([log_density(model, x) for x in X])
+        np.testing.assert_allclose(log_density_many(model, X), want, rtol=0, atol=1e-11)
+
+    def test_far_query_matches_closed_form(self):
+        # every kernel term underflows in linear space; the shifted sum keeps
+        # the nearest term at exp(0) and returns the exact log density
+        rng = np.random.default_rng(5)
+        h = 0.3
+        s = rng.normal(size=5)
+        step = rng.normal(size=5)
+        x = s + 1e3 * h * step / np.linalg.norm(step)
+        model = fit_kde(s[None, :], h)
+        got = log_density_many(model, np.vstack([x, s]))
+        want = -0.5 * ((x - s) @ (x - s)) / (h * h) - model.log_norm_const
+        assert np.isfinite(got).all()
+        assert got[0] == pytest.approx(want, rel=1e-12)
+        assert got[1] == pytest.approx(-model.log_norm_const, abs=1e-12)
+
     def test_dimension_mismatch(self):
         model = fit_kde(np.zeros((2, 3)), 1.0)
         with pytest.raises(DimensionMismatch):
@@ -143,6 +170,24 @@ class TestLogDensityMany:
             log_density_many(model, X)
         with pytest.raises(NonFiniteValue):
             log_density(model, X[1])
+
+
+class TestDenseMemory:
+    """The dense path holds a few cache-sized distance blocks, never the n x m matrix."""
+
+    @pytest.mark.parametrize("self_query", [False, True])
+    def test_peak_is_a_few_blocks(self, self_query):
+        rng = np.random.default_rng(6)
+        model = fit_kde(rng.normal(size=(3000, 5)), 0.5)
+        X = model.samples if self_query else rng.normal(size=(3000, 5))
+        tracemalloc.start()
+        try:
+            log_density_many(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four 1 MiB blocks; the full 3000 x 3000 matrix would take 72 MB
+        assert peak <= 4 * 8 * (1 << 17)
 
 
 class TestImportanceWeights:

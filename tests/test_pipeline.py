@@ -1,6 +1,7 @@
 """Response collection, weight truncation, and the end-to-end alignment run."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -152,6 +153,10 @@ class TestTruncateByWeight:
             truncate_by_weight(np.ones((2, 2)), 0.5)
 
 
+STAGES = ["validate", "kde_fit", "importance_weights", "truncate", "stage1_draw",
+          "dedup", "transport", "final_draw", "metrics"]
+
+
 def small_problem(seed=5, n=400, m=300, d=2):
     pool = sample_population("shifted-gaussian", n, d, seed=seed, role="pool")
     ref = sample_population("shifted-gaussian", m, d, seed=seed, role="reference")
@@ -286,13 +291,27 @@ class TestRunAlignment:
         with pytest.raises(InvalidConfig, match="dimension"):
             run_alignment(pool, ref3, personas, cfg)
 
-    def test_transport_errors_tagged_with_stage_and_batch(self):
+    def test_transport_errors_tagged_with_stage_and_batch(self, caplog):
         pool, ref, personas = small_problem(n=100, m=60)
         cfg = AlignmentConfig(n_is_candidates=60, n_final=10, seed=0)
-        with pytest.raises(NumericalCollapse) as exc:
-            run_alignment(pool, ref, personas, cfg, epsilon_absolute=1e-4)
+        with caplog.at_level(logging.DEBUG, logger="popalign.pipeline"):
+            with pytest.raises(NumericalCollapse) as exc:
+                run_alignment(pool, ref, personas, cfg, epsilon_absolute=1e-4)
         assert exc.value.stage == "transport"
         assert exc.value.batch == 0
+        # the raising stage logs its event too
+        events = [r.args[0] for r in caplog.records if r.name == "popalign.pipeline"]
+        assert events == STAGES[:STAGES.index("transport") + 1]
+
+    def test_stage_events_logged_in_order(self, caplog):
+        pool, ref, personas = small_problem(n=150, m=100)
+        cfg = AlignmentConfig(n_is_candidates=80, n_final=20, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="popalign.pipeline"):
+            _, report = run_alignment(pool, ref, personas, cfg)
+        events = [r for r in caplog.records if r.name == "popalign.pipeline"]
+        assert [r.args[0] for r in events] == STAGES
+        assert all(r.levelno == logging.DEBUG for r in events)
+        assert [r.args[1] for r in events] == [report.timings[s] for s in STAGES]
 
     def test_unconverged_override_reaches_report(self):
         pool, ref, personas = small_problem(n=150, m=100)
