@@ -5,13 +5,29 @@ distance, sliced Wasserstein over random projections, squared MMD with a
 Gaussian kernel, and the mean absolute gap between inter-item Pearson
 correlations. All metrics are pure functions of the two sample sets; the only
 randomness (sliced Wasserstein projections) is seeded and bit-stable.
+
+`_pair` is the suite's one input gate: an empty sample raises EmptyInput and
+a non-finite entry NonFiniteValue with its row and column.
+
+One exact 1-d W1 kernel on quantile functions, `_w1_rows`, serves
+wasserstein_1d, amw (all columns at once) and sliced_wasserstein (all
+projections at once): each side is sorted once, and one merged integer grid
+of quantile breakpoints, shared by every row, turns the integral into a
+matrix-vector product.
+
+The MMD bandwidth's median heuristic is an exact selection, not a sort of
+the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
+from one pass over the distance blocks when the first bracket holds the
+middle ranks (inputs up to about 11k rows), in about 25 MiB at most for any n.
+See `_median_pairwise_distance`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ResponseMatrix, _sq_dist_blocks
+from .core import _BLOCK_ELEMS, ResponseMatrix, _sq_dist_blocks
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -19,10 +35,18 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     InvalidConfig,
+    NonFiniteValue,
 )
 from .rng import rng_from_seed
 
 _SW_STREAM = 0x736C696365  # "slice"
+_MEDIAN_STREAM = 0x6D656469616E  # "median"
+# pairs drawn for the median heuristic's first bracket
+_MEDIAN_SAMPLE = 1 << 16
+# bracket half-width, in standard deviations of a sample quantile
+_MEDIAN_Z = 4.0
+# most values a pass keeps inside its bracket: 8 MiB of float64
+_MEDIAN_CAP = 1 << 20
 
 
 def _columns(X):
@@ -35,37 +59,59 @@ def _columns(X):
 
 
 def _pair(X, Y):
+    """The suite's one input gate: two non-empty, finite samples of one dimension."""
     A, B = _columns(X), _columns(Y)
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"sample dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    for M, label in ((A, "first"), (B, "second")):
+        if M.size == 0:
+            raise EmptyInput(f"the {label} sample is empty (shape {M.shape})")
+        bad = np.argwhere(~np.isfinite(M))
+        if bad.size:
+            r, c = (int(v) for v in bad[0])
+            raise NonFiniteValue(
+                f"non-finite value in the {label} sample at row {r}, column {c}", row=r, col=c
+            )
     return A, B
+
+
+def _w1_rows(P, Q):
+    """Exact 1-d W1 between each row of P (c x n_x) and the same row of Q (c x n_y).
+
+    W1 is the integral over t in (0, 1] of |F_P^-1(t) - F_Q^-1(t)|. Scaled by
+    n_x n_y, the two quantile functions step at the integers i n_y and j n_x,
+    so one merged integer grid, shared by every row, gives each interval's
+    width and the sorted indices on both sides. Each side is sorted once for
+    all rows, and each cache-sized chunk of rows is one matrix-vector product.
+    """
+    xs, ys = np.sort(P, axis=1), np.sort(Q, axis=1)
+    nx, ny = xs.shape[1], ys.shape[1]
+    grid = np.union1d(np.arange(nx + 1) * ny, np.arange(ny + 1) * nx)
+    ix, iy = grid[:-1] // ny, grid[:-1] // nx
+    widths = np.diff(grid).astype(np.float64)
+    out = np.empty(xs.shape[0])
+    step = max(1, _BLOCK_ELEMS // widths.size)
+    for lo in range(0, out.size, step):
+        gap = xs[lo:lo + step, ix] - ys[lo:lo + step, iy]
+        out[lo:lo + step] = np.abs(gap, out=gap) @ widths
+    return out / (nx * ny)
 
 
 def wasserstein_1d(x, y):
     """Exact W1 between two 1-d empirical distributions.
 
-    Integral of |F_x - F_y| over the merged sorted support; for equal sizes
-    this equals the mean absolute gap between sorted order statistics.
+    The integral of |F_x^-1 - F_y^-1| over (0, 1], i.e. of |F_x - F_y| over
+    the merged support; for equal sizes this is the mean absolute gap
+    between sorted order statistics.
     """
-    xs = np.sort(np.asarray(x, dtype=np.float64).ravel())
-    ys = np.sort(np.asarray(y, dtype=np.float64).ravel())
-    if xs.size == 0 or ys.size == 0:
-        raise EmptyInput("wasserstein_1d needs at least one sample on each side")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise DimensionMismatch("wasserstein_1d requires finite samples")
-    z = np.sort(np.concatenate([xs, ys]), kind="mergesort")
-    if z[0] == z[-1]:
-        return 0.0
-    gaps = np.diff(z)
-    cdf_x = np.searchsorted(xs, z[:-1], side="right") / xs.size
-    cdf_y = np.searchsorted(ys, z[:-1], side="right") / ys.size
-    return float(np.sum(np.abs(cdf_x - cdf_y) * gaps))
+    A, B = _pair(np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1)))
+    return float(_w1_rows(A.T, B.T)[0])
 
 
 def amw(X, Y):
     """Mean over items of the exact per-column 1D W1."""
     A, B = _pair(X, Y)
-    return float(np.mean([wasserstein_1d(A[:, t], B[:, t]) for t in range(A.shape[1])]))
+    return float(np.mean(_w1_rows(A.T, B.T)))
 
 
 def _sqrtm_psd(S):
@@ -103,7 +149,11 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
     result short-circuits to wasserstein_1d exactly, independent of the seed.
     """
     A, B = _pair(X, Y)
-    if not isinstance(n_projections, (int, np.integer)) or n_projections < 1:
+    if (
+        not isinstance(n_projections, (int, np.integer))
+        or isinstance(n_projections, bool)
+        or n_projections < 1
+    ):
         raise InvalidConfig(f"n_projections must be a positive integer, got {n_projections!r}")
     d = A.shape[1]
     if d == 1:
@@ -116,22 +166,136 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
         dirs[redo] = rng.standard_normal((int(redo.sum()), d))
         norms = np.linalg.norm(dirs, axis=1)
     dirs /= norms[:, None]
-    PA = A @ dirs.T
-    PB = B @ dirs.T
-    vals = [wasserstein_1d(PA[:, k], PB[:, k]) for k in range(int(n_projections))]
-    return float(np.mean(vals))
+    return float(np.mean(_w1_rows(dirs @ A.T, dirs @ B.T)))
+
+
+def _pivots(sample, lo_rank, hi_rank, n_range, lo_val, hi_val):
+    """Bracket (a, b) for ranks lo_rank..hi_rank of the n_range values in [lo_val, hi_val].
+
+    `sample` is a sample of those values; a and b are its order statistics
+    _MEDIAN_Z standard deviations outside the targets' positions, or just
+    outside the range where the sample runs out. A non-empty sample always
+    gives at least one pivot that is a sampled value.
+    """
+    m = sample.size
+    spread = _MEDIAN_Z * np.sqrt(m) / 2.0 + 1.0
+    i = int(np.floor(m * lo_rank / n_range - spread))
+    j = int(np.ceil(m * (hi_rank + 1) / n_range + spread))
+    if m and i < 0 and j >= m:
+        j = m - 1
+    kth = [k for k in (i, j) if 0 <= k < m]
+    if kth:
+        sample = np.partition(sample, kth)
+    a = sample[i] if i >= 0 else math.nextafter(lo_val, -math.inf)
+    b = sample[j] if j < m else math.nextafter(hi_val, math.inf)
+    return float(a), float(b)
+
+
+def _pair_sample(Z):
+    """Squared distances of _MEDIAN_SAMPLE seeded pairs i != j, uniform over pairs."""
+    rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
+    i = rng.integers(0, Z.shape[0], _MEDIAN_SAMPLE)
+    j = rng.integers(0, Z.shape[0] - 1, _MEDIAN_SAMPLE)
+    j += j >= i
+    diff = Z[i] - Z[j]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _bracket_pass(Z, a, b):
+    """One pass over the upper-triangle squared distances of Z against the bracket (a, b).
+
+    Returns the counts of values < a, <= a, < b and <= b, the kept values
+    strictly inside (a, b), and their stride: 1 when every such value was
+    kept, else k > 1 for every k-th of them in pass order, a systematic
+    sample that stays under _MEDIAN_CAP.
+    """
+    lt_a = eq_a = eq_b = le_b = seen = 0
+    kept, size, stride = [], 0, 1
+    triangles = {}
+    for lo, hi, d2 in _sq_dist_blocks(Z, Z):
+        if hi - lo not in triangles:
+            triangles[hi - lo] = np.triu_indices(hi - lo, 1)
+        # columns hi: lie above the diagonal for every row of the block,
+        # columns lo:hi only in the block's own strict upper triangle
+        for part in (d2[:, hi:], d2[:, lo:hi][triangles[hi - lo]]):
+            from_a, upto_b = part >= a, part <= b
+            lt_a += part.size - np.count_nonzero(from_a)
+            le_b += np.count_nonzero(upto_b)
+            closed = part[np.logical_and(from_a, upto_b, out=from_a)]
+            eq_a += np.count_nonzero(closed == a)
+            eq_b += np.count_nonzero(closed == b)
+            inside = closed[(closed > a) & (closed < b)]
+            first, seen = -seen % stride, seen + inside.size
+            if stride > 1:
+                inside = inside[first::stride].copy()
+            kept.append(inside)
+            size += inside.size
+            while size > _MEDIAN_CAP:
+                # keep entries 0, 2k, 4k, ... of the inside values seen so far
+                kept = [np.concatenate(kept)[::2].copy()]
+                size, stride = kept[0].size, 2 * stride
+    return (lt_a, lt_a + eq_a, le_b - eq_b, le_b), np.concatenate(kept), stride
 
 
 def _median_pairwise_distance(Z):
-    # median over all unordered pairs i < j, blockwise to bound memory
-    cols = np.arange(Z.shape[0])
-    chunks = [
-        np.sqrt(d2[cols[lo:hi, None] < cols[None, :]]) for lo, hi, d2 in _sq_dist_blocks(Z, Z)
-    ]
-    flat = np.concatenate(chunks) if chunks else np.empty(0)
-    if flat.size == 0:
+    """Median over all unordered pairs i < j of ||Z_i - Z_j||, exactly as np.median.
+
+    Selects the middle rank(s) of the squared distances from
+    core._sq_dist_blocks(Z, Z), the same values the whole list would hold,
+    without ever holding that list. Pivots from a fixed sample of pairs give
+    a bracket; one pass over the blocks counts the values below it and keeps
+    those inside, and np.partition picks the middle ranks among them. sqrt is
+    monotone, so the result is bit-identical to np.median of the n(n-1)/2
+    distances. When a middle rank falls outside the bracket, or the bracket
+    holds more than _MEDIAN_CAP values, another pass narrows it, with pivots
+    from that pass's strided copy of the bracket (or its whole range).
+
+    Memory is one distance block, the pair sample and at most about
+    2.5 _MEDIAN_CAP kept values, whatever n: 10 MiB at 6k rows, 23 MiB at
+    10k rows with a forced second pass (tracemalloc peaks). Each pass is one
+    sweep over the n x n distance blocks. The first bracket holds about
+    _MEDIAN_Z / sqrt(_MEDIAN_SAMPLE) of the pairs (1.6%), under the cap up to
+    about 11k rows; a further pass draws its pivots from at least
+    _MEDIAN_CAP / 2 sampled values, for a bracket about 180 times narrower.
+    """
+    n = Z.shape[0]
+    total = n * (n - 1) // 2
+    if total == 0:
         return 0.0
-    return float(np.median(flat))
+    if not math.isfinite(4.0 * float(np.einsum("ij,ij->i", Z, Z).max())):
+        # past this, ||x||^2 + ||y||^2 - 2 x.y can overflow to inf - inf = nan
+        raise DegenerateBandwidth(
+            "squared distances overflow float64; rescale the samples or pass kernel_bandwidth"
+        )
+    ranks = ((total - 1) // 2, total // 2)
+    sample = _pair_sample(Z)
+    # the unresolved ranks lie among the n_range values in [lo_val, hi_val],
+    # which hold ranks below .. below + n_range - 1
+    lo_val, hi_val, below, n_range = -math.inf, math.inf, 0, total
+    found = {}
+    while True:
+        todo = [k for k in ranks if k not in found]
+        a, b = _pivots(sample, todo[0] - below, todo[-1] - below, n_range, lo_val, hi_val)
+        (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(Z, a, b)
+        # rank segments: < a, == a, inside (a, b), == b, > b
+        starts = (below, lt_a, le_a, lt_b, le_b)
+        ends = (lt_a, le_a, lt_b, le_b, below + n_range)
+        seg = {k: next(s for s in range(4, -1, -1) if k >= starts[s]) for k in todo}
+        inside = [k for k in todo if seg[k] == 2]
+        if inside and stride == 1:
+            kept = np.partition(kept, [k - le_a for k in inside])
+            found.update((k, kept[k - le_a]) for k in inside)
+        found.update((k, a) for k in todo if seg[k] == 1)
+        found.update((k, b) for k in todo if seg[k] == 3)
+        todo = [k for k in todo if k not in found]
+        if not todo:
+            break
+        s0, s1 = seg[todo[0]], seg[todo[-1]]
+        lo_val = (lo_val, a, math.nextafter(a, math.inf), b, math.nextafter(b, math.inf))[s0]
+        hi_val = (math.nextafter(a, -math.inf), a, math.nextafter(b, -math.inf), b, hi_val)[s1]
+        below, n_range = starts[s0], ends[s1] - starts[s0]
+        sample = kept if s0 == s1 == 2 else np.empty(0)
+    return float(np.mean(np.sqrt([found[k] for k in ranks])))
 
 
 def _kernel_mean(A, B, inv_two_sigma_sq):

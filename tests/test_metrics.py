@@ -2,13 +2,18 @@
 
 scipy.stats.wasserstein_distance, scipy.linalg.sqrtm, scipy pdist, and
 np.corrcoef appear here strictly as cross-check oracles; the library
-implementations stand on their own.
+implementations stand on their own. Property tests run hypothesis with
+derandomize=True, so every run draws the same examples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.linalg import sqrtm
 from scipy.spatial.distance import pdist
@@ -25,6 +30,7 @@ from popalign import (
     sliced_wasserstein,
     wasserstein_1d,
 )
+from popalign import core, metrics
 from popalign.core import ResponseMatrix
 from popalign.errors import (
     ConstantColumn,
@@ -32,7 +38,10 @@ from popalign.errors import (
     DimensionMismatch,
     EmptyInput,
     InsufficientSamples,
+    InvalidConfig,
+    NonFiniteValue,
 )
+from popalign.rng import rng_from_seed
 
 
 def merged_grid_w1(x, y):
@@ -45,6 +54,24 @@ def merged_grid_w1(x, y):
         fy = np.searchsorted(y, lo, side="right") / len(y)
         total += abs(fx - fy) * (hi - lo)
     return total
+
+
+def per_projection_sw(X, Y, n_projections, seed):
+    """Oracle: sliced W1 as a loop over projections, each through merged_grid_w1."""
+    rng = rng_from_seed(seed, stream=(metrics._SW_STREAM,))
+    dirs = rng.standard_normal((n_projections, X.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    PX, PY = dirs @ X.T, dirs @ Y.T
+    return float(np.mean([merged_grid_w1(PX[k], PY[k]) for k in range(n_projections)]))
+
+
+def full_list_median(Z):
+    """Oracle: np.median over the whole list of upper-triangle block distances."""
+    cols = np.arange(Z.shape[0])
+    upper = np.concatenate(
+        [d2[cols[lo:hi, None] < cols[None, :]] for lo, hi, d2 in core._sq_dist_blocks(Z, Z)]
+    )
+    return float(np.median(np.sqrt(upper)))
 
 
 class TestWasserstein1d:
@@ -383,3 +410,194 @@ class TestMetricReport:
         Y = ResponseMatrix(rng.normal(size=(20, 2)))
         rep = metric_report(X, Y, n_projections=8, seed=0)
         assert rep.sample_sizes == (20, 20)
+
+
+SUITE = [amw, frechet_distance, sliced_wasserstein, mmd, mae_corr, metric_report]
+
+
+class TestInputGate:
+    """Every suite metric and wasserstein_1d reject empty and non-finite samples."""
+
+    @pytest.mark.parametrize("fn", SUITE)
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, fn, side, bad):
+        rng = np.random.default_rng(37)
+        pair = [rng.normal(size=(20, 3)), rng.normal(size=(25, 3))]
+        pair[side][7, 2] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            fn(*pair)
+        assert (exc.value.row, exc.value.col) == (7, 2)
+
+    @pytest.mark.parametrize("fn", SUITE)
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    def test_empty_side(self, fn, shape):
+        full = np.ones((4, shape[1]))
+        with pytest.raises(EmptyInput):
+            fn(np.zeros(shape), full)
+        with pytest.raises(EmptyInput):
+            fn(full, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_wasserstein_1d_non_finite(self, bad):
+        with pytest.raises(NonFiniteValue) as exc:
+            wasserstein_1d([0.0, 1.0], [2.0, 3.0, bad])
+        assert (exc.value.row, exc.value.col) == (2, 0)
+
+    def test_wasserstein_1d_empty_second(self):
+        with pytest.raises(EmptyInput):
+            wasserstein_1d([1.0], [])
+
+    @pytest.mark.parametrize("bad", [True, False, 0, -3, 2.0, "8"])
+    def test_projection_count(self, bad):
+        rng = np.random.default_rng(38)
+        X, Y = rng.normal(size=(10, 2)), rng.normal(size=(12, 2))
+        with pytest.raises(InvalidConfig):
+            sliced_wasserstein(X, Y, n_projections=bad)
+
+
+PROPERTY = settings(max_examples=120, derandomize=True, deadline=None, database=None)
+VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+DIGITS = st.sampled_from([None, 0, 1])  # rounding forces ties on the merged support
+
+
+def _sample(draw, n, d, digits):
+    A = draw(arrays(np.float64, (n, d), elements=VALUES))
+    return A if digits is None else np.round(A, digits)
+
+
+class TestW1Properties:
+    """The one W1 kernel behind wasserstein_1d, amw and sliced_wasserstein."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_wasserstein_1d_matches_oracles(self, data):
+        digits = data.draw(DIGITS)
+        x = _sample(data.draw, data.draw(st.integers(1, 60)), 1, digits)[:, 0]
+        y = _sample(data.draw, data.draw(st.integers(1, 60)), 1, digits)[:, 0]
+        got = wasserstein_1d(x, y)
+        assert got == pytest.approx(merged_grid_w1(x, y), rel=1e-12, abs=0)
+        assert got == pytest.approx(stats.wasserstein_distance(x, y), rel=1e-12, abs=0)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_amw_matches_per_column_oracle(self, data):
+        digits, d = data.draw(DIGITS), data.draw(st.integers(1, 4))
+        X = _sample(data.draw, data.draw(st.integers(1, 60)), d, digits)
+        Y = _sample(data.draw, data.draw(st.integers(1, 60)), d, digits)
+        want = np.mean([merged_grid_w1(X[:, t], Y[:, t]) for t in range(d)])
+        assert amw(X, Y) == pytest.approx(want, rel=1e-12, abs=0)
+        assert amw(X, X) == 0.0
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_sliced_matches_per_projection_loop(self, data):
+        digits, d = data.draw(DIGITS), data.draw(st.integers(2, 4))
+        X = _sample(data.draw, data.draw(st.integers(1, 60)), d, digits)
+        Y = _sample(data.draw, data.draw(st.integers(1, 60)), d, digits)
+        k, seed = data.draw(st.integers(1, 16)), data.draw(st.integers(0, 2**32))
+        got = sliced_wasserstein(X, Y, n_projections=k, seed=seed)
+        assert got == pytest.approx(per_projection_sw(X, Y, k, seed), rel=1e-12, abs=0)
+        assert sliced_wasserstein(X, X, n_projections=k, seed=seed) == 0.0
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_sliced_in_one_dimension_is_w1(self, data):
+        digits = data.draw(DIGITS)
+        X = _sample(data.draw, data.draw(st.integers(1, 60)), 1, digits)
+        Y = _sample(data.draw, data.draw(st.integers(1, 60)), 1, digits)
+        seed = data.draw(st.integers(0, 2**32))
+        got = sliced_wasserstein(X, Y, n_projections=4, seed=seed)
+        assert got == wasserstein_1d(X[:, 0], Y[:, 0])
+
+
+def _median_inputs():
+    rng = np.random.default_rng(39)
+    base = rng.normal(size=(40, 3))
+    return {
+        "likert_ties": rng.integers(1, 6, size=(300, 5)).astype(float),
+        "likert_multi_block": rng.integers(1, 8, size=(1500, 4)).astype(float),
+        "duplicate_rows": np.repeat(base, 6, axis=0),
+        "n2": rng.normal(size=(2, 3)),
+        "n3": rng.normal(size=(3, 2)),
+        "d1": rng.normal(size=(500, 1)),
+        "heavy_tails": rng.standard_cauchy(size=(400, 3)),
+        "all_equal": np.full((12, 2), 3.0),
+        "gaussian_desk_size": rng.normal(size=(3200, 5)),
+    }
+
+
+MEDIAN_INPUTS = _median_inputs()
+
+
+class TestMedianHeuristic:
+    """The bracketed selection returns np.median's value, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(MEDIAN_INPUTS))
+    def test_equals_full_list_median(self, name):
+        Z = MEDIAN_INPUTS[name]
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+
+    @pytest.mark.parametrize("block_elems", [1, 7 * 40])
+    @pytest.mark.parametrize("name", ["likert_ties", "duplicate_rows", "n3", "heavy_tails"])
+    def test_equals_full_list_median_at_small_blocks(self, name, block_elems, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
+        Z = MEDIAN_INPUTS[name]
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    @pytest.mark.parametrize("name", ["d1", "duplicate_rows", "heavy_tails"])
+    def test_narrowing_passes_under_a_small_cap(self, name, cap, monkeypatch):
+        # a bracket over the cap keeps only a strided sample and passes again
+        passes = self._count_passes(monkeypatch)
+        monkeypatch.setattr(metrics, "_MEDIAN_CAP", cap)
+        Z = MEDIAN_INPUTS[name]
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert len(passes) >= 2
+
+    def test_first_bracket_miss_takes_another_pass(self, monkeypatch):
+        # the sampled pairs' direct differences are accurate (about 1e-5),
+        # while the blocks' ||x||^2 + ||y||^2 - 2 x.y of 5e16-sized norms
+        # cancels to values dominated by rounding: the sampled bracket
+        # misses the blocks' median, and a second pass must find it
+        Z = 1e8 + np.random.default_rng(40).normal(scale=1e-3, size=(400, 5))
+        passes = self._count_passes(monkeypatch)
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert len(passes) >= 2
+
+    def test_one_pass_at_desk_size(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        metrics._median_pairwise_distance(MEDIAN_INPUTS["gaussian_desk_size"])
+        assert len(passes) == 1
+
+    def test_overflowing_norms_rejected(self):
+        # 1e200^2 overflows, and the blocks' expansion would hold inf - inf
+        X = np.array([[1e200], [2e200]])
+        with pytest.raises(DegenerateBandwidth):
+            mmd(X, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_pairs(self, n):
+        assert metrics._median_pairwise_distance(np.zeros((n, 3))) == 0.0
+
+    def test_memory_bounded(self):
+        Z = np.random.default_rng(41).normal(size=(6000, 5))
+        tracemalloc.start()
+        try:
+            metrics._median_pairwise_distance(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole list of 18M distances, as np.median needs it, is 144 MB
+        assert peak <= 32 * 2**20
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+
+        def counting(X, Y, w=None):
+            passes.append(X.shape)
+            return core._sq_dist_blocks(X, Y, w)
+
+        monkeypatch.setattr(metrics, "_sq_dist_blocks", counting)
+        return passes
