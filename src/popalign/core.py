@@ -21,40 +21,81 @@ _MAX_SEED = (1 << 64) - 1
 # cap on elements per squared-distance block: 2^17 float64 is 1 MB, so a
 # block stays in cache through the several passes each caller makes over it
 _BLOCK_ELEMS = 1 << 17
+# but at least this many rows: each product packs all of its Y columns, so a
+# 2-row block against 50k columns cost 1.7 ns per entry in the product alone
+# (0.5 ns at 21 rows), and criterion 5's 50k self-KDE took 5.6-6.5 s at 2
+# rows per block and 4.3-4.6 s at 8 (2-core VM, OpenBLAS 0.3.31, d=5)
+_BLOCK_MIN_ROWS = 8
 
 
-def _sq_dist_blocks(X, Y, w=None):
-    """Yield (lo, hi, D) with D[i, j] = sum_k w_k (X[lo + i, k] - Y[j, k])^2.
+def _sq_dist_blocks(X, Y, w=None, scale=1.0, out=None):
+    """Yield (lo, hi, D) with D[i, j] = scale * sum_k w_k (X[lo + i, k] - Y[c + j, k])^2.
 
-    Rows of X go in blocks of at most _BLOCK_ELEMS entries (at least one row);
-    w defaults to all ones. Each block uses the expansion ||x||^2 + ||y||^2 -
-    2 x.y with one matrix product, clamped at 0 against cancellation.
+    c = 0, so D covers every column of Y, unless Y is X: then c = lo and only
+    the upper blocks are yielded, rows lo:hi against columns lo:, and a
+    caller counts each off-diagonal pair once. Rows of X go in blocks of at
+    most _BLOCK_ELEMS entries of a full row of Y, but at least
+    _BLOCK_MIN_ROWS rows. w defaults to all ones; scale is nonzero. With out
+    (shape n_X x n_Y), each block is written to, and yielded as, out[lo:hi].
+
+    Both operands are first centred on the mean of Y, which moves no
+    distance, so the expansion ||x||^2 + ||y||^2 - 2 x.y cancels only the
+    spread of the data, not its offset: on psychometric T-scores (offset
+    ~50) the uncentred expansion lost the dense KDE's 1e-12 agreement with a
+    per-row evaluation (4.6e-11 at desk sizes), and at offset 1e3 it was off
+    by 3e-8. The operands are then augmented to [x w (-2 scale), scale x2,
+    scale] and [y, 1, y2] (x2, y2 the weighted squared norms), so one matrix
+    product per block gives scale * D with no temporaries and no separate
+    scaling pass; it is clamped in place at 0 against rounding. The two
+    augmented operands are distinct arrays even when Y is X, so BLAS runs
+    gemm, not the syrk that X @ X.T selects (about 3x slower per entry).
 
     Blocks are cache-sized because every caller passes over a block several
-    times (clamp, then shift, scale, exp and sum in the KDE), and each pass
-    over a block larger than the cache streams it through main memory. On a
-    2-core VM with OpenBLAS 0.3.31, d=5, the dense KDE over 45.6M kernel
-    pairs took 1.33 s at the former 40M-element cap and 0.18-0.25 s at 2^17;
-    caps of 2^16 to 2^18 were within noise of 2^17 for the metrics, while
-    2^16 slowed the KDE against 50k sources, whose blocks shrink to one row.
-
-    The row partition matters for the last bit: BLAS may round a product row
-    differently in blocks of different heights (a 1-row block runs as a
-    matrix-vector product).
+    times (exp and sums in the KDE and MMD, counts in the median heuristic),
+    and each pass over a block larger than the cache streams it through main
+    memory. The row partition matters for the last bit: BLAS may round a
+    product row differently in blocks of different heights (a 1-row block
+    runs as a matrix-vector product).
     """
-    if Y is X:
-        # numpy sends X @ X.T to BLAS syrk, measured ~3x slower per entry
-        # than gemm against a copy on 3200x5 with OpenBLAS 0.3.31
-        Y = X.copy()
-    Xw = X if w is None else X * w
-    x2 = np.einsum("ij,ij->i", Xw, X)
-    y2 = np.einsum("ij,ij->i", Y if w is None else Y * w, Y)
-    block = max(1, _BLOCK_ELEMS // max(1, Y.shape[0]))
-    for lo in range(0, X.shape[0], block):
-        hi = min(lo + block, X.shape[0])
-        D = x2[lo:hi, None] + y2[None, :] - 2.0 * (Xw[lo:hi] @ Y.T)
-        np.maximum(D, 0.0, out=D)
+    sym = Y is X
+    shift = Y.mean(axis=0)
+    Yc = Y - shift
+    Yw = Yc if w is None else Yc * w
+    y2 = np.einsum("ij,ij->i", Yw, Yc)
+    if sym:
+        Xw, x2 = Yw, y2
+    else:
+        Xc = X - shift
+        Xw = Xc if w is None else Xc * w
+        x2 = np.einsum("ij,ij->i", Xw, Xc)
+    A = np.column_stack([Xw * (-2.0 * scale), x2 * scale, np.full(x2.size, float(scale))])
+    B = np.column_stack([Yc, np.ones(y2.size), y2])
+    clamp = np.maximum if scale > 0 else np.minimum
+    block = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // max(1, B.shape[0]))
+    for lo in range(0, A.shape[0], block):
+        hi = min(lo + block, A.shape[0])
+        D = np.matmul(A[lo:hi], B[lo if sym else 0:].T, out=None if out is None else out[lo:hi])
+        clamp(D, 0.0, out=D)
         yield lo, hi, D
+
+
+def _finite_values(X, label, ndim=2):
+    """X as a float64 array of ndim dimensions whose entries are all finite.
+
+    The one coercion and gate for sample arrays (a ResponseMatrix gives its
+    values): the first non-finite entry raises NonFiniteValue naming its row
+    and column.
+    """
+    A = X.values if isinstance(X, ResponseMatrix) else np.asarray(X, dtype=np.float64)
+    if A.ndim != ndim:
+        raise DimensionMismatch(f"the {label} must be {ndim}-dimensional, got shape {A.shape}")
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        *r, c = (int(v) for v in bad[0])
+        row = r[0] if r else None
+        at = f"row {row}, column {c}" if r else f"column {c}"
+        raise NonFiniteValue(f"non-finite value in the {label} at {at}", row=row, col=c)
+    return A
 
 
 def _frozen_array(values, dtype=np.float64, ndim=None, name="array"):
@@ -82,10 +123,7 @@ class ResponseMatrix:
         n, d = arr.shape
         if n < 1 or d < 1:
             raise DimensionMismatch(f"response matrix must be at least 1x1, got {n}x{d}")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = (int(v) for v in bad[0])
-            raise NonFiniteValue(f"non-finite response at row {r}, column {c}", row=r, col=c)
+        _finite_values(arr, "responses")
         ids = tuple(self.item_ids) if self.item_ids else tuple(f"item{k}" for k in range(d))
         if len(ids) != d:
             raise DimensionMismatch(f"{len(ids)} item ids for {d} columns")

@@ -70,7 +70,7 @@ class UnconvergedPlan(PopalignError):
 
 
 class InstanceTooLarge(PopalignError):
-    """Exact-solver guard: the instance exceeds the oracle size limit."""
+    """Size guard: the instance exceeds a solver's size or memory budget."""
 
 
 class EmptyInput(PopalignError):

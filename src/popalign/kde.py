@@ -17,11 +17,10 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import ResponseMatrix, _sq_dist_blocks
+from .core import ResponseMatrix, _finite_values, _sq_dist_blocks
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
-    NonFiniteValue,
     NonPositiveBandwidth,
 )
 
@@ -71,11 +70,9 @@ def fit_kde(samples, bandwidth):
 
 def _queries(model, X, ndim):
     """X as a float array of ndim dimensions whose last has length model.d, all finite."""
-    Q = X.values if isinstance(X, ResponseMatrix) else np.asarray(X, dtype=np.float64)
-    if Q.ndim != ndim or Q.shape[-1] != model.d:
+    Q = _finite_values(X, "query", ndim)
+    if Q.shape[-1] != model.d:
         raise DimensionMismatch(f"query has shape {Q.shape}, model dimension is {model.d}")
-    if not np.isfinite(Q).all():
-        raise NonFiniteValue("query point contains a non-finite entry")
     return Q
 
 
@@ -157,21 +154,36 @@ def _fgt_gauss_sums_1d(sources, queries, h):
 def _dense_kernel_lse(S, Q, bandwidth):
     """log sum_i exp(-||q - s_i||^2 / (2 h^2)) per query row (no normalizer).
 
-    Each cache-sized distance block (core._sq_dist_blocks) is shifted in
-    place by its row minimum, scaled and exponentiated, so the nearest source
-    contributes exactly exp(0) = 1 and a row can never underflow to -inf;
-    the shift is added back after the log. That is logsumexp's guarantee
-    inside the block's own buffer, without scipy's temporaries; log_density
-    keeps scipy's logsumexp as the independent oracle.
+    The distance blocks (core._sq_dist_blocks) come already scaled by
+    -1 / (2 h^2), so each needs only an exp and sums in its own buffer.
+
+    At a self-query (Q is S, the pipeline's persona density whenever the fit
+    is not subsampled) only the upper blocks are computed: each block's row
+    sums serve its own rows, and the column sums of its off-diagonal part
+    serve the later rows, so every pair's kernel value is computed once. The
+    sums stay in linear space with no shift, because each row holds its own
+    self term exp(0) = 1 and cannot underflow.
+
+    Otherwise each block is shifted in place by its row maximum before the
+    exp, so the nearest source contributes exactly 1 and a row can never
+    underflow to -inf; the shift is added back after the log. That is
+    logsumexp's guarantee without scipy's temporaries; log_density keeps
+    scipy's logsumexp as the independent oracle.
     """
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
+    if Q is S:
+        sums = np.zeros(S.shape[0])
+        for lo, hi, k in _sq_dist_blocks(S, S, scale=scale):
+            np.exp(k, out=k)
+            sums[lo:hi] += k.sum(axis=1)
+            sums[hi:] += k[:, hi - lo:].sum(axis=0)
+        return np.log(sums)
     out = np.empty(Q.shape[0])
-    for lo, hi, d2 in _sq_dist_blocks(Q, S):
-        dmin = d2.min(axis=1)
-        d2 -= dmin[:, None]
-        d2 *= scale
-        np.exp(d2, out=d2)
-        out[lo:hi] = np.log(d2.sum(axis=1)) + scale * dmin
+    for lo, hi, k in _sq_dist_blocks(Q, S, scale=scale):
+        kmax = k.max(axis=1)
+        k -= kmax[:, None]
+        np.exp(k, out=k)
+        out[lo:hi] = np.log(k.sum(axis=1)) + kmax
     return out
 
 

@@ -7,7 +7,8 @@ correlations. All metrics are pure functions of the two sample sets; the only
 randomness (sliced Wasserstein projections) is seeded and bit-stable.
 
 `_pair` is the suite's one input gate: an empty sample raises EmptyInput and
-a non-finite entry NonFiniteValue with its row and column.
+a non-finite entry NonFiniteValue with its row and column (core._finite_values,
+which pearson_corr_matrix takes as well).
 
 One exact 1-d W1 kernel on quantile functions, `_w1_rows`, serves
 wasserstein_1d, amw (all columns at once) and sliced_wasserstein (all
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMS, ResponseMatrix, _sq_dist_blocks
+from .core import _BLOCK_ELEMS, _finite_values, _sq_dist_blocks
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -35,7 +36,6 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     InvalidConfig,
-    NonFiniteValue,
 )
 from .rng import rng_from_seed
 
@@ -49,29 +49,14 @@ _MEDIAN_Z = 4.0
 _MEDIAN_CAP = 1 << 20
 
 
-def _columns(X):
-    if isinstance(X, ResponseMatrix):
-        return X.values
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d sample array, got shape {arr.shape}")
-    return arr
-
-
 def _pair(X, Y):
     """The suite's one input gate: two non-empty, finite samples of one dimension."""
-    A, B = _columns(X), _columns(Y)
+    A, B = _finite_values(X, "first sample"), _finite_values(Y, "second sample")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"sample dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     for M, label in ((A, "first"), (B, "second")):
         if M.size == 0:
             raise EmptyInput(f"the {label} sample is empty (shape {M.shape})")
-        bad = np.argwhere(~np.isfinite(M))
-        if bad.size:
-            r, c = (int(v) for v in bad[0])
-            raise NonFiniteValue(
-                f"non-finite value in the {label} sample at row {r}, column {c}", row=r, col=c
-            )
     return A, B
 
 
@@ -213,11 +198,12 @@ def _bracket_pass(Z, a, b):
     kept, size, stride = [], 0, 1
     triangles = {}
     for lo, hi, d2 in _sq_dist_blocks(Z, Z):
-        if hi - lo not in triangles:
-            triangles[hi - lo] = np.triu_indices(hi - lo, 1)
-        # columns hi: lie above the diagonal for every row of the block,
-        # columns lo:hi only in the block's own strict upper triangle
-        for part in (d2[:, hi:], d2[:, lo:hi][triangles[hi - lo]]):
+        k = hi - lo
+        if k not in triangles:
+            triangles[k] = np.triu_indices(k, 1)
+        # the upper block's columns lo:hi hold its own rows' pairs, of which
+        # only the strict upper triangle counts; columns hi: all count
+        for part in (d2[:, k:], d2[:, :k][triangles[k]]):
             from_a, upto_b = part >= a, part <= b
             lt_a += part.size - np.count_nonzero(from_a)
             le_b += np.count_nonzero(upto_b)
@@ -262,8 +248,10 @@ def _median_pairwise_distance(Z):
     total = n * (n - 1) // 2
     if total == 0:
         return 0.0
-    if not math.isfinite(4.0 * float(np.einsum("ij,ij->i", Z, Z).max())):
-        # past this, ||x||^2 + ||y||^2 - 2 x.y can overflow to inf - inf = nan
+    Zc = Z - Z.mean(axis=0)
+    if not math.isfinite(4.0 * float(np.einsum("ij,ij->i", Zc, Zc).max())):
+        # past this, the blocks' expansion ||x||^2 + ||y||^2 - 2 x.y of the
+        # centred rows can overflow to inf - inf = nan
         raise DegenerateBandwidth(
             "squared distances overflow float64; rescale the samples or pass kernel_bandwidth"
         )
@@ -299,11 +287,15 @@ def _median_pairwise_distance(Z):
 
 
 def _kernel_mean(A, B, inv_two_sigma_sq):
-    # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2))
+    # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2)); for B is
+    # A the upper blocks hold each off-diagonal pair once, so it counts twice
     total = 0.0
-    for _lo, _hi, d2 in _sq_dist_blocks(A, B):
-        d2 *= -inv_two_sigma_sq
-        total += float(np.exp(d2, out=d2).sum())
+    for lo, hi, k in _sq_dist_blocks(A, B, scale=-inv_two_sigma_sq):
+        np.exp(k, out=k)
+        if B is A:
+            total += float(k[:, :hi - lo].sum()) + 2.0 * float(k[:, hi - lo:].sum())
+        else:
+            total += float(k.sum())
     return total / (A.shape[0] * B.shape[0])
 
 
@@ -358,7 +350,7 @@ def pearson_corr_matrix(X):
     (the diagonal stays 1), never silently 0. Consumers that need every entry
     defined (mae_corr) raise ConstantColumn instead.
     """
-    A = _columns(X)
+    A = _finite_values(X, "sample")
     if A.shape[0] < 2:
         raise InsufficientSamples("pearson correlations need at least 2 rows")
     constant = _constant_columns(A)

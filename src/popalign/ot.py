@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import AlignmentConfig, ItemWeights, ResponseMatrix, _sq_dist_blocks
+from .core import AlignmentConfig, ItemWeights, _finite_values, _sq_dist_blocks
 from .errors import (
     DegenerateCostScale,
     DimensionMismatch,
@@ -43,6 +43,10 @@ _ABSORB_HI = 1e100
 _ABSORB_LO = 1e-100
 
 _EXACT_GUARD = 10_000
+
+# most bytes one transport batch may hold in its two live n x m float64
+# arrays; criterion 5's largest batch (about 5.6k x 5k) needs 0.45 GB
+_OT_BATCH_BYTES = 2 << 30
 
 _MARGINAL_SUM_TOL = 1e-12
 
@@ -62,13 +66,12 @@ class CostMatrix:
 def cost_matrix(X_dagger, Y, omega=None):
     """C_ij = sum_k omega_k (x_ik - y_jk)^2.
 
-    omega defaults to all-ones. Computed blockwise via the quadratic expansion
-    (core._sq_dist_blocks); tiny negatives from cancellation are clamped to 0.
+    omega defaults to all-ones. Each block of the centred quadratic expansion
+    (core._sq_dist_blocks) is written straight into C; tiny negatives from
+    cancellation are clamped to 0.
     """
-    X = X_dagger.values if isinstance(X_dagger, ResponseMatrix) else np.asarray(X_dagger, float)
-    Yv = Y.values if isinstance(Y, ResponseMatrix) else np.asarray(Y, float)
-    if X.ndim != 2 or Yv.ndim != 2:
-        raise DimensionMismatch("cost_matrix expects two 2-d sample arrays")
+    X = _finite_values(X_dagger, "candidate sample")
+    Yv = _finite_values(Y, "reference sample")
     if X.shape[1] != Yv.shape[1]:
         raise DimensionMismatch(
             f"sample dimensions differ: {X.shape[1]} vs {Yv.shape[1]}"
@@ -83,8 +86,8 @@ def cost_matrix(X_dagger, Y, omega=None):
         w = omega.weights
 
     C = np.empty((X.shape[0], Yv.shape[0]))
-    for lo, hi, D in _sq_dist_blocks(X, Yv, w):
-        C[lo:hi] = D
+    for _block in _sq_dist_blocks(X, Yv, w, out=C):
+        pass  # each block is its own rows of C
     return CostMatrix(values=C, median_cost=float(np.median(C)))
 
 
@@ -212,8 +215,8 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6, check_eve
         u, v = np.ones(n), np.ones(m)
         _raise_on_dead_axis(Kt, "tilted kernel")
 
+    Kv = Kt @ v
     for it in range(1, max_iters + 1):
-        Kv = Kt @ v
         if (Kv <= 0.0).any():
             absorb()
             Kv = Kt @ v
@@ -227,8 +230,10 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6, check_eve
         if max(u.max(), v.max()) > _ABSORB_HI or min(u.min(), v.min()) < _ABSORB_LO:
             absorb()
 
+        # the next sweep's Kv, and the exit check's row marginal
+        Kv = Kt @ v
         if it == 1 or it % check_every == 0 or it == max_iters:
-            row_marginal = u * (Kt @ v)
+            row_marginal = u * Kv
             row_res = float(np.abs(row_marginal - a).max())
             if row_res <= tol:
                 break
@@ -328,11 +333,19 @@ def batched_ot_weights(
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("batched_ot_weights needs an AlignmentConfig")
-    Xv = X_dagger.values if isinstance(X_dagger, ResponseMatrix) else np.asarray(X_dagger, float)
-    Yv = Y.values if isinstance(Y, ResponseMatrix) else np.asarray(Y, float)
+    Xv = _finite_values(X_dagger, "candidate sample")
+    Yv = _finite_values(Y, "reference sample")
     n = Xv.shape[0]
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
+    # the cost matrix and its median copy, then the cost and the kernel
+    live = 2 * 8 * n * min(bs, m_total)
+    if live > _OT_BATCH_BYTES:
+        raise InstanceTooLarge(
+            f"a {n} x {min(bs, m_total)} transport batch holds two n x m float64 arrays, "
+            f"{live / 2**30:.1f} GiB, over the {_OT_BATCH_BYTES / 2**30:.0f} GiB budget; "
+            f"lower ot_batch_size"
+        )
 
     weights = np.zeros(n)
     details = []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from popalign import (
@@ -15,6 +17,7 @@ from popalign import (
     fit_kde,
     log_density,
     metric_report,
+    metrics,
     validate_pool,
 )
 from popalign.kde import log_density_many
@@ -236,12 +239,14 @@ class TestPersonaRecord:
 
 class TestSquaredDistanceBlocks:
     """One squared-distance kernel serves KDE, transport cost and MMD; a small
-    element cap forces several row blocks, a ragged last block, and (cap 1)
-    single-row blocks, each checked against an unblocked oracle."""
+    element cap (and no row floor) forces several row blocks, a ragged last
+    block, and (cap 1) single-row blocks, each checked against an unblocked
+    oracle."""
 
     @pytest.fixture(params=[1, 7 * 40, 11 * 40])
     def small_cap(self, request, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ELEMS", request.param)
+        monkeypatch.setattr(core, "_BLOCK_MIN_ROWS", 1)
 
     def test_log_density_many_matches_per_row(self, small_cap):
         rng = np.random.default_rng(40)
@@ -264,3 +269,129 @@ class TestSquaredDistanceBlocks:
         X, Y = rng.normal(size=(17, 3)), rng.normal(loc=0.5, size=(23, 3))
         sigma = metric_report(X, Y).settings["mmd_bandwidth"]
         assert sigma == pytest.approx(float(np.median(pdist(np.vstack([X, Y])))), rel=1e-12)
+
+    def test_symmetric_blocks_match_cross_blocks_on_a_copy(self, small_cap):
+        # Y is X takes the upper blocks; a copy of X takes the full ones
+        rng = np.random.default_rng(43)
+        X = rng.normal(loc=50.0, size=(40, 4))
+        w = rng.uniform(0.5, 2.0, size=4)
+        for weights, scale in ((None, 1.0), (w, -0.7)):
+            blocks = core._sq_dist_blocks(X, X.copy(), weights, scale)
+            full = np.vstack([D for _lo, _hi, D in blocks])
+            sym = np.full_like(full, np.nan)
+            for lo, hi, D in core._sq_dist_blocks(X, X, weights, scale):
+                assert D.shape == (hi - lo, 40 - lo)
+                sym[lo:hi, lo:] = D
+            # the blocks cover the upper triangle (and their own diagonal squares)
+            covered = ~np.isnan(sym)
+            assert covered[np.triu_indices(40)].all()
+            np.testing.assert_allclose(sym[covered], full[covered], rtol=0, atol=1e-12)
+
+    def test_self_query_kde_matches_cross_path(self, small_cap):
+        rng = np.random.default_rng(44)
+        model = fit_kde(rng.normal(loc=50.0, size=(40, 3)), 0.4)
+        S = model.samples.values
+        np.testing.assert_allclose(
+            log_density_many(model, model.samples), log_density_many(model, S.copy()),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_self_kernel_mean_matches_cross_path(self, small_cap):
+        A = np.random.default_rng(45).normal(loc=50.0, size=(40, 3))
+        got = metrics._kernel_mean(A, A, 0.3)
+        assert got == pytest.approx(metrics._kernel_mean(A, A.copy(), 0.3), rel=1e-13)
+
+    @pytest.mark.parametrize("n_cols", [100, 50_000])
+    def test_block_height(self, n_cols):
+        # 1 MB blocks, but never fewer than _BLOCK_MIN_ROWS rows
+        X, Y = np.zeros((100, 2)), np.zeros((n_cols, 2))
+        heights = {hi - lo for lo, hi, _D in core._sq_dist_blocks(X, Y)}
+        want = max(core._BLOCK_MIN_ROWS, core._BLOCK_ELEMS // n_cols)
+        assert max(heights) == min(want, 100)
+
+
+OFFSETS = [0.0, 50.0, 1e3]
+
+
+class TestCentredDistances:
+    """The blocks are centred, so data far from the origin (T-scores sit near
+    50) keep the dense KDE and the cost matrix within 1e-12 of direct
+    differences; an uncentred expansion is off by 3e-8 at offset 1e3."""
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_dense_kde_matches_per_row(self, offset):
+        rng = np.random.default_rng(46)
+        model = fit_kde(offset + rng.normal(size=(1500, 5)), 0.3)
+        X = offset + rng.normal(scale=1.2, size=(200, 5))
+        want = np.array([log_density(model, x) for x in X])
+        np.testing.assert_allclose(log_density_many(model, X), want, rtol=0, atol=1e-12)
+        # the self-query path, over every fitting row
+        S = model.samples.values
+        want = np.array([log_density(model, x) for x in S])
+        np.testing.assert_allclose(log_density_many(model, model.samples), want,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_cost_matrix_matches_broadcast(self, offset, weighted):
+        rng = np.random.default_rng(47)
+        X = offset + rng.normal(size=(300, 5))
+        Y = offset + rng.normal(size=(200, 5))
+        w = rng.uniform(0.5, 2.0, size=5) if weighted else np.ones(5)
+        want = (w * (X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        C = cost_matrix(X, Y, ItemWeights(w) if weighted else None)
+        np.testing.assert_allclose(C.values, want, rtol=0, atol=1e-12)
+
+    # samples on a 2^-30 grid within [-4, 4] and shifts on the same grid up
+    # to 2^10, so the shifted data are exact (41 bits) and only the kernel
+    # rounds; their squares are not, so an uncentred expansion does
+    GRID = st.integers(-(2**32), 2**32).map(lambda k: k / 2.0**30)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_common_shift_moves_nothing(self, data):
+        d = data.draw(st.integers(1, 3))
+        n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        S = np.array(data.draw(st.lists(self.GRID, min_size=n * d, max_size=n * d))).reshape(n, d)
+        Q = np.array(data.draw(st.lists(self.GRID, min_size=m * d, max_size=m * d))).reshape(m, d)
+        c = np.array(data.draw(st.lists(
+            st.integers(-(2**40), 2**40).map(lambda k: k / 2.0**30), min_size=d, max_size=d
+        )))
+        h = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        base, moved = fit_kde(S, h), fit_kde(S + c, h)
+        np.testing.assert_allclose(
+            log_density_many(moved, Q + c), log_density_many(base, Q), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            log_density_many(moved, moved.samples), log_density_many(base, base.samples),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            cost_matrix(Q + c, S + c).values, cost_matrix(Q, S).values, rtol=0, atol=1e-12
+        )
+
+
+class TestFiniteValues:
+    """core._finite_values: the one coercion and finiteness gate."""
+
+    def test_response_matrix_passes_its_values(self):
+        m = mat([[1.0, 2.0]])
+        assert core._finite_values(m, "sample") is m.values
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_row_and_column(self, bad):
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            core._finite_values(X, "sample")
+        assert (exc.value.row, exc.value.col) == (2, 1)
+        assert "row 2, column 1" in str(exc.value)
+
+    def test_one_dimensional_names_column(self):
+        with pytest.raises(NonFiniteValue) as exc:
+            core._finite_values([0.0, np.nan], "query", ndim=1)
+        assert (exc.value.row, exc.value.col) == (None, 1)
+
+    def test_wrong_ndim(self):
+        with pytest.raises(DimensionMismatch):
+            core._finite_values(np.zeros(3), "sample")

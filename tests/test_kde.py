@@ -171,6 +171,17 @@ class TestLogDensityMany:
         with pytest.raises(NonFiniteValue):
             log_density(model, X[1])
 
+    def test_nonfinite_query_named(self):
+        model = fit_kde(np.zeros((2, 3)), 1.0)
+        X = np.zeros((4, 3))
+        X[3, 2] = np.nan
+        with pytest.raises(NonFiniteValue) as exc:
+            log_density_many(model, X)
+        assert (exc.value.row, exc.value.col) == (3, 2)
+        with pytest.raises(NonFiniteValue) as exc:
+            log_density(model, X[3])
+        assert (exc.value.row, exc.value.col) == (None, 2)
+
 
 class TestDenseMemory:
     """The dense path holds a few cache-sized distance blocks, never the n x m matrix."""

@@ -66,11 +66,15 @@ def per_projection_sw(X, Y, n_projections, seed):
 
 
 def full_list_median(Z):
-    """Oracle: np.median over the whole list of upper-triangle block distances."""
-    cols = np.arange(Z.shape[0])
-    upper = np.concatenate(
-        [d2[cols[lo:hi, None] < cols[None, :]] for lo, hi, d2 in core._sq_dist_blocks(Z, Z)]
-    )
+    """Oracle: np.median over the whole list of upper-triangle block distances.
+
+    The upper block of rows lo:hi holds columns lo:, so its pair (i, j) is
+    strictly upper when j > i in block coordinates.
+    """
+    upper = np.concatenate([
+        d2[np.arange(hi - lo)[:, None] < np.arange(d2.shape[1])[None, :]]
+        for lo, hi, d2 in core._sq_dist_blocks(Z, Z)
+    ])
     return float(np.median(np.sqrt(upper)))
 
 
@@ -315,6 +319,15 @@ class TestPearson:
         assert M[1, 1] == 1.0  # diagonal stays defined
         assert not np.isnan(M[0, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, bad):
+        # a NaN entry is an input error, not the NaN marker of a constant column
+        X = np.random.default_rng(28).normal(size=(10, 3))
+        X[2, 1] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            pearson_corr_matrix(X)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(30, 3))
@@ -542,6 +555,7 @@ class TestMedianHeuristic:
     @pytest.mark.parametrize("name", ["likert_ties", "duplicate_rows", "n3", "heavy_tails"])
     def test_equals_full_list_median_at_small_blocks(self, name, block_elems, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(core, "_BLOCK_MIN_ROWS", 1)
         Z = MEDIAN_INPUTS[name]
         assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
 
@@ -556,14 +570,17 @@ class TestMedianHeuristic:
         assert len(passes) >= 2
 
     def test_first_bracket_miss_takes_another_pass(self, monkeypatch):
-        # the sampled pairs' direct differences are accurate (about 1e-5),
-        # while the blocks' ||x||^2 + ||y||^2 - 2 x.y of 5e16-sized norms
-        # cancels to values dominated by rounding: the sampled bracket
-        # misses the blocks' median, and a second pass must find it
-        Z = 1e8 + np.random.default_rng(40).normal(scale=1e-3, size=(400, 5))
+        # a pair sample scaled far below or above the true distances gives a
+        # first bracket that misses the middle ranks, so a second pass must
+        # find them
+        sample = metrics._pair_sample
+        Z = np.random.default_rng(40).normal(size=(400, 5))
         passes = self._count_passes(monkeypatch)
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
-        assert len(passes) >= 2
+        for factor in (1e-3, 1e3):
+            monkeypatch.setattr(metrics, "_pair_sample", lambda Z: factor * sample(Z))
+            passes.clear()
+            assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+            assert len(passes) >= 2
 
     def test_one_pass_at_desk_size(self, monkeypatch):
         passes = self._count_passes(monkeypatch)
@@ -595,9 +612,9 @@ class TestMedianHeuristic:
     def _count_passes(monkeypatch):
         passes = []
 
-        def counting(X, Y, w=None):
+        def counting(X, Y, w=None, scale=1.0, out=None):
             passes.append(X.shape)
-            return core._sq_dist_blocks(X, Y, w)
+            return core._sq_dist_blocks(X, Y, w, scale, out)
 
         monkeypatch.setattr(metrics, "_sq_dist_blocks", counting)
         return passes

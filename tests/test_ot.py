@@ -33,6 +33,7 @@ from popalign.errors import (
     DimensionMismatch,
     InstanceTooLarge,
     InvalidConfig,
+    NonFiniteValue,
     NonPositiveEpsilon,
     NumericalCollapse,
     UnconvergedPlan,
@@ -125,6 +126,15 @@ class TestCostMatrix:
     def test_weight_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cost_matrix(np.zeros((2, 3)), np.zeros((2, 3)), ItemWeights(np.ones(2)))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, side, bad):
+        pair = [np.zeros((4, 3)), np.ones((5, 3))]
+        pair[side][3, 1] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            cost_matrix(*pair)
+        assert (exc.value.row, exc.value.col) == (3, 1)
 
 
 class TestGibbsKernel:
@@ -265,6 +275,35 @@ class TestSinkhorn:
         plan = sinkhorn(C, epsilon=0.05 * C.median_cost, max_iters=2, tol=1e-14)
         assert not plan.converged
         assert plan.iterations_run == 2
+
+
+def unfused_sinkhorn(K, a, b, max_iters, tol, check_every=10):
+    """The scaling loop with a separate K v product at each exit check."""
+    v = np.ones(len(b))
+    for it in range(1, max_iters + 1):
+        u = a / (K @ v)
+        v = b / (K.T @ u)
+        if it == 1 or it % check_every == 0 or it == max_iters:
+            row_marginal = u * (K @ v)
+            row_res = float(np.abs(row_marginal - a).max())
+            if row_res <= tol:
+                break
+    return it, row_marginal, row_res
+
+
+class TestFusedExitCheck:
+    """The exit check's K v serves the next sweep, and no bit moves."""
+
+    @pytest.mark.parametrize("seed,n,m,tol", [(30, 40, 60, 1e-9), (31, 200, 150, 1e-12)])
+    def test_bits_match_unfused_loop(self, seed, n, m, tol):
+        C = random_instance(np.random.default_rng(seed), n, m)
+        eps = 0.5 * C.median_cost
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        plan = sinkhorn(C, a, b, epsilon=eps, max_iters=500, tol=tol)
+        it, row_marginal, row_res = unfused_sinkhorn(gibbs_kernel(C, eps), a, b, 500, tol)
+        assert plan.iterations_run == it > 10  # several checks did not exit
+        np.testing.assert_array_equal(plan.row_marginal, row_marginal)
+        assert plan.row_residual == row_res
 
 
 class TestOtWeights:
@@ -416,6 +455,32 @@ class TestBatchedOtWeights:
             batched_ot_weights(X, Y, cfg, epsilon_absolute=1e-3)
         assert exc.value.batch == 0
         assert "batch 0" in str(exc.value)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_named(self, side):
+        rng = np.random.default_rng(15)
+        pair = [rng.normal(size=(20, 3)), rng.normal(size=(30, 3))]
+        pair[side][4, 2] = np.nan
+        with pytest.raises(NonFiniteValue) as exc:
+            batched_ot_weights(*pair, make_config(ot_batch_size=10))
+        assert (exc.value.row, exc.value.col) == (4, 2)
+
+    def test_memory_budget_names_the_batch_size(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        X, Y = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
+        # a 20 x 30 batch holds 2 x 4800 bytes; a 20 x 10 one 2 x 1600
+        monkeypatch.setattr(ot, "_OT_BATCH_BYTES", 4000)
+        built = []
+        monkeypatch.setattr(ot, "cost_matrix", lambda *a: built.append(a) or cost_matrix(*a))
+        with pytest.raises(InstanceTooLarge, match="ot_batch_size"):
+            batched_ot_weights(X, Y, make_config(ot_batch_size=30))
+        assert not built  # refused before any cost matrix was built
+        w = batched_ot_weights(X, Y, make_config(ot_batch_size=10, sinkhorn_iters=4000))
+        assert abs(w.sum() - 1.0) <= 1e-9
+
+    def test_criterion_5_sizes_fit_the_budget(self):
+        # at most 10k distinct candidates against one 5k-row reference batch
+        assert 2 * 8 * 10_000 * 5_000 <= ot._OT_BATCH_BYTES
 
     def test_details_records(self):
         rng = np.random.default_rng(14)
