@@ -28,27 +28,31 @@ _BLOCK_ELEMS = 1 << 17
 _BLOCK_MIN_ROWS = 8
 
 
-def _sq_dist_blocks(X, Y, w=None, scale=1.0, out=None):
+def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
     """Yield (lo, hi, D) with D[i, j] = scale * sum_k w_k (X[lo + i, k] - Y[c + j, k])^2.
 
-    c = 0, so D covers every column of Y, unless Y is X: then c = lo and only
-    the upper blocks are yielded, rows lo:hi against columns lo:, and a
-    caller counts each off-diagonal pair once. Rows of X go in blocks of at
-    most _BLOCK_ELEMS entries of a full row of Y, but at least
-    _BLOCK_MIN_ROWS rows. w defaults to all ones; scale is nonzero. With out
-    (shape n_X x n_Y), each block is written to, and yielded as, out[lo:hi].
+    c = 0, so D covers every column of Y. Without Y, the pairs are X's own:
+    then c = lo and only the upper blocks are yielded, rows lo:hi against
+    columns lo:, and a caller counts each off-diagonal pair once. Rows of X
+    go in blocks of at most _BLOCK_ELEMS entries of a full row of Y, but at
+    least _BLOCK_MIN_ROWS rows. w defaults to all ones; scale is nonzero.
+    With out (shape n_X x n_Y, and only with Y), each block is written to,
+    and yielded as, out[lo:hi].
 
     Both operands are first centred on the mean of Y, which moves no
     distance, so the expansion ||x||^2 + ||y||^2 - 2 x.y cancels only the
     spread of the data, not its offset: on psychometric T-scores (offset
     ~50) the uncentred expansion lost the dense KDE's 1e-12 agreement with a
     per-row evaluation (4.6e-11 at desk sizes), and at offset 1e3 it was off
-    by 3e-8. The operands are then augmented to [x w (-2 scale), scale x2,
-    scale] and [y, 1, y2] (x2, y2 the weighted squared norms), so one matrix
-    product per block gives scale * D with no temporaries and no separate
-    scaling pass; it is clamped in place at 0 against rounding. The two
-    augmented operands are distinct arrays even when Y is X, so BLAS runs
-    gemm, not the syrk that X @ X.T selects (about 3x slower per entry).
+    by 3e-8. Where the centred squared norms are large enough that the
+    expansion can overflow (inf - inf = nan), NonFiniteValue is raised
+    before the first block. The operands are then augmented to
+    [x w (-2 scale), scale x2, scale] and [y, 1, y2] (x2, y2 the weighted
+    squared norms), so one matrix product per block gives scale * D with no
+    temporaries and no separate scaling pass; it is clamped in place at 0
+    against rounding. The two augmented operands are distinct arrays even
+    for X's own pairs, so BLAS runs gemm, not the syrk that X @ X.T selects
+    (about 3x slower per entry).
 
     Blocks are cache-sized because every caller passes over a block several
     times (exp and sums in the KDE and MMD, counts in the median heuristic),
@@ -57,7 +61,9 @@ def _sq_dist_blocks(X, Y, w=None, scale=1.0, out=None):
     product row differently in blocks of different heights (a 1-row block
     runs as a matrix-vector product).
     """
-    sym = Y is X
+    sym = Y is None
+    if sym:
+        Y = X
     shift = Y.mean(axis=0)
     Yc = Y - shift
     Yw = Yc if w is None else Yc * w
@@ -68,6 +74,10 @@ def _sq_dist_blocks(X, Y, w=None, scale=1.0, out=None):
         Xc = X - shift
         Xw = Xc if w is None else Xc * w
         x2 = np.einsum("ij,ij->i", Xw, Xc)
+    if not np.isfinite(2.0 * (np.max(x2, initial=0.0) + np.max(y2, initial=0.0))):
+        raise NonFiniteValue(
+            "squared distances overflow float64; rescale the samples"
+        )
     A = np.column_stack([Xw * (-2.0 * scale), x2 * scale, np.full(x2.size, float(scale))])
     B = np.column_stack([Yc, np.ones(y2.size), y2])
     clamp = np.maximum if scale > 0 else np.minimum

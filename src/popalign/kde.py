@@ -173,7 +173,7 @@ def _dense_kernel_lse(S, Q, bandwidth):
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
     if Q is S:
         sums = np.zeros(S.shape[0])
-        for lo, hi, k in _sq_dist_blocks(S, S, scale=scale):
+        for lo, hi, k in _sq_dist_blocks(S, scale=scale):
             np.exp(k, out=k)
             sums[lo:hi] += k.sum(axis=1)
             sums[hi:] += k[:, hi - lo:].sum(axis=0)

@@ -36,6 +36,7 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     InvalidConfig,
+    NonFiniteValue,
 )
 from .rng import rng_from_seed
 
@@ -197,7 +198,7 @@ def _bracket_pass(Z, a, b):
     lt_a = eq_a = eq_b = le_b = seen = 0
     kept, size, stride = [], 0, 1
     triangles = {}
-    for lo, hi, d2 in _sq_dist_blocks(Z, Z):
+    for lo, hi, d2 in _sq_dist_blocks(Z):
         k = hi - lo
         if k not in triangles:
             triangles[k] = np.triu_indices(k, 1)
@@ -248,13 +249,6 @@ def _median_pairwise_distance(Z):
     total = n * (n - 1) // 2
     if total == 0:
         return 0.0
-    Zc = Z - Z.mean(axis=0)
-    if not math.isfinite(4.0 * float(np.einsum("ij,ij->i", Zc, Zc).max())):
-        # past this, the blocks' expansion ||x||^2 + ||y||^2 - 2 x.y of the
-        # centred rows can overflow to inf - inf = nan
-        raise DegenerateBandwidth(
-            "squared distances overflow float64; rescale the samples or pass kernel_bandwidth"
-        )
     ranks = ((total - 1) // 2, total // 2)
     sample = _pair_sample(Z)
     # the unresolved ranks lie among the n_range values in [lo_val, hi_val],
@@ -264,7 +258,10 @@ def _median_pairwise_distance(Z):
     while True:
         todo = [k for k in ranks if k not in found]
         a, b = _pivots(sample, todo[0] - below, todo[-1] - below, n_range, lo_val, hi_val)
-        (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(Z, a, b)
+        try:
+            (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(Z, a, b)
+        except NonFiniteValue as e:  # the blocks' overflow gate
+            raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
         # rank segments: < a, == a, inside (a, b), == b, > b
         starts = (below, lt_a, le_a, lt_b, le_b)
         ends = (lt_a, le_a, lt_b, le_b, below + n_range)
@@ -290,9 +287,10 @@ def _kernel_mean(A, B, inv_two_sigma_sq):
     # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2)); for B is
     # A the upper blocks hold each off-diagonal pair once, so it counts twice
     total = 0.0
-    for lo, hi, k in _sq_dist_blocks(A, B, scale=-inv_two_sigma_sq):
+    sym = B is A
+    for lo, hi, k in _sq_dist_blocks(A, None if sym else B, scale=-inv_two_sigma_sq):
         np.exp(k, out=k)
-        if B is A:
+        if sym:
             total += float(k[:, :hi - lo].sum()) + 2.0 * float(k[:, hi - lo:].sum())
         else:
             total += float(k.sum())

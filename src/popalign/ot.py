@@ -389,6 +389,8 @@ def batched_ot_weights(
                 "col_residual": plan.col_residual,
             }
         )
+        # the next batch's cost matrix and its median copy must not meet these
+        del C_b, plan
     if return_details:
         return weights, details
     return weights

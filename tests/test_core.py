@@ -271,7 +271,7 @@ class TestSquaredDistanceBlocks:
         assert sigma == pytest.approx(float(np.median(pdist(np.vstack([X, Y])))), rel=1e-12)
 
     def test_symmetric_blocks_match_cross_blocks_on_a_copy(self, small_cap):
-        # Y is X takes the upper blocks; a copy of X takes the full ones
+        # without Y the blocks are X's own upper ones; with a copy, full ones
         rng = np.random.default_rng(43)
         X = rng.normal(loc=50.0, size=(40, 4))
         w = rng.uniform(0.5, 2.0, size=4)
@@ -279,7 +279,7 @@ class TestSquaredDistanceBlocks:
             blocks = core._sq_dist_blocks(X, X.copy(), weights, scale)
             full = np.vstack([D for _lo, _hi, D in blocks])
             sym = np.full_like(full, np.nan)
-            for lo, hi, D in core._sq_dist_blocks(X, X, weights, scale):
+            for lo, hi, D in core._sq_dist_blocks(X, None, weights, scale):
                 assert D.shape == (hi - lo, 40 - lo)
                 sym[lo:hi, lo:] = D
             # the blocks cover the upper triangle (and their own diagonal squares)
@@ -341,6 +341,20 @@ class TestCentredDistances:
         want = (w * (X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
         C = cost_matrix(X, Y, ItemWeights(w) if weighted else None)
         np.testing.assert_allclose(C.values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("as_matrix", [False, True])
+    def test_self_cost_matrix_matches_broadcast(self, as_matrix):
+        # one operand passed twice, as an array or a ResponseMatrix, still
+        # gets the full square; 400 rows are more than one block
+        X = 50.0 + np.random.default_rng(48).normal(size=(400, 5))
+        want = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        Z = ResponseMatrix(X) if as_matrix else X
+        np.testing.assert_allclose(cost_matrix(Z, Z).values, want, rtol=0, atol=1e-12)
+
+    def test_overflowing_norms_rejected(self):
+        # (1e200)^2 overflows, and the expansion would hold inf - inf = nan
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            cost_matrix(np.array([[1e200]]), np.array([[0.0], [1.0]]))
 
     # samples on a 2^-30 grid within [-4, 4] and shifts on the same grid up
     # to 2^10, so the shifted data are exact (41 bits) and only the kernel

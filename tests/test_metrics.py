@@ -73,7 +73,7 @@ def full_list_median(Z):
     """
     upper = np.concatenate([
         d2[np.arange(hi - lo)[:, None] < np.arange(d2.shape[1])[None, :]]
-        for lo, hi, d2 in core._sq_dist_blocks(Z, Z)
+        for lo, hi, d2 in core._sq_dist_blocks(Z)
     ])
     return float(np.median(np.sqrt(upper)))
 
@@ -612,7 +612,7 @@ class TestMedianHeuristic:
     def _count_passes(monkeypatch):
         passes = []
 
-        def counting(X, Y, w=None, scale=1.0, out=None):
+        def counting(X, Y=None, w=None, scale=1.0, out=None):
             passes.append(X.shape)
             return core._sq_dist_blocks(X, Y, w, scale, out)
 

@@ -478,6 +478,21 @@ class TestBatchedOtWeights:
         w = batched_ot_weights(X, Y, make_config(ot_batch_size=10, sinkhorn_iters=4000))
         assert abs(w.sum() - 1.0) <= 1e-9
 
+    def test_batches_hold_two_arrays_at_peak(self):
+        # a batch's cost matrix and kernel are freed before the next batch
+        # builds its cost matrix and median copy
+        n, bs = 400, 300
+        rng = np.random.default_rng(17)
+        X, Y = rng.normal(size=(n, 5)), rng.normal(size=(3 * bs, 5))
+        cfg = make_config(ot_batch_size=bs, sinkhorn_iters=50)
+        tracemalloc.start()
+        try:
+            batched_ot_weights(X, Y, cfg, allow_unconverged=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * bs
+
     def test_criterion_5_sizes_fit_the_budget(self):
         # at most 10k distinct candidates against one 5k-row reference batch
         assert 2 * 8 * 10_000 * 5_000 <= ot._OT_BATCH_BYTES
