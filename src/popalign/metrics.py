@@ -20,7 +20,8 @@ The MMD bandwidth's median heuristic is an exact selection, not a sort of
 the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
 from one pass over the distance blocks when the first bracket holds the
 middle ranks (inputs up to about 11k rows), in about 25 MiB at most for any n.
-See `_median_pairwise_distance`.
+See `_median_pairwise_distance`; its selection, `_exact_median`, also gives
+`ot`'s median cost.
 """
 
 import math
@@ -158,9 +159,9 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
 def _pivots(sample, lo_rank, hi_rank, n_range, lo_val, hi_val):
     """Bracket (a, b) for ranks lo_rank..hi_rank of the n_range values in [lo_val, hi_val].
 
-    `sample` is a sample of those values; a and b are its order statistics
-    _MEDIAN_Z standard deviations outside the targets' positions, or just
-    outside the range where the sample runs out. A non-empty sample always
+    `sample` is a sample of those values, partitioned in place; a and b are
+    its order statistics _MEDIAN_Z standard deviations outside the targets'
+    positions, or just outside the range where the sample runs out. A non-empty sample always
     gives at least one pivot that is a sampled value.
     """
     m = sample.size
@@ -171,7 +172,7 @@ def _pivots(sample, lo_rank, hi_rank, n_range, lo_val, hi_val):
         j = m - 1
     kth = [k for k in (i, j) if 0 <= k < m]
     if kth:
-        sample = np.partition(sample, kth)
+        sample.partition(kth)
     a = sample[i] if i >= 0 else math.nextafter(lo_val, -math.inf)
     b = sample[j] if j < m else math.nextafter(hi_val, math.inf)
     return float(a), float(b)
@@ -187,8 +188,21 @@ def _pair_sample(Z):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _bracket_pass(Z, a, b):
-    """One pass over the upper-triangle squared distances of Z against the bracket (a, b).
+def _upper_distances(Z):
+    """One pass over the squared distances i < j of Z, as parts of its upper blocks."""
+    triangles = {}
+    for lo, hi, d2 in _sq_dist_blocks(Z):
+        k = hi - lo
+        if k not in triangles:
+            triangles[k] = np.triu_indices(k, 1)
+        # the upper block's columns lo:hi hold its own rows' pairs, of which
+        # only the strict upper triangle counts; columns hi: all count
+        yield d2[:, k:]
+        yield d2[:, :k][triangles[k]]
+
+
+def _bracket_pass(parts, a, b):
+    """One pass over the value arrays `parts` against the bracket (a, b).
 
     Returns the counts of values < a, <= a, < b and <= b, the kept values
     strictly inside (a, b), and their stride: 1 when every such value was
@@ -197,60 +211,46 @@ def _bracket_pass(Z, a, b):
     """
     lt_a = eq_a = eq_b = le_b = seen = 0
     kept, size, stride = [], 0, 1
-    triangles = {}
-    for lo, hi, d2 in _sq_dist_blocks(Z):
-        k = hi - lo
-        if k not in triangles:
-            triangles[k] = np.triu_indices(k, 1)
-        # the upper block's columns lo:hi hold its own rows' pairs, of which
-        # only the strict upper triangle counts; columns hi: all count
-        for part in (d2[:, k:], d2[:, :k][triangles[k]]):
-            from_a, upto_b = part >= a, part <= b
-            lt_a += part.size - np.count_nonzero(from_a)
-            le_b += np.count_nonzero(upto_b)
-            closed = part[np.logical_and(from_a, upto_b, out=from_a)]
-            eq_a += np.count_nonzero(closed == a)
-            eq_b += np.count_nonzero(closed == b)
-            inside = closed[(closed > a) & (closed < b)]
-            first, seen = -seen % stride, seen + inside.size
-            if stride > 1:
-                inside = inside[first::stride].copy()
-            kept.append(inside)
-            size += inside.size
-            while size > _MEDIAN_CAP:
-                # keep entries 0, 2k, 4k, ... of the inside values seen so far
-                kept = [np.concatenate(kept)[::2].copy()]
-                size, stride = kept[0].size, 2 * stride
+    for part in parts:
+        from_a, upto_b = part >= a, part <= b
+        lt_a += part.size - np.count_nonzero(from_a)
+        le_b += np.count_nonzero(upto_b)
+        closed = part[np.logical_and(from_a, upto_b, out=from_a)]
+        eq_a += np.count_nonzero(closed == a)
+        eq_b += np.count_nonzero(closed == b)
+        inside = closed[(closed > a) & (closed < b)]
+        first, seen = -seen % stride, seen + inside.size
+        if stride > 1:
+            inside = inside[first::stride].copy()
+        kept.append(inside)
+        size += inside.size
+        while size > _MEDIAN_CAP:
+            # keep entries 0, 2k, 4k, ... of the inside values seen so far
+            kept = [np.concatenate(kept)[::2].copy()]
+            size, stride = kept[0].size, 2 * stride
     return (lt_a, lt_a + eq_a, le_b - eq_b, le_b), np.concatenate(kept), stride
 
 
-def _median_pairwise_distance(Z):
-    """Median over all unordered pairs i < j of ||Z_i - Z_j||, exactly as np.median.
+def _exact_median(values, total, sample):
+    """The middle value(s) of `total` values, exactly as np.median selects them.
 
-    Selects the middle rank(s) of the squared distances from
-    core._sq_dist_blocks(Z, Z), the same values the whole list would hold,
-    without ever holding that list. Pivots from a fixed sample of pairs give
-    a bracket; one pass over the blocks counts the values below it and keeps
-    those inside, and np.partition picks the middle ranks among them. sqrt is
-    monotone, so the result is bit-identical to np.median of the n(n-1)/2
-    distances. When a middle rank falls outside the bracket, or the bracket
-    holds more than _MEDIAN_CAP values, another pass narrows it, with pivots
-    from that pass's strided copy of the bracket (or its whole range).
+    `values()` starts one pass over the values (total >= 1), yielding them
+    in arrays of any shape; `sample` is a seeded sample of them. Returns the
+    value at rank (total - 1) // 2 and, when total is even, the one at rank
+    total // 2, so np.mean of the result (of its sqrt, for distances) is
+    np.median's value bit for bit, without ever holding the whole list.
 
-    Memory is one distance block, the pair sample and at most about
-    2.5 _MEDIAN_CAP kept values, whatever n: 10 MiB at 6k rows, 23 MiB at
-    10k rows with a forced second pass (tracemalloc peaks). Each pass is one
-    sweep over the n x n distance blocks. The first bracket holds about
-    _MEDIAN_Z / sqrt(_MEDIAN_SAMPLE) of the pairs (1.6%), under the cap up to
-    about 11k rows; a further pass draws its pivots from at least
+    Pivots from the sample give a bracket; one pass counts the values below
+    it and keeps those inside, and np.partition picks the middle ranks among
+    them. When a middle rank falls outside the bracket, or the bracket holds
+    more than _MEDIAN_CAP values, another pass narrows it, with pivots from
+    that pass's strided copy of the bracket (or its whole range). Memory is
+    one part, the sample and at most about 2.5 _MEDIAN_CAP kept values. The
+    first bracket holds about _MEDIAN_Z / sqrt(sample size) of the values
+    (1.6% at 2^16 samples); a further pass draws its pivots from at least
     _MEDIAN_CAP / 2 sampled values, for a bracket about 180 times narrower.
     """
-    n = Z.shape[0]
-    total = n * (n - 1) // 2
-    if total == 0:
-        return 0.0
-    ranks = ((total - 1) // 2, total // 2)
-    sample = _pair_sample(Z)
+    ranks = sorted({(total - 1) // 2, total // 2})
     # the unresolved ranks lie among the n_range values in [lo_val, hi_val],
     # which hold ranks below .. below + n_range - 1
     lo_val, hi_val, below, n_range = -math.inf, math.inf, 0, total
@@ -258,10 +258,7 @@ def _median_pairwise_distance(Z):
     while True:
         todo = [k for k in ranks if k not in found]
         a, b = _pivots(sample, todo[0] - below, todo[-1] - below, n_range, lo_val, hi_val)
-        try:
-            (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(Z, a, b)
-        except NonFiniteValue as e:  # the blocks' overflow gate
-            raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
+        (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(values(), a, b)
         # rank segments: < a, == a, inside (a, b), == b, > b
         starts = (below, lt_a, le_a, lt_b, le_b)
         ends = (lt_a, le_a, lt_b, le_b, below + n_range)
@@ -274,13 +271,36 @@ def _median_pairwise_distance(Z):
         found.update((k, b) for k in todo if seg[k] == 3)
         todo = [k for k in todo if k not in found]
         if not todo:
-            break
+            return [found[k] for k in ranks]
         s0, s1 = seg[todo[0]], seg[todo[-1]]
         lo_val = (lo_val, a, math.nextafter(a, math.inf), b, math.nextafter(b, math.inf))[s0]
         hi_val = (math.nextafter(a, -math.inf), a, math.nextafter(b, -math.inf), b, hi_val)[s1]
         below, n_range = starts[s0], ends[s1] - starts[s0]
         sample = kept if s0 == s1 == 2 else np.empty(0)
-    return float(np.mean(np.sqrt([found[k] for k in ranks])))
+
+
+def _median_pairwise_distance(Z):
+    """Median over all unordered pairs i < j of ||Z_i - Z_j||, exactly as np.median.
+
+    _exact_median selects the middle rank(s) of the squared distances in the
+    upper blocks of core._sq_dist_blocks(Z), the same values the whole list
+    would hold, with its first pivots from _MEDIAN_SAMPLE seeded pairs; sqrt
+    is monotone, so the result is bit-identical to np.median of the
+    n(n-1)/2 distances. Each pass is one sweep over the distance blocks, and
+    the first bracket is under _MEDIAN_CAP up to about 11k rows. Memory is
+    one distance block plus the selection's: 10 MiB at 6k rows, 23 MiB at
+    10k rows with a forced second pass (tracemalloc peaks).
+    """
+    n = Z.shape[0]
+    total = n * (n - 1) // 2
+    if total == 0:
+        return 0.0
+    sample = _pair_sample(Z)
+    try:
+        middle = _exact_median(lambda: _upper_distances(Z), total, sample)
+    except NonFiniteValue as e:  # the blocks' overflow gate
+        raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
+    return float(np.mean(np.sqrt(middle)))
 
 
 def _kernel_mean(A, B, inv_two_sigma_sq):

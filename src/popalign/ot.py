@@ -25,7 +25,13 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import AlignmentConfig, ItemWeights, _finite_values, _sq_dist_blocks
+from .core import (
+    _BLOCK_ELEMS,
+    AlignmentConfig,
+    ItemWeights,
+    _finite_values,
+    _sq_dist_blocks,
+)
 from .errors import (
     DegenerateCostScale,
     DimensionMismatch,
@@ -36,6 +42,8 @@ from .errors import (
     PopalignError,
     UnconvergedPlan,
 )
+from .metrics import _MEDIAN_SAMPLE, _MEDIAN_STREAM, _exact_median
+from .rng import rng_from_seed
 from .sampling import multinomial_draw, normalize_weights
 
 # absorption bounds for the scaling vectors; far inside double range
@@ -88,7 +96,33 @@ def cost_matrix(X_dagger, Y, omega=None):
     C = np.empty((X.shape[0], Yv.shape[0]))
     for _block in _sq_dist_blocks(X, Yv, w, out=C):
         pass  # each block is its own rows of C
-    return CostMatrix(values=C, median_cost=float(np.median(C)))
+    return CostMatrix(values=C, median_cost=_median_cost(C))
+
+
+def _median_cost(C):
+    """np.median(C), bit for bit, without the copy of C that np.median sorts.
+
+    metrics._exact_median reads C in 1 MB chunks of rows, with first pivots
+    from _MEDIAN_SAMPLE seeded entries, each at a uniform row and column
+    (int32 indices keep the sample's set-up at 1 MiB).
+    """
+    if C.size == 0:
+        return float(np.mean(C))  # nan, with np.median's warning
+    V = C.reshape(-1, C.shape[-1]) if C.ndim > 1 else C.reshape(1, -1)
+    n, m = V.shape
+    rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
+    i = rng.integers(0, n, _MEDIAN_SAMPLE, dtype=np.int32)
+    j = rng.integers(0, m, _MEDIAN_SAMPLE, dtype=np.int32)
+    sample = V[i, j]
+    del i, j
+    return float(np.mean(_exact_median(lambda: _row_chunks(V), V.size, sample)))
+
+
+def _row_chunks(V):
+    """The 2-d array V in chunks of whole rows, about 1 MB each."""
+    rows = max(1, _BLOCK_ELEMS // V.shape[1])
+    for lo in range(0, V.shape[0], rows):
+        yield V[lo:lo + rows]
 
 
 def _as_cost(C):
@@ -96,7 +130,7 @@ def _as_cost(C):
     if isinstance(C, CostMatrix):
         return C
     arr = np.asarray(C, dtype=np.float64)
-    return CostMatrix(arr, float(np.median(arr)))
+    return CostMatrix(arr, _median_cost(arr))
 
 
 def _tilted_kernel(C, eps, f=None, g=None, out=None):
@@ -338,7 +372,7 @@ def batched_ot_weights(
     n = Xv.shape[0]
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
-    # the cost matrix and its median copy, then the cost and the kernel
+    # the cost matrix and the kernel
     live = 2 * 8 * n * min(bs, m_total)
     if live > _OT_BATCH_BYTES:
         raise InstanceTooLarge(
@@ -389,7 +423,7 @@ def batched_ot_weights(
                 "col_residual": plan.col_residual,
             }
         )
-        # the next batch's cost matrix and its median copy must not meet these
+        # the next batch's cost matrix must not meet this one and its kernel
         del C_b, plan
     if return_details:
         return weights, details

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popalign import fit_kde, importance_log_ratios, importance_weights, log_density
 from popalign.errors import (
@@ -410,3 +412,61 @@ class TestFastSummation:
         monkeypatch.setattr(kde, "_FGT_MIN_PAIRS", 0)
         fast = log_density_many(model, X)
         np.testing.assert_array_equal(fast, slow)
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+class TestTaylorTranslation:
+    """The Hermite-to-Taylor transform against per-row and closed-form oracles."""
+
+    @PROPERTY
+    @given(
+        tails=st.booleans(),
+        n_s=st.integers(1, 400),
+        n_q=st.integers(1, 120),
+        h=st.floats(0.05, 0.8),
+        offset=st.sampled_from([0.0, 50.0, 1e3]),
+        include_query=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fast_path_matches_per_row(self, tails, n_s, n_q, h, offset, include_query, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(n):
+            return rng.standard_t(3, size=(n, 1)) if tails else rng.normal(size=(n, 1))
+
+        model = fit_kde(offset + draw(n_s), h)
+        X = offset + 1.5 * draw(n_q)
+        want = np.array([log_density(model, x, include_query=include_query) for x in X])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kde, "_FGT_MIN_PAIRS", 0)
+            got = log_density_many(model, X, include_query=include_query)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("h", [0.25, 0.3, 1.0])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_single_source_at_every_offset(self, h, where):
+        # the leftmost query fixes the box grid at multiples of h; queries sit
+        # at both edges of every box within reach of the source's box (and its
+        # centre), so every translation T_o and the extremes of y are used
+        reach = kde._FGT_REACH
+        s = math.nextafter(where * h, -math.inf) if where == 1.0 else where * h
+        q = []
+        for o in range(-reach, reach + 1):
+            q += [o * h, (o + 0.5) * h, math.nextafter((o + 1) * h, -math.inf)]
+        q = np.array(q)
+        got = kde._fgt_gauss_sums_1d(np.array([s]), q, h)
+        want = np.exp(-((q - s) ** 2) / (2.0 * h * h))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_memory_of_a_large_self_query(self):
+        s = np.random.default_rng(27).standard_t(3, size=60_000)
+        tracemalloc.start()
+        try:
+            kde._fgt_gauss_sums_1d(s, s, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (order + 1) x n gather of the Taylor coefficients alone is 12 MB
+        assert peak <= 8 * 2**20

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from popalign import ot
+from popalign import metrics, ot
 from popalign import (
     AlignmentConfig,
     CostMatrix,
@@ -30,6 +30,7 @@ from popalign import (
     transport_cost,
 )
 from popalign.errors import (
+    DegenerateCostScale,
     DimensionMismatch,
     InstanceTooLarge,
     InvalidConfig,
@@ -135,6 +136,59 @@ class TestCostMatrix:
         with pytest.raises(NonFiniteValue) as exc:
             cost_matrix(*pair)
         assert (exc.value.row, exc.value.col) == (3, 1)
+
+
+class TestMedianCost:
+    """The exact selection returns np.median's value bit for bit, without a copy of C."""
+
+    # 300 x 701 and 301 x 701 span two 1 MB row chunks
+    @pytest.mark.parametrize("n, m", [(5, 7), (6, 7), (300, 701), (301, 701)])
+    def test_odd_and_even_counts(self, n, m):
+        C = random_instance(np.random.default_rng(n), n, m)
+        assert C.median_cost == np.median(C.values)
+
+    @pytest.mark.parametrize("n, m", [(40, 31), (300, 701), (301, 701)])
+    def test_integer_costs_with_ties(self, n, m):
+        rng = np.random.default_rng(m)
+        X = rng.integers(1, 6, size=(n, 3)).astype(float)
+        Y = rng.integers(1, 6, size=(m, 3)).astype(float)
+        C = cost_matrix(X, Y)
+        assert C.median_cost == np.median(C.values)
+
+    def test_one_by_one(self):
+        C = cost_matrix(np.array([[1.5, -2.0]]), np.array([[0.25, 3.0]]))
+        assert C.median_cost == np.median(C.values) == C.values[0, 0]
+
+    def test_plain_array_any_layout(self):
+        arr = random_instance(np.random.default_rng(3), 400, 500).values
+        for view in (arr, arr.T, arr[::3, 1::2], arr.reshape(8, 50, 500)):
+            assert ot._as_cost(view).median_cost == np.median(view)
+
+    def test_all_zero_batch_raises(self):
+        C = cost_matrix(np.zeros((6, 2)), np.zeros((9, 2)))
+        assert C.median_cost == np.median(C.values) == 0.0
+        with pytest.raises(DegenerateCostScale):
+            batched_ot_weights(np.zeros((6, 2)), np.zeros((9, 2)), make_config(ot_batch_size=4))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_forced_second_pass(self, ties, monkeypatch):
+        # a bracket over the cap keeps only a strided sample and passes again
+        passes = []
+        real = metrics._bracket_pass
+
+        def counting(*args):
+            passes.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "_bracket_pass", counting)
+        monkeypatch.setattr(metrics, "_MEDIAN_CAP", 100)
+        rng = np.random.default_rng(4)
+        X, Y = rng.normal(size=(300, 3)), rng.normal(size=(701, 3))
+        if ties:
+            X, Y = np.round(X, 1), np.round(Y, 1)
+        C = cost_matrix(X, Y)
+        assert C.median_cost == np.median(C.values)
+        assert len(passes) >= 2
 
 
 class TestGibbsKernel:
@@ -480,7 +534,7 @@ class TestBatchedOtWeights:
 
     def test_batches_hold_two_arrays_at_peak(self):
         # a batch's cost matrix and kernel are freed before the next batch
-        # builds its cost matrix and median copy
+        # builds its cost matrix
         n, bs = 400, 300
         rng = np.random.default_rng(17)
         X, Y = rng.normal(size=(n, 5)), rng.normal(size=(3 * bs, 5))
@@ -492,6 +546,30 @@ class TestBatchedOtWeights:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n * bs
+
+    def test_cost_stage_holds_one_array(self, monkeypatch):
+        # the exact median reads C in row chunks: no copy of C sits beside it
+        n, bs = 1000, 2000
+        rng = np.random.default_rng(18)
+        X, Y = rng.normal(size=(n, 5)), rng.normal(size=(2 * bs, 5))
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            C = cost_matrix(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return C
+
+        monkeypatch.setattr(ot, "cost_matrix", traced)
+        cfg = make_config(ot_batch_size=bs, sinkhorn_iters=5)
+        tracemalloc.start()
+        try:
+            batched_ot_weights(X, Y, cfg, allow_unconverged=True)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        assert max(peaks) <= 1.25 * 8 * n * bs
 
     def test_criterion_5_sizes_fit_the_budget(self):
         # at most 10k distinct candidates against one 5k-row reference batch
