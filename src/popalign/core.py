@@ -5,6 +5,7 @@ downstream math is continuous. Types are immutable after construction and safe
 to share across threads.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,16 @@ _BLOCK_ELEMS = 1 << 17
 # (0.5 ns at 21 rows), and criterion 5's 50k self-KDE took 5.6-6.5 s at 2
 # rows per block and 4.3-4.6 s at 8 (2-core VM, OpenBLAS 0.3.31, d=5)
 _BLOCK_MIN_ROWS = 8
+
+# exact median selection (_exact_median), shared by the MMD bandwidth's
+# median heuristic and the transport cost median
+_MEDIAN_STREAM = 0x6D656469616E  # "median"
+# seeded values drawn for the first bracket
+_MEDIAN_SAMPLE = 1 << 16
+# bracket half-width, in standard deviations of a sample quantile
+_MEDIAN_Z = 4.0
+# most values a pass keeps inside its bracket: 8 MiB of float64
+_MEDIAN_CAP = 1 << 20
 
 
 def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
@@ -87,6 +98,116 @@ def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
         D = np.matmul(A[lo:hi], B[lo if sym else 0:].T, out=None if out is None else out[lo:hi])
         clamp(D, 0.0, out=D)
         yield lo, hi, D
+
+
+def _pivots(sample, lo_rank, hi_rank, n_range, lo_val, hi_val):
+    """Bracket (a, b) for ranks lo_rank..hi_rank of the n_range values in [lo_val, hi_val].
+
+    `sample` is a sample of those values, partitioned in place; a and b are
+    its order statistics _MEDIAN_Z standard deviations outside the targets'
+    positions, or just outside the range where the sample runs out. A non-empty sample always
+    gives at least one pivot that is a sampled value.
+    """
+    m = sample.size
+    spread = _MEDIAN_Z * np.sqrt(m) / 2.0 + 1.0
+    i = int(np.floor(m * lo_rank / n_range - spread))
+    j = int(np.ceil(m * (hi_rank + 1) / n_range + spread))
+    if m and i < 0 and j >= m:
+        j = m - 1
+    kth = [k for k in (i, j) if 0 <= k < m]
+    if kth:
+        sample.partition(kth)
+    a = sample[i] if i >= 0 else math.nextafter(lo_val, -math.inf)
+    b = sample[j] if j < m else math.nextafter(hi_val, math.inf)
+    return float(a), float(b)
+
+
+def _bracket_pass(parts, a, b):
+    """One pass over the value arrays `parts` against the bracket (a, b).
+
+    Returns the counts of values < a, <= a, < b and <= b, the kept values
+    strictly inside (a, b), their stride: 1 when every such value was
+    kept, else k > 1 for every k-th of them in pass order, a systematic
+    sample that stays under _MEDIAN_CAP, and the count of unordered values
+    (NaN), which are neither < a nor >= a. Needs a <= b unless the values
+    hold a NaN; a NaN pivot (drawn from such values) still counts at least
+    one unordered value.
+    """
+    lt_a = eq_a = eq_b = le_b = seen = unordered = 0
+    kept, size, stride = [], 0, 1
+    for part in parts:
+        from_a, upto_b = part >= a, part <= b
+        n_from_a, n_upto_b = np.count_nonzero(from_a), np.count_nonzero(upto_b)
+        closed = part[np.logical_and(from_a, upto_b, out=from_a)]
+        below_a = n_upto_b - closed.size  # a <= b: every value < a is <= b
+        lt_a += below_a
+        le_b += n_upto_b
+        unordered += part.size - n_from_a - below_a
+        eq_a += np.count_nonzero(closed == a)
+        eq_b += np.count_nonzero(closed == b)
+        inside = closed[(closed > a) & (closed < b)]
+        first, seen = -seen % stride, seen + inside.size
+        if stride > 1:
+            inside = inside[first::stride].copy()
+        kept.append(inside)
+        size += inside.size
+        while size > _MEDIAN_CAP:
+            # keep entries 0, 2k, 4k, ... of the inside values seen so far
+            kept = [np.concatenate(kept)[::2].copy()]
+            size, stride = kept[0].size, 2 * stride
+    counts = (lt_a, lt_a + eq_a, le_b - eq_b, le_b)
+    return counts, np.concatenate(kept), stride, unordered
+
+
+def _exact_median(values, total, sample):
+    """The middle value(s) of `total` values, exactly as np.median selects them.
+
+    `values()` starts one pass over the values (total >= 1), yielding them
+    in arrays of any shape; `sample` is a seeded sample of them. Returns the
+    value at rank (total - 1) // 2 and, when total is even, the one at rank
+    total // 2, so np.mean of the result (of its sqrt, for distances) is
+    np.median's value bit for bit, without ever holding the whole list;
+    values with a NaN give [nan] after one pass, as np.median gives nan.
+
+    Pivots from the sample give a bracket; one pass counts the values below
+    it and keeps those inside, and np.partition picks the middle ranks among
+    them. When a middle rank falls outside the bracket, or the bracket holds
+    more than _MEDIAN_CAP values, another pass narrows it, with pivots from
+    that pass's strided copy of the bracket (or its whole range). Memory is
+    one part, the sample and at most about 2.5 _MEDIAN_CAP kept values. The
+    first bracket holds about _MEDIAN_Z / sqrt(sample size) of the values
+    (1.6% at 2^16 samples); a further pass draws its pivots from at least
+    _MEDIAN_CAP / 2 sampled values, for a bracket about 180 times narrower.
+    """
+    ranks = sorted({(total - 1) // 2, total // 2})
+    # the unresolved ranks lie among the n_range values in [lo_val, hi_val],
+    # which hold ranks below .. below + n_range - 1
+    lo_val, hi_val, below, n_range = -math.inf, math.inf, 0, total
+    found = {}
+    while True:
+        todo = [k for k in ranks if k not in found]
+        a, b = _pivots(sample, todo[0] - below, todo[-1] - below, n_range, lo_val, hi_val)
+        (lt_a, le_a, lt_b, le_b), kept, stride, unordered = _bracket_pass(values(), a, b)
+        if unordered:
+            return [math.nan]  # np.median of values with a NaN
+        # rank segments: < a, == a, inside (a, b), == b, > b
+        starts = (below, lt_a, le_a, lt_b, le_b)
+        ends = (lt_a, le_a, lt_b, le_b, below + n_range)
+        seg = {k: next(s for s in range(4, -1, -1) if k >= starts[s]) for k in todo}
+        inside = [k for k in todo if seg[k] == 2]
+        if inside and stride == 1:
+            kept = np.partition(kept, [k - le_a for k in inside])
+            found.update((k, kept[k - le_a]) for k in inside)
+        found.update((k, a) for k in todo if seg[k] == 1)
+        found.update((k, b) for k in todo if seg[k] == 3)
+        todo = [k for k in todo if k not in found]
+        if not todo:
+            return [found[k] for k in ranks]
+        s0, s1 = seg[todo[0]], seg[todo[-1]]
+        lo_val = (lo_val, a, math.nextafter(a, math.inf), b, math.nextafter(b, math.inf))[s0]
+        hi_val = (math.nextafter(a, -math.inf), a, math.nextafter(b, -math.inf), b, hi_val)[s1]
+        below, n_range = starts[s0], ends[s1] - starts[s0]
+        sample = kept if s0 == s1 == 2 else np.empty(0)
 
 
 def _finite_values(X, label, ndim=2):

@@ -20,16 +20,22 @@ The MMD bandwidth's median heuristic is an exact selection, not a sort of
 the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
 from one pass over the distance blocks when the first bracket holds the
 middle ranks (inputs up to about 11k rows), in about 25 MiB at most for any n.
-See `_median_pairwise_distance`; its selection, `_exact_median`, also gives
-`ot`'s median cost.
+See `_median_pairwise_distance`; its selection, `core._exact_median`, also
+gives `ot`'s median cost.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMS, _finite_values, _sq_dist_blocks
+from .core import (
+    _BLOCK_ELEMS,
+    _MEDIAN_SAMPLE,
+    _MEDIAN_STREAM,
+    _exact_median,
+    _finite_values,
+    _sq_dist_blocks,
+)
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -42,13 +48,6 @@ from .errors import (
 from .rng import rng_from_seed
 
 _SW_STREAM = 0x736C696365  # "slice"
-_MEDIAN_STREAM = 0x6D656469616E  # "median"
-# pairs drawn for the median heuristic's first bracket
-_MEDIAN_SAMPLE = 1 << 16
-# bracket half-width, in standard deviations of a sample quantile
-_MEDIAN_Z = 4.0
-# most values a pass keeps inside its bracket: 8 MiB of float64
-_MEDIAN_CAP = 1 << 20
 
 
 def _pair(X, Y):
@@ -156,28 +155,6 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
     return float(np.mean(_w1_rows(dirs @ A.T, dirs @ B.T)))
 
 
-def _pivots(sample, lo_rank, hi_rank, n_range, lo_val, hi_val):
-    """Bracket (a, b) for ranks lo_rank..hi_rank of the n_range values in [lo_val, hi_val].
-
-    `sample` is a sample of those values, partitioned in place; a and b are
-    its order statistics _MEDIAN_Z standard deviations outside the targets'
-    positions, or just outside the range where the sample runs out. A non-empty sample always
-    gives at least one pivot that is a sampled value.
-    """
-    m = sample.size
-    spread = _MEDIAN_Z * np.sqrt(m) / 2.0 + 1.0
-    i = int(np.floor(m * lo_rank / n_range - spread))
-    j = int(np.ceil(m * (hi_rank + 1) / n_range + spread))
-    if m and i < 0 and j >= m:
-        j = m - 1
-    kth = [k for k in (i, j) if 0 <= k < m]
-    if kth:
-        sample.partition(kth)
-    a = sample[i] if i >= 0 else math.nextafter(lo_val, -math.inf)
-    b = sample[j] if j < m else math.nextafter(hi_val, math.inf)
-    return float(a), float(b)
-
-
 def _pair_sample(Z):
     """Squared distances of _MEDIAN_SAMPLE seeded pairs i != j, uniform over pairs."""
     rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
@@ -199,84 +176,6 @@ def _upper_distances(Z):
         # only the strict upper triangle counts; columns hi: all count
         yield d2[:, k:]
         yield d2[:, :k][triangles[k]]
-
-
-def _bracket_pass(parts, a, b):
-    """One pass over the value arrays `parts` against the bracket (a, b).
-
-    Returns the counts of values < a, <= a, < b and <= b, the kept values
-    strictly inside (a, b), and their stride: 1 when every such value was
-    kept, else k > 1 for every k-th of them in pass order, a systematic
-    sample that stays under _MEDIAN_CAP.
-    """
-    lt_a = eq_a = eq_b = le_b = seen = 0
-    kept, size, stride = [], 0, 1
-    for part in parts:
-        from_a, upto_b = part >= a, part <= b
-        lt_a += part.size - np.count_nonzero(from_a)
-        le_b += np.count_nonzero(upto_b)
-        closed = part[np.logical_and(from_a, upto_b, out=from_a)]
-        eq_a += np.count_nonzero(closed == a)
-        eq_b += np.count_nonzero(closed == b)
-        inside = closed[(closed > a) & (closed < b)]
-        first, seen = -seen % stride, seen + inside.size
-        if stride > 1:
-            inside = inside[first::stride].copy()
-        kept.append(inside)
-        size += inside.size
-        while size > _MEDIAN_CAP:
-            # keep entries 0, 2k, 4k, ... of the inside values seen so far
-            kept = [np.concatenate(kept)[::2].copy()]
-            size, stride = kept[0].size, 2 * stride
-    return (lt_a, lt_a + eq_a, le_b - eq_b, le_b), np.concatenate(kept), stride
-
-
-def _exact_median(values, total, sample):
-    """The middle value(s) of `total` values, exactly as np.median selects them.
-
-    `values()` starts one pass over the values (total >= 1), yielding them
-    in arrays of any shape; `sample` is a seeded sample of them. Returns the
-    value at rank (total - 1) // 2 and, when total is even, the one at rank
-    total // 2, so np.mean of the result (of its sqrt, for distances) is
-    np.median's value bit for bit, without ever holding the whole list.
-
-    Pivots from the sample give a bracket; one pass counts the values below
-    it and keeps those inside, and np.partition picks the middle ranks among
-    them. When a middle rank falls outside the bracket, or the bracket holds
-    more than _MEDIAN_CAP values, another pass narrows it, with pivots from
-    that pass's strided copy of the bracket (or its whole range). Memory is
-    one part, the sample and at most about 2.5 _MEDIAN_CAP kept values. The
-    first bracket holds about _MEDIAN_Z / sqrt(sample size) of the values
-    (1.6% at 2^16 samples); a further pass draws its pivots from at least
-    _MEDIAN_CAP / 2 sampled values, for a bracket about 180 times narrower.
-    """
-    ranks = sorted({(total - 1) // 2, total // 2})
-    # the unresolved ranks lie among the n_range values in [lo_val, hi_val],
-    # which hold ranks below .. below + n_range - 1
-    lo_val, hi_val, below, n_range = -math.inf, math.inf, 0, total
-    found = {}
-    while True:
-        todo = [k for k in ranks if k not in found]
-        a, b = _pivots(sample, todo[0] - below, todo[-1] - below, n_range, lo_val, hi_val)
-        (lt_a, le_a, lt_b, le_b), kept, stride = _bracket_pass(values(), a, b)
-        # rank segments: < a, == a, inside (a, b), == b, > b
-        starts = (below, lt_a, le_a, lt_b, le_b)
-        ends = (lt_a, le_a, lt_b, le_b, below + n_range)
-        seg = {k: next(s for s in range(4, -1, -1) if k >= starts[s]) for k in todo}
-        inside = [k for k in todo if seg[k] == 2]
-        if inside and stride == 1:
-            kept = np.partition(kept, [k - le_a for k in inside])
-            found.update((k, kept[k - le_a]) for k in inside)
-        found.update((k, a) for k in todo if seg[k] == 1)
-        found.update((k, b) for k in todo if seg[k] == 3)
-        todo = [k for k in todo if k not in found]
-        if not todo:
-            return [found[k] for k in ranks]
-        s0, s1 = seg[todo[0]], seg[todo[-1]]
-        lo_val = (lo_val, a, math.nextafter(a, math.inf), b, math.nextafter(b, math.inf))[s0]
-        hi_val = (math.nextafter(a, -math.inf), a, math.nextafter(b, -math.inf), b, hi_val)[s1]
-        below, n_range = starts[s0], ends[s1] - starts[s0]
-        sample = kept if s0 == s1 == 2 else np.empty(0)
 
 
 def _median_pairwise_distance(Z):

@@ -27,8 +27,11 @@ from scipy.optimize import linprog
 
 from .core import (
     _BLOCK_ELEMS,
+    _MEDIAN_SAMPLE,
+    _MEDIAN_STREAM,
     AlignmentConfig,
     ItemWeights,
+    _exact_median,
     _finite_values,
     _sq_dist_blocks,
 )
@@ -42,7 +45,6 @@ from .errors import (
     PopalignError,
     UnconvergedPlan,
 )
-from .metrics import _MEDIAN_SAMPLE, _MEDIAN_STREAM, _exact_median
 from .rng import rng_from_seed
 from .sampling import multinomial_draw, normalize_weights
 
@@ -102,7 +104,7 @@ def cost_matrix(X_dagger, Y, omega=None):
 def _median_cost(C):
     """np.median(C), bit for bit, without the copy of C that np.median sorts.
 
-    metrics._exact_median reads C in 1 MB chunks of rows, with first pivots
+    core._exact_median reads C in 1 MB chunks of rows, with first pivots
     from _MEDIAN_SAMPLE seeded entries, each at a uniform row and column
     (int32 indices keep the sample's set-up at 1 MiB).
     """

@@ -564,7 +564,7 @@ class TestMedianHeuristic:
     def test_narrowing_passes_under_a_small_cap(self, name, cap, monkeypatch):
         # a bracket over the cap keeps only a strided sample and passes again
         passes = self._count_passes(monkeypatch)
-        monkeypatch.setattr(metrics, "_MEDIAN_CAP", cap)
+        monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
         Z = MEDIAN_INPUTS[name]
         assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
         assert len(passes) >= 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from popalign import metrics, ot
+from popalign import core, ot
 from popalign import (
     AlignmentConfig,
     CostMatrix,
@@ -174,14 +174,14 @@ class TestMedianCost:
     def test_forced_second_pass(self, ties, monkeypatch):
         # a bracket over the cap keeps only a strided sample and passes again
         passes = []
-        real = metrics._bracket_pass
+        real = core._bracket_pass
 
         def counting(*args):
             passes.append(args[1:])
             return real(*args)
 
-        monkeypatch.setattr(metrics, "_bracket_pass", counting)
-        monkeypatch.setattr(metrics, "_MEDIAN_CAP", 100)
+        monkeypatch.setattr(core, "_bracket_pass", counting)
+        monkeypatch.setattr(core, "_MEDIAN_CAP", 100)
         rng = np.random.default_rng(4)
         X, Y = rng.normal(size=(300, 3)), rng.normal(size=(701, 3))
         if ties:
@@ -189,6 +189,37 @@ class TestMedianCost:
         C = cost_matrix(X, Y)
         assert C.median_cost == np.median(C.values)
         assert len(passes) >= 2
+
+    def test_nan_cost_gives_nan(self):
+        assert math.isnan(ot._as_cost([[np.nan]]).median_cost)
+
+    @pytest.mark.parametrize("cap", [1, 100, 1 << 20])
+    @pytest.mark.parametrize("where", [(0, 0), (5, 6), (299, 700)])
+    def test_nan_anywhere_matches_np_median(self, where, cap, monkeypatch):
+        # one NaN among 210k entries, which the 2^16-entry sample may miss
+        monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
+        arr = random_instance(np.random.default_rng(5), 300, 701).values.copy()
+        arr[where] = np.nan
+        assert math.isnan(np.median(arr))
+        assert math.isnan(ot._as_cost(arr).median_cost)
+
+    @pytest.mark.parametrize("cap", [1, 100, 1 << 20])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_arrays_with_infinities_ties_and_nans(self, seed, cap, monkeypatch):
+        monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
+        rng = np.random.default_rng(seed)
+        arr = np.round(rng.normal(size=tuple(rng.integers(1, 30, 2))), seed % 3)
+        for value in (np.inf, -np.inf, np.nan):
+            if rng.random() < 0.4:
+                arr.flat[rng.integers(0, arr.size, rng.integers(1, 4))] = value
+        with np.errstate(invalid="ignore"):
+            want = np.median(arr)
+        np.testing.assert_array_equal(ot._as_cost(arr).median_cost, want)
+
+    def test_sinkhorn_on_a_nan_cost_returns(self):
+        plan = sinkhorn(np.array([[np.nan, 1.0], [2.0, 3.0]]), epsilon=1.0)
+        assert math.isnan(plan.cost.median_cost)
+        assert not plan.converged
 
 
 class TestGibbsKernel:
