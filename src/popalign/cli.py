@@ -11,13 +11,11 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import io as pio
 from .checks import convergence_sweep
 from .clients import HttpFalseNegativeFilter, HttpResponder
 from .core import AlignmentConfig
-from .errors import InvalidConfig, PopalignError
+from .errors import InvalidConfig, PopalignError, SchemaError
 from .metrics import metric_report
 from .pipeline import collect_responses, report_json, run_alignment
 from .retrieval import build_training_pairs, top_k_retrieve
@@ -98,10 +96,9 @@ def _parse_vector(args):
         raise InvalidConfig("retrieve needs --query or --query-file")
     if isinstance(payload, dict):
         payload = payload.get("embedding")
-    vec = np.asarray(payload, dtype=np.float64)
-    if vec.ndim != 1:
+    if not isinstance(payload, list):
         raise InvalidConfig("query vector must be a flat JSON array of numbers")
-    return vec
+    return pio._float_rows([(None, payload)], "query")[0]
 
 
 def _cmd_retrieve(args):
@@ -121,12 +118,16 @@ def _cmd_pairs(args):
     queries = []
     for lineno, record in pio.parse_jsonl(args.queries):
         try:
-            queries.append(
-                (record["query_id"], np.asarray(record["embedding"], float),
-                 record["positive_id"])
+            query_id, embedding, positive_id = (
+                record["query_id"], record["embedding"], record["positive_id"]
             )
         except (KeyError, TypeError) as exc:
             raise InvalidConfig(f"queries line {lineno}: {exc}") from exc
+        if not isinstance(embedding, list):
+            raise SchemaError(f"line {lineno}: query embedding must be a JSON array", line=lineno)
+        # the row gate of embedding files: typed errors for bools, strings and NaN
+        vector = pio._float_rows([(lineno, embedding)], "query embedding")[0]
+        queries.append((query_id, vector, positive_id))
     fn_filter = None
     if args.filter_endpoint:
         fn_filter = HttpFalseNegativeFilter(

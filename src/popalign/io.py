@@ -44,15 +44,62 @@ def _require(record, key, types, lineno, label):
 
 
 def _float_list(values, lineno, label):
+    where = label if lineno is None else f"line {lineno}: {label}"
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"line {lineno}: {label} contains a non-number", line=lineno)
+            raise SchemaError(f"{where} contains a non-number", line=lineno)
         f = float(v)
         if not math.isfinite(f):
-            raise NonFiniteValue(f"line {lineno}: {label} contains a non-finite value")
+            raise NonFiniteValue(f"{where} contains a non-finite value")
         out.append(f)
     return out
+
+
+# the element types json.loads gives a number; bool is a subclass of int, not int
+_NUMBER_TYPES = {int, float}
+
+
+def _check_rows(linenos, rows, label):
+    """Raise as a row-by-row load would at the first bad row; return if none is."""
+    width = len(rows[0]) if rows else 0
+    for lineno, vals in zip(linenos, rows):
+        _float_list(vals, lineno, label)
+        if len(vals) != width:
+            raise SchemaError(
+                f"line {lineno}: {label} length {len(vals)} differs from {width}", line=lineno
+            )
+
+
+def _float_rows(rows, label):
+    """(n, width) float64 array from (line number, list of JSON numbers) pairs.
+
+    A line number of None leaves the line out of the error messages.
+
+    Each row gets a C-level type and length check as it arrives, and the whole
+    array one conversion and one finiteness check at the end. Anything amiss
+    (a non-number, a row longer or shorter than the first, a non-finite or
+    unconvertible value, or an error that `rows` itself raises on a later
+    line) sends the rows read so far through `_float_list` in file order, so
+    the first bad line raises exactly as a row-by-row load would.
+    """
+    linenos, lists = [], []
+    stop = None
+    try:
+        for lineno, vals in rows:
+            linenos.append(lineno)
+            lists.append(vals)
+            if not set(map(type, vals)) <= _NUMBER_TYPES or len(vals) != len(lists[0]):
+                break
+        else:
+            # OverflowError here means an int beyond the float range
+            arr = np.array(lists, dtype=np.float64)
+            if np.isfinite(arr).all():
+                return arr
+    except Exception as exc:  # raised below, unless an earlier row is bad
+        stop = exc
+    _check_rows(linenos, lists, label)
+    raise stop
 
 
 def parse_jsonl(path):
@@ -68,12 +115,16 @@ def parse_jsonl(path):
             yield lineno, record
 
 
+# json.dumps(record, allow_nan=False) builds this same encoder on every call
+_JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def dump_jsonl(path, records):
     """Write records one per line; rejects non-finite floats."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             try:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
+                fh.write(_JSONL_ENCODER.encode(record) + "\n")
             except ValueError as exc:
                 raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
 
@@ -107,8 +158,7 @@ def save_responses(path, matrix, ids=None):
         raise SchemaError(f"{len(ids)} ids for {matrix.n} rows")
     records = [{"items": list(matrix.item_ids)}]
     records.extend(
-        {"id": ids[i], "responses": [float(v) for v in matrix.values[i]]}
-        for i in range(matrix.n)
+        {"id": i, "responses": row.tolist()} for i, row in zip(ids, matrix.values)
     )
     dump_jsonl(path, records)
 
@@ -117,35 +167,41 @@ def load_response_records(path):
     """(row ids, ResponseMatrix) from a response file; row order preserved."""
     items = None
     ids = []
-    rows = []
-    for lineno, record in parse_jsonl(path):
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected an object", line=lineno)
-        if items is None:
-            if "items" not in record:
+
+    def rows():
+        nonlocal items
+        for lineno, record in parse_jsonl(path):
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
+            if items is None:
+                if "items" not in record:
+                    raise SchemaError(
+                        f"line {lineno}: first record must be the items header", line=lineno
+                    )
+                items = record["items"]
+                if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+                    raise SchemaError(
+                        f"line {lineno}: items must be a list of strings", line=lineno
+                    )
+                if not items:
+                    raise SchemaError(f"line {lineno}: items header is empty", line=lineno)
+                continue
+            rid = _require(record, "id", str, lineno, "response")
+            vals = _require(record, "responses", list, lineno, "response")
+            if len(vals) != len(items):
                 raise SchemaError(
-                    f"line {lineno}: first record must be the items header", line=lineno
+                    f"line {lineno}: row has {len(vals)} entries, header names {len(items)} items",
+                    line=lineno,
                 )
-            items = record["items"]
-            if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-                raise SchemaError(f"line {lineno}: items must be a list of strings", line=lineno)
-            if not items:
-                raise SchemaError(f"line {lineno}: items header is empty", line=lineno)
-            continue
-        rid = _require(record, "id", str, lineno, "response")
-        vals = _require(record, "responses", list, lineno, "response")
-        if len(vals) != len(items):
-            raise SchemaError(
-                f"line {lineno}: row has {len(vals)} entries, header names {len(items)} items",
-                line=lineno,
-            )
-        ids.append(rid)
-        rows.append(_float_list(vals, lineno, "responses"))
+            ids.append(rid)
+            yield lineno, vals
+
+    values = _float_rows(rows(), "responses")
     if items is None:
         raise SchemaError("response file has no header record")
-    if not rows:
+    if not ids:
         raise SchemaError("response file has no data rows")
-    return ids, ResponseMatrix(np.array(rows, dtype=np.float64), tuple(items))
+    return ids, ResponseMatrix(values, tuple(items))
 
 
 def load_responses(path):
@@ -207,34 +263,24 @@ def save_embeddings(path, ids, vectors):
     ids = [str(i) for i in ids]
     if vectors.ndim != 2 or vectors.shape[0] != len(ids):
         raise SchemaError(f"{len(ids)} ids for embedding array of shape {vectors.shape}")
-    dump_jsonl(
-        path,
-        ({"id": ids[i], "embedding": [float(v) for v in vectors[i]]} for i in range(len(ids))),
-    )
+    dump_jsonl(path, ({"id": i, "embedding": row.tolist()} for i, row in zip(ids, vectors)))
 
 
 def load_embedding_records(path):
     """(ids, raw vector array) exactly as stored, no normalization."""
     ids = []
-    rows = []
-    dim = None
-    for lineno, record in parse_jsonl(path):
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected an object", line=lineno)
-        ids.append(_require(record, "id", str, lineno, "embedding"))
-        vals = _float_list(
-            _require(record, "embedding", list, lineno, "embedding"), lineno, "embedding"
-        )
-        if dim is None:
-            dim = len(vals)
-        elif len(vals) != dim:
-            raise SchemaError(
-                f"line {lineno}: embedding length {len(vals)} differs from {dim}", line=lineno
-            )
-        rows.append(vals)
-    if not rows:
+
+    def rows():
+        for lineno, record in parse_jsonl(path):
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
+            ids.append(_require(record, "id", str, lineno, "embedding"))
+            yield lineno, _require(record, "embedding", list, lineno, "embedding")
+
+    vectors = _float_rows(rows(), "embedding")
+    if not ids:
         raise SchemaError("embedding file has no records")
-    return ids, np.array(rows, dtype=np.float64)
+    return ids, vectors
 
 
 def load_embeddings(path):

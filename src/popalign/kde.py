@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ResponseMatrix, _finite_values, _sq_dist_blocks
 from .errors import (
@@ -95,6 +94,10 @@ def log_density(model, x, include_query=False):
     gains the zero-distance term, normalizer uses M+1), so the result never
     drops below the lone-kernel floor -log((M+1) (2 pi h^2)^{d/2}).
     """
+    # scipy is imported here, not at module level: no pipeline stage calls
+    # this oracle, and `import popalign` stays free of scipy's import time
+    from scipy.special import logsumexp
+
     q = _queries(model, x, ndim=1)
     diff = model.samples.values - q
     sq = np.einsum("ij,ij->i", diff, diff)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import (
     _BLOCK_ELEMS,
@@ -437,6 +435,10 @@ def exact_ot_small(C, a, b):
 
     Guarded to n*m <= 10,000 entries. Returns (exact cost, minimizing plan).
     """
+    # imported here so that `import popalign` loads no scipy (see kde.log_density)
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     C = _as_cost(C)
     n, m = C.values.shape
     if n * m > _EXACT_GUARD:

@@ -93,11 +93,9 @@ class EmbeddingIndex:
         return self.vectors.shape[1]
 
     @cached_property
-    def _id_rank(self):
-        # position of each row's id in Python str order, the ranking tie-break
-        rank = np.empty(self.size, dtype=np.intp)
-        rank[sorted(range(self.size), key=self.ids.__getitem__)] = np.arange(self.size)
-        return rank
+    def _id_order(self):
+        # rows in Python str order of their ids, the ranking tie-break
+        return np.array(sorted(range(self.size), key=self.ids.__getitem__), dtype=np.intp)
 
 
 def cosine_similarity(a, b):
@@ -113,13 +111,17 @@ def cosine_similarity(a, b):
     return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
 
 
-def _ranked(query, index):
-    """(scores, rows by descending score with ties by ascending id)."""
+def _scores(query, index):
+    """Cosine score of every index row against `query`, clamped to [-1, 1]."""
     q = _unit(query, "query")
     if q.shape[0] != index.dim:
         raise DimensionMismatch(f"query length {q.shape[0]} vs index dimension {index.dim}")
-    scores = np.clip(index.vectors @ q, -1.0, 1.0)
-    return scores, np.lexsort((index._id_rank, -scores))
+    return np.clip(index.vectors @ q, -1.0, 1.0)
+
+
+def _by_score(scores, rows):
+    """`rows`, given in id order, by descending score; a stable sort keeps ties by id."""
+    return rows[np.argsort(-scores[rows], kind="stable")]
 
 
 def top_k_retrieve(query, index, k):
@@ -128,8 +130,13 @@ def top_k_retrieve(query, index, k):
         raise KOutOfRange(f"k must be an integer, got {k!r}")
     if not 1 <= k <= index.size:
         raise KOutOfRange(f"k={k} outside [1, {index.size}]")
-    scores, order = _ranked(query, index)
-    return [(index.ids[r], float(scores[r])) for r in order[: int(k)]]
+    k = int(k)
+    scores = _scores(query, index)
+    # only rows scoring at least the k-th best can rank in the top k; every
+    # row tied with it is kept, so the id tie-break sees the whole tie
+    kth = np.partition(scores, index.size - k)[index.size - k]
+    rows = index._id_order[scores[index._id_order] >= kth]
+    return [(index.ids[r], float(scores[r])) for r in _by_score(scores, rows)[:k]]
 
 
 def contrastive_loss(query_emb, positive_emb, negative_embs, temperature=1.0):
@@ -218,31 +225,40 @@ def build_training_pairs(
         raise InvalidConfig("need n_hard, n_random >= 0 with n_hard + n_random >= 1")
     # reject(query_id, candidate_id) -> True means "semantically aligned, drop it"
     reject = false_negative_filter if false_negative_filter is not None else _accept_all
+    ids = index.ids
+    row_of = index.id_to_row
+    if row_of is None:
+        row_of = {i: r for r, i in enumerate(ids)}
     pairs = []
     empty_queries = []
     for q_pos, (query_id, query_emb, positive_id) in enumerate(queries):
-        _, ranked = _ranked(query_emb, index)
-        candidates = [index.ids[r] for r in ranked if index.ids[r] != positive_id]
+        ranked = _by_score(_scores(query_emb, index), index._id_order)
+        # candidates are every row but the positive's; `keep` marks those
+        # still open to the random draw
+        keep = np.ones(index.size, dtype=bool)
+        try:
+            positive_row = row_of.get(positive_id)
+        except TypeError:  # an unhashable id equals no index id
+            positive_row = None
+        if positive_row is not None:
+            keep[positive_row] = False
 
         hard = []
-        cursor = 0
-        while len(hard) < n_hard and cursor < len(candidates):
-            cand = candidates[cursor]
-            cursor += 1
-            if not reject(query_id, cand):
-                hard.append(cand)
+        for r in ranked:
+            if len(hard) >= n_hard:
+                break
+            if r != positive_row and not reject(query_id, ids[r]):
+                hard.append(ids[r])
+                keep[r] = False
 
-        hard_set = set(hard)
-        remainder = [c for c in candidates if c not in hard_set]
+        remainder = ranked[keep[ranked]]
         rng = rng_from_seed(derive_seed(seed, q_pos))
-        order = rng.permutation(len(remainder)) if remainder else []
         rand = []
-        for r in order:
+        for r in remainder[rng.permutation(remainder.size)]:
             if len(rand) >= n_random:
                 break
-            cand = remainder[int(r)]
-            if not reject(query_id, cand):
-                rand.append(cand)
+            if not reject(query_id, ids[r]):
+                rand.append(ids[r])
 
         negatives = tuple(hard + rand)
         if not negatives:

@@ -232,6 +232,23 @@ class TestRetrieve:
         assert main(["retrieve", "--embeddings", str(path), "--k", "1"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
 
+    @pytest.mark.parametrize("query, error", [
+        ("[true, 0.0]", "SchemaError"),
+        ('["1.5", 0.0]', "SchemaError"),
+        ("[NaN, 1.0]", "NonFiniteValue"),
+        ("[[1.0], 0.0]", "SchemaError"),
+        ("1.0", "InvalidConfig"),
+    ])
+    def test_query_goes_through_the_row_gate(self, tmp_path, capsys, query, error):
+        path = self.setup_index(tmp_path)
+        qf = tmp_path / "q.json"
+        qf.write_text(json.dumps({"embedding": json.loads(query)}))
+        for flags in (["--query", query], ["--query-file", str(qf)]):
+            assert main(["retrieve", "--embeddings", str(path), *flags, "--k", "1"]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == error
+            assert "line" not in record["message"]
+
     def test_seed_is_a_usage_error(self, tmp_path):
         # retrieval is deterministic; retrieve takes no --seed
         path = self.setup_index(tmp_path)
@@ -273,6 +290,29 @@ class TestPairs:
         assert main(["pairs", "--embeddings", str(emb), "--queries", str(queries),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("embedding, error, message", [
+        ([True, 0.0], "SchemaError", "line 2: query embedding contains a non-number"),
+        (["1.5", 0.0], "SchemaError", "line 2: query embedding contains a non-number"),
+        ([float("nan"), 1.0], "NonFiniteValue",
+         "line 2: query embedding contains a non-finite value"),
+        ("1.5", "SchemaError", "line 2: query embedding must be a JSON array"),
+    ])
+    def test_query_embedding_goes_through_the_row_gate(
+        self, tmp_path, capsys, embedding, error, message
+    ):
+        emb = tmp_path / "emb.jsonl"
+        pio.save_embeddings(emb, ["a", "b"], np.eye(2))
+        queries = tmp_path / "q.jsonl"
+        good = {"query_id": "q0", "embedding": [1.0, 0.5], "positive_id": "a"}
+        bad = {"query_id": "q1", "embedding": embedding, "positive_id": "b"}
+        queries.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["pairs", "--embeddings", str(emb), "--queries", str(queries),
+                     "--n-hard", "1", "--n-random", "0", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["message"]) == (error, message)
+        assert not out.exists()
 
 
 @pytest.fixture

@@ -1,5 +1,10 @@
 """Response matrices, persona records, config validation, pool validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,3 +414,18 @@ class TestFiniteValues:
     def test_wrong_ndim(self):
         with pytest.raises(DimensionMismatch):
             core._finite_values(np.zeros(3), "sample")
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the two oracles, kde.log_density and ot.exact_ot_small,
+    # which import it when called
+    src = str(Path(core.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, popalign; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from popalign import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix, TrainingPair
-from popalign.errors import NonFiniteValue, ParseError, SchemaError
+from popalign.errors import NonFiniteValue, ParseError, PopalignError, SchemaError
 from popalign.io import (
     canonical_json,
     config_from_mapping,
@@ -313,3 +313,115 @@ class TestDumpJsonl:
 
         with pytest.raises(NonFiniteValue):
             dump_jsonl(tmp_path / "x.jsonl", [{"v": float("inf")}])
+
+
+# ways one line of an embedding or response file can be bad, with the error a
+# row-by-row load raises for it; `{key}` is the file's vector field
+BAD_ROWS = {
+    "nan": ('{{"id": "x", "{key}": [1.0, NaN]}}', NonFiniteValue),
+    "inf": ('{{"id": "x", "{key}": [-Infinity, 1.0]}}', NonFiniteValue),
+    "overflow": ('{{"id": "x", "{key}": [1e999, 1.0]}}', NonFiniteValue),
+    "bool": ('{{"id": "x", "{key}": [true, 1.0]}}', SchemaError),
+    "string": ('{{"id": "x", "{key}": ["1.5", 1.0]}}', SchemaError),
+    "null": ('{{"id": "x", "{key}": [null, 1.0]}}', SchemaError),
+    "nested": ('{{"id": "x", "{key}": [[1.0], 1.0]}}', SchemaError),
+    "ragged": ('{{"id": "x", "{key}": [1.0, 2.0, 3.0]}}', SchemaError),
+    "short": ('{{"id": "x", "{key}": [1.0]}}', SchemaError),
+    "not a list": ('{{"id": "x", "{key}": 1.0}}', SchemaError),
+    "missing id": ('{{"{key}": [1.0, 2.0]}}', SchemaError),
+    "not an object": ("[1.0, 2.0]", SchemaError),
+    "broken json": ('{{"id": "x", "{key}": [1.0,', ParseError),
+}
+FILE_KINDS = {
+    # key, header lines, loader
+    "embeddings": ("embedding", [], load_embedding_records),
+    "responses": ("responses", ['{"items": ["a", "b"]}'], load_response_records),
+}
+
+
+def _write_rows(path, kind, bad):
+    """A file of good two-value rows with `bad` ({line number: BAD_ROWS key}) swapped in."""
+    key, header, _ = FILE_KINDS[kind]
+    lines = list(header)
+    for lineno in range(len(header) + 1, len(header) + 7):
+        if lineno in bad:
+            lines.append(BAD_ROWS[bad[lineno]][0].format(key=key))
+        else:
+            lines.append(json.dumps({"id": f"r{lineno}", key: [0.5 * lineno, -3]}))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _raised_line(exc):
+    line = getattr(exc, "line", None)
+    if line is None:  # NonFiniteValue names its line in the message only
+        line = int(str(exc).split(":")[0].removeprefix("line "))
+    return line
+
+
+class TestRowErrors:
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    @pytest.mark.parametrize("name", BAD_ROWS)
+    def test_each_bad_row_names_its_line(self, tmp_path, kind, name):
+        p = tmp_path / "f.jsonl"
+        first = len(FILE_KINDS[kind][1]) + 3
+        _write_rows(p, kind, {first: name})
+        with pytest.raises(BAD_ROWS[name][1]) as exc:
+            FILE_KINDS[kind][2](p)
+        assert str(exc.value).startswith(f"line {first}: ")
+        assert _raised_line(exc.value) == first
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_first_error_in_file_order_wins(self, tmp_path, kind):
+        p = tmp_path / "f.jsonl"
+        first = len(FILE_KINDS[kind][1]) + 2
+        for early in BAD_ROWS:
+            for late in BAD_ROWS:
+                if late == early:
+                    continue
+                _write_rows(p, kind, {first: early, first + 2: late})
+                with pytest.raises(BAD_ROWS[early][1]) as exc:
+                    FILE_KINDS[kind][2](p)
+                assert _raised_line(exc.value) == first, (early, late)
+
+    def test_messages_name_the_fault(self, tmp_path):
+        p = tmp_path / "f.jsonl"
+        for name, fault in (("bool", "non-number"), ("nan", "non-finite"),
+                            ("ragged", "embedding length 3 differs from 2")):
+            _write_rows(p, "embeddings", {2: name})
+            with pytest.raises(PopalignError, match=fault):
+                load_embedding_records(p)
+        _write_rows(p, "responses", {2: "ragged"})
+        with pytest.raises(SchemaError, match="row has 3 entries, header names 2 items"):
+            load_response_records(p)
+
+    def test_int_entries_load_as_float_does(self, tmp_path):
+        big = [2**53 + 1, 2**63 + 2**11 + 1, 10**20 + 7, -(2**64) - 3, 0, -0, 10**300 + 1]
+        p = tmp_path / "e.jsonl"
+        p.write_text("".join(
+            json.dumps({"id": f"e{i}", "embedding": [v, 1]}) + "\n" for i, v in enumerate(big)
+        ))
+        _, back = load_embedding_records(p)
+        assert back.tolist() == [[float(v), 1.0] for v in big]
+
+
+class TestSaveBytes:
+    def test_embeddings_match_per_record_dumps(self, tmp_path):
+        vecs = np.array([AWKWARD, AWKWARD[::-1], [float(i) for i in range(6)]])
+        p = tmp_path / "e.jsonl"
+        save_embeddings(p, ["a", "b", "c"], vecs)
+        want = "".join(
+            json.dumps({"id": i, "embedding": [float(v) for v in row]}, allow_nan=False) + "\n"
+            for i, row in zip(["a", "b", "c"], vecs)
+        )
+        assert p.read_bytes() == want.encode("utf-8")
+
+    def test_responses_match_per_record_dumps(self, tmp_path):
+        vals = np.array([AWKWARD, AWKWARD[::-1]])
+        p = tmp_path / "r.jsonl"
+        save_responses(p, ResponseMatrix(vals), ids=["x", "y"])
+        items = list(ResponseMatrix(vals).item_ids)
+        want = json.dumps({"items": items}) + "\n" + "".join(
+            json.dumps({"id": i, "responses": [float(v) for v in row]}, allow_nan=False) + "\n"
+            for i, row in zip(["x", "y"], vals)
+        )
+        assert p.read_bytes() == want.encode("utf-8")

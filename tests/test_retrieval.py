@@ -2,6 +2,7 @@
 
 import logging
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from popalign.errors import (
     NonFiniteValue,
     ZeroVector,
 )
+from popalign.retrieval import _unit
+from popalign.rng import derive_seed, rng_from_seed
 
 
 def make_index(n=20, e=6, seed=0):
@@ -358,3 +361,187 @@ class TestGroupSubset:
         assert len(out) == 4
         assert doomed not in [r.seed_id for r in out]
         assert sum("reviser failed" in r.message for r in caplog.records) == 1
+
+
+# ---------------------------------------------------------------- oracles
+#
+# The list-based ranking and pair builder as they stood before the vectorised
+# ones, kept as references: verbatim but for the id tie-break rank, computed
+# here, and the skip-mode warnings, left out.
+
+def _oracle_ranked(query, index):
+    q = _unit(query, "query")
+    scores = np.clip(index.vectors @ q, -1.0, 1.0)
+    rank = np.empty(index.size, dtype=np.intp)
+    rank[sorted(range(index.size), key=index.ids.__getitem__)] = np.arange(index.size)
+    return scores, np.lexsort((rank, -scores))
+
+
+def _oracle_top_k(query, index, k):
+    scores, order = _oracle_ranked(query, index)
+    return [(index.ids[r], float(scores[r])) for r in order[:k]]
+
+
+def _oracle_training_pairs(index, queries, n_hard=10, n_random=10, seed=0,
+                           false_negative_filter=None, strict=True):
+    if n_hard < 0 or n_random < 0 or n_hard + n_random < 1:
+        raise InvalidConfig("need n_hard, n_random >= 0 with n_hard + n_random >= 1")
+    reject = false_negative_filter if false_negative_filter is not None else (lambda q, c: False)
+    pairs = []
+    empty_queries = []
+    for q_pos, (query_id, query_emb, positive_id) in enumerate(queries):
+        _, ranked = _oracle_ranked(query_emb, index)
+        candidates = [index.ids[r] for r in ranked if index.ids[r] != positive_id]
+
+        hard = []
+        cursor = 0
+        while len(hard) < n_hard and cursor < len(candidates):
+            cand = candidates[cursor]
+            cursor += 1
+            if not reject(query_id, cand):
+                hard.append(cand)
+
+        hard_set = set(hard)
+        remainder = [c for c in candidates if c not in hard_set]
+        rng = rng_from_seed(derive_seed(seed, q_pos))
+        order = rng.permutation(len(remainder)) if remainder else []
+        rand = []
+        for r in order:
+            if len(rand) >= n_random:
+                break
+            cand = remainder[int(r)]
+            if not reject(query_id, cand):
+                rand.append(cand)
+
+        negatives = tuple(hard + rand)
+        if not negatives:
+            empty_queries.append(query_id)
+            continue
+        pairs.append(
+            TrainingPair(
+                query_id=str(query_id),
+                positive_id=str(positive_id),
+                negative_ids=negatives,
+                exhausted=len(negatives) < n_hard + n_random,
+            )
+        )
+    if empty_queries:
+        if strict:
+            raise EmptyNegativePool(
+                f"no negatives survive filtering for queries {empty_queries}",
+                query_ids=empty_queries,
+            )
+    return pairs
+
+
+def tied_index(kind, seed):
+    """An index full of exact score ties, ids in an order unlike the rows'."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        raw = rng.integers(-1, 2, size=(80, 3)).astype(float)
+        raw = raw[np.abs(raw).sum(axis=1) > 0]
+    else:  # "duplicates": 7 distinct vectors, each stored several times
+        raw = rng.standard_normal((7, 4))[rng.integers(0, 7, size=60)]
+    names = [f"e{j}" for j in rng.permutation(raw.shape[0])]  # "e10" < "e9"
+    return EmbeddingIndex.build(names, raw), rng
+
+
+def tied_queries(index, rng, n=4):
+    rows = rng.choice(index.size, size=n, replace=False)
+    return [np.array(index.vectors[r]) for r in rows] + [
+        rng.integers(-1, 2, size=index.dim).astype(float) + 0.5 for _ in range(n)
+    ]
+
+
+class TestTopKOracle:
+    @pytest.mark.parametrize("kind", ["grid", "duplicates"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_k_matches_lexsort(self, kind, seed):
+        idx, rng = tied_index(kind, seed)
+        for q in tied_queries(idx, rng):
+            full = _oracle_top_k(q, idx, idx.size)
+            for k in range(1, idx.size + 1):
+                assert top_k_retrieve(q, idx, k) == full[:k]
+
+    def test_random_index_matches_lexsort(self):
+        idx, rng = make_index(300, 8, seed=21)
+        for _ in range(3):
+            q = rng.normal(size=8)
+            for k in (1, 7, 50, 299, 300):
+                assert top_k_retrieve(q, idx, k) == _oracle_top_k(q, idx, k)
+
+
+class RecordingFilter:
+    """Rejects a fixed share of (query, candidate) pairs and records every call."""
+
+    def __init__(self, percent):
+        self.percent = percent
+        self.calls = []
+
+    def __call__(self, query_id, candidate_id):
+        self.calls.append((query_id, candidate_id))
+        return zlib.crc32(f"{query_id}/{candidate_id}".encode()) % 100 < self.percent
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return ("ok", build(*args, **kwargs))
+    except Exception as exc:  # the builders must fail alike too
+        return ("raised", type(exc), str(exc))
+
+
+class TestTrainingPairsOracle:
+    def assert_same(self, index, queries, percent=None, **kwargs):
+        filters = [None, None] if percent is None else [RecordingFilter(percent) for _ in "ab"]
+        got = _outcome(build_training_pairs, index, queries,
+                       false_negative_filter=filters[0], **kwargs)
+        want = _outcome(_oracle_training_pairs, index, queries,
+                        false_negative_filter=filters[1], **kwargs)
+        assert got == want
+        if percent is not None:
+            assert filters[0].calls == filters[1].calls
+        return got
+
+    def queries(self, idx, rng, n=6):
+        rows = rng.choice(idx.size, size=n, replace=False)
+        return [(f"q{j}", idx.vectors[r] + 0.3 * rng.normal(size=idx.dim), idx.ids[r])
+                for j, r in enumerate(rows)]
+
+    @pytest.mark.parametrize("percent", [0, 10, 90])
+    @pytest.mark.parametrize("counts", [(10, 10), (3, 0), (0, 4), (1, 25)])
+    def test_filters_and_counts(self, percent, counts):
+        idx, rng = make_index(120, 6, seed=30 + percent)
+        out = self.assert_same(idx, self.queries(idx, rng), percent=percent,
+                               n_hard=counts[0], n_random=counts[1], seed=4)
+        assert out[0] == "ok"
+
+    @pytest.mark.parametrize("kind", ["grid", "duplicates"])
+    def test_tied_index(self, kind):
+        idx, rng = tied_index(kind, 5)
+        queries = [(f"q{j}", q, idx.ids[j]) for j, q in enumerate(tied_queries(idx, rng))]
+        for percent in (0, 10, 90):
+            self.assert_same(idx, queries, percent=percent, n_hard=5, n_random=5, seed=9)
+
+    def test_positive_absent_or_not_a_string(self):
+        idx, rng = make_index(40, 5, seed=31)
+        q = rng.normal(size=5)
+        for positive in ("absent", 7, None, ("p001",), ["p001"], "p001"):
+            self.assert_same(idx, [("q0", q, positive)], percent=10, n_hard=6, n_random=6)
+
+    def test_index_without_id_map(self):
+        built, rng = make_index(50, 5, seed=32)
+        bare = EmbeddingIndex(ids=built.ids, vectors=built.vectors)
+        assert bare.id_to_row is None
+        queries = self.queries(built, rng)
+        out = self.assert_same(bare, queries, percent=10, n_hard=4, n_random=4, seed=1)
+        assert out == ("ok", build_training_pairs(built, queries, n_hard=4, n_random=4, seed=1,
+                                                  false_negative_filter=RecordingFilter(10)))
+
+    @pytest.mark.parametrize("percent", [0, 90, 100])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_exhausted_pools(self, percent, strict):
+        idx, rng = make_index(6, 3, seed=33)
+        out = self.assert_same(idx, self.queries(idx, rng, n=4), percent=percent,
+                               n_hard=4, n_random=4, seed=2, strict=strict)
+        if out[0] == "ok":
+            assert all(p.exhausted for p in out[1])
