@@ -49,7 +49,10 @@ def _float_list(values, lineno, label):
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{where} contains a non-number", line=lineno)
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an int beyond the float range
+            f = math.inf
         if not math.isfinite(f):
             raise NonFiniteValue(f"{where} contains a non-finite value")
         out.append(f)

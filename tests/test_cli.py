@@ -249,6 +249,16 @@ class TestRetrieve:
             assert record["error"] == error
             assert "line" not in record["message"]
 
+    def test_int_beyond_float_range_in_the_index(self, tmp_path, capsys):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "embedding": [1.0, 0.0]}\n'
+                        '{"id": "b", "embedding": [1' + "0" * 400 + ', 0.0]}\n')
+        assert main(["retrieve", "--embeddings", str(path),
+                     "--query", "[1.0, 0.0]", "--k", "1"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "NonFiniteValue"
+        assert record["message"].startswith("line 2: ")
+
     def test_seed_is_a_usage_error(self, tmp_path):
         # retrieval is deterministic; retrieve takes no --seed
         path = self.setup_index(tmp_path)

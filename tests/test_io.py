@@ -321,6 +321,7 @@ BAD_ROWS = {
     "nan": ('{{"id": "x", "{key}": [1.0, NaN]}}', NonFiniteValue),
     "inf": ('{{"id": "x", "{key}": [-Infinity, 1.0]}}', NonFiniteValue),
     "overflow": ('{{"id": "x", "{key}": [1e999, 1.0]}}', NonFiniteValue),
+    "int overflow": ('{{"id": "x", "{key}": [1' + "0" * 400 + ', 1.0]}}', NonFiniteValue),
     "bool": ('{{"id": "x", "{key}": [true, 1.0]}}', SchemaError),
     "string": ('{{"id": "x", "{key}": ["1.5", 1.0]}}', SchemaError),
     "null": ('{{"id": "x", "{key}": [null, 1.0]}}', SchemaError),
@@ -393,6 +394,13 @@ class TestRowErrors:
         _write_rows(p, "responses", {2: "ragged"})
         with pytest.raises(SchemaError, match="row has 3 entries, header names 2 items"):
             load_response_records(p)
+
+    def test_int_beyond_float_range_is_non_finite(self, tmp_path):
+        # a 401-digit integer parses as a Python int that float() cannot hold
+        p = tmp_path / "e.jsonl"
+        _write_rows(p, "embeddings", {2: "int overflow"})
+        with pytest.raises(NonFiniteValue, match="^line 2: embedding contains a non-finite value$"):
+            load_embeddings(p)
 
     def test_int_entries_load_as_float_does(self, tmp_path):
         big = [2**53 + 1, 2**63 + 2**11 + 1, 10**20 + 7, -(2**64) - 3, 0, -0, 10**300 + 1]

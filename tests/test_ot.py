@@ -1,11 +1,10 @@
 """Entropic transport: cost matrices, Sinkhorn, weights, batching, exact LP.
 
 The reference solver below is a deliberately naive per-iteration log-sum-exp
-implementation with the same update order as the production solver (u-update
-from the previous v, then v-update from the new u). Both are run for a fixed
-number of sweeps with early exit disabled; the plans must agree to 1e-10,
-which pins the production solver's absorption bookkeeping to the clean
-log-domain fixed point.
+implementation of plain Sinkhorn, run to its own fixed point. The production
+solver (over-relaxed, with absorptions) is run to a tight tolerance; the
+plans must agree to 1e-10, which pins its relaxation and absorption
+bookkeeping to the clean log-domain fixed point.
 """
 
 import math
@@ -13,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from popalign import core, ot
@@ -40,18 +41,22 @@ from popalign.errors import (
     UnconvergedPlan,
 )
 
-NO_EXIT = 1e-300  # tol small enough that the residual exit never fires
 
-
-def reference_sinkhorn_log(C, a, b, eps, iters):
-    """Textbook log-domain Sinkhorn, one log-sum-exp per update."""
+def reference_sinkhorn_log(C, a, b, eps, tol=1e-14, max_iters=100_000):
+    """Textbook log-domain Sinkhorn, one log-sum-exp per update, run until
+    the row marginal is within tol of a (the column marginal is exact after
+    each g-update)."""
     logK = np.asarray(C, float) / -eps
     f = np.zeros(len(a))
     g = np.zeros(len(b))
-    for _ in range(iters):
+    for it in range(1, max_iters + 1):
         f = np.log(a) - logsumexp(logK + g[None, :], axis=1)
         g = np.log(b) - logsumexp(logK + f[:, None], axis=0)
-    return np.exp(logK + f[:, None] + g[None, :])
+        if it % 10 == 0:
+            P = np.exp(logK + f[:, None] + g[None, :])
+            if np.abs(P.sum(axis=1) - a).max() <= tol:
+                return P
+    raise AssertionError(f"reference did not reach {tol} in {max_iters} iterations")
 
 
 def random_instance(rng, n, m, d=3):
@@ -288,17 +293,22 @@ class TestSinkhorn:
         np.testing.assert_allclose(rebuilt, plan.gamma, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("eps_scale", [0.5, 0.02])
-    def test_agrees_with_log_domain_reference(self, eps_scale):
-        # eps_scale=0.02 drives the scalings far outside double range,
-        # forcing the absorption path; the fixed point must not move
+    def test_agrees_with_log_domain_reference(self, eps_scale, monkeypatch):
+        # eps_scale=0.02 on the outlier rows drives their scalings outside the
+        # absorption bounds; the fixed point must not move
         rng = np.random.default_rng(5)
-        C = random_instance(rng, 5, 7)
+        if eps_scale == 0.02:
+            n, m = 20, 15
+            C = outlier_instance(rng, n, m)
+        else:
+            n, m = 5, 7
+            C = random_instance(rng, n, m)
+        builds = counting_absorptions(monkeypatch)
         eps = eps_scale * C.median_cost
-        iters = 40
-        plan = sinkhorn(C, epsilon=eps, max_iters=iters, tol=NO_EXIT, check_every=10**9)
-        ref = reference_sinkhorn_log(
-            C.values, np.full(5, 0.2), np.full(7, 1.0 / 7.0), eps, iters
-        )
+        plan = sinkhorn(C, epsilon=eps, max_iters=5000, tol=1e-13)
+        assert plan.converged
+        assert any(builds) == (eps_scale == 0.02) == (plan.absorb_count > 0)
+        ref = reference_sinkhorn_log(C.values, np.full(n, 1.0 / n), np.full(m, 1.0 / m), eps)
         np.testing.assert_allclose(plan.gamma, ref, rtol=0, atol=1e-10)
 
     def test_cost_near_exact_at_small_epsilon(self):
@@ -307,7 +317,7 @@ class TestSinkhorn:
             C = CostMatrix(rng.uniform(size=(10, 10)), 0.0)
             C = cost_matrix(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
             eps = 0.05 * C.median_cost
-            plan = sinkhorn(C, epsilon=eps, max_iters=20000, tol=1e-10, check_every=100)
+            plan = sinkhorn(C, epsilon=eps, max_iters=20000, tol=1e-10)
             exact_cost, _ = exact_ot_small(C, np.full(10, 0.1), np.full(10, 0.1))
             gap = abs(transport_cost(plan, C) - exact_cost)
             assert gap <= eps * math.log(100.0) + 1e-10 * C.values.max()
@@ -317,9 +327,7 @@ class TestSinkhorn:
         C = random_instance(rng, 8, 10)
         costs = []
         for scale in (0.8, 0.4, 0.2, 0.1):
-            plan = sinkhorn(
-                C, epsilon=scale * C.median_cost, max_iters=20000, tol=1e-12, check_every=50
-            )
+            plan = sinkhorn(C, epsilon=scale * C.median_cost, max_iters=20000, tol=1e-12)
             costs.append(transport_cost(plan, C))
         diffs = np.diff(costs)
         assert (diffs <= 1e-9).all()  # halving eps never increases the cost
@@ -335,6 +343,14 @@ class TestSinkhorn:
         with pytest.raises(NumericalCollapse) as exc:
             sinkhorn(C, epsilon=1.0)
         assert exc.value.axis == "col" and exc.value.index == 1
+
+    def test_kernel_scanned_only_for_a_zero_product(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(ot, "_raise_on_dead_axis", lambda *args: scans.append(args))
+        C = outlier_instance(np.random.default_rng(24), 120, 90)
+        plan = sinkhorn(C, epsilon=0.02 * C.median_cost, max_iters=5000, tol=1e-9)
+        assert plan.converged and plan.absorb_count >= 1
+        assert not scans
 
     def test_marginal_validation(self):
         C = np.ones((2, 2))
@@ -362,33 +378,127 @@ class TestSinkhorn:
         assert plan.iterations_run == 2
 
 
-def unfused_sinkhorn(K, a, b, max_iters, tol, check_every=10):
-    """The scaling loop with a separate K v product at each exit check."""
-    v = np.ones(len(b))
+def unfused_sinkhorn(K, a, b, max_iters, tol):
+    """The over-relaxed scaling loop with separate products for both residuals."""
+    u, v = np.ones(len(a)), np.ones(len(b))
+    omega, history = 1.0, []
+    window = ot._RELAX_WINDOW
     for it in range(1, max_iters + 1):
-        u = a / (K @ v)
-        v = b / (K.T @ u)
-        if it == 1 or it % check_every == 0 or it == max_iters:
-            row_marginal = u * (K @ v)
-            row_res = float(np.abs(row_marginal - a).max())
-            if row_res <= tol:
-                break
-    return it, row_marginal, row_res
+        u_hat = a / (K @ v)
+        u = u_hat if omega == 1.0 else u_hat * (u / u_hat) ** (1.0 - omega)
+        v_hat = b / (K.T @ u)
+        v = v_hat if omega == 1.0 else v_hat * (v / v_hat) ** (1.0 - omega)
+        row_marginal = u * (K @ v)
+        row_res = float(np.abs(row_marginal - a).max())
+        col_res = float(np.abs(v * (K.T @ u) - b).max())
+        history.append(max(row_res, col_res))
+        if history[-1] <= tol:
+            break
+        if it == ot._RELAX_START:
+            ratio = min(ot._RELAX_RATIO_CAP, history[-1] / history[-1 - window])
+            omega = 2.0 / (1.0 + math.sqrt(1.0 - ratio ** (1.0 / window)))
+        elif omega != 1.0 and it - window > ot._RELAX_START:
+            if history[-1] >= history[-1 - window]:
+                omega = 1.0
+    return it, row_marginal, row_res, col_res, omega, history
 
 
 class TestFusedExitCheck:
-    """The exit check's K v serves the next sweep, and no bit moves."""
+    """Each sweep's residuals reuse its products (K v serves the next sweep), and no bit moves."""
 
     @pytest.mark.parametrize("seed,n,m,tol", [(30, 40, 60, 1e-9), (31, 200, 150, 1e-12)])
     def test_bits_match_unfused_loop(self, seed, n, m, tol):
         C = random_instance(np.random.default_rng(seed), n, m)
-        eps = 0.5 * C.median_cost
+        eps = 0.1 * C.median_cost
         a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
         plan = sinkhorn(C, a, b, epsilon=eps, max_iters=500, tol=tol)
-        it, row_marginal, row_res = unfused_sinkhorn(gibbs_kernel(C, eps), a, b, 500, tol)
-        assert plan.iterations_run == it > 10  # several checks did not exit
+        it, row_marginal, row_res, col_res, omega, history = unfused_sinkhorn(
+            gibbs_kernel(C, eps), a, b, 500, tol
+        )
+        # several relaxed sweeps, and at least one fallback check, ran
+        assert plan.iterations_run == it > ot._RELAX_START + ot._RELAX_WINDOW
+        assert plan.relaxation == omega > 1.0
         np.testing.assert_array_equal(plan.row_marginal, row_marginal)
-        assert plan.row_residual == row_res
+        np.testing.assert_array_equal(plan.residual_history, history)
+        assert (plan.row_residual, plan.col_residual) == (row_res, col_res)
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+class TestOverRelaxation:
+    """Relaxed sweeps reach plain Sinkhorn's fixed point, and fall back when they must."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_converges_to_the_log_domain_fixed_point(self, data):
+        n, m = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 40))
+        eps_scale = data.draw(st.floats(0.05, 1.0))
+        outliers = data.draw(st.integers(0, n // 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.normal(size=(n, 2))
+        X[:outliers] += 4.0
+        C = cost_matrix(X, rng.normal(size=(m, 2)))
+        a = rng.uniform(0.1, 1.0, n)
+        b = rng.uniform(0.1, 1.0, m)
+        a, b = a / a.sum(), b / b.sum()
+        eps = eps_scale * C.median_cost
+        tol = 1e-12
+
+        plan = sinkhorn(C, a, b, epsilon=eps, max_iters=20000, tol=tol)
+        assert plan.converged
+        assert len(plan.residual_history) == plan.iterations_run
+        assert plan.residual_history[-1] == max(plan.row_residual, plan.col_residual) <= tol
+        gamma = plan.gamma
+        assert np.abs(gamma.sum(axis=1) - a).max() <= tol
+        assert np.abs(gamma.sum(axis=0) - b).max() <= tol
+        ref = reference_sinkhorn_log(C.values, a, b, eps)
+        np.testing.assert_allclose(gamma, ref, rtol=0, atol=1e-10)
+
+        again = sinkhorn(C, a, b, epsilon=eps, max_iters=20000, tol=tol)
+        for name in ("row_marginal", "scaling_u", "scaling_v", "residual_history", "gamma"):
+            assert getattr(again, name).tobytes() == getattr(plan, name).tobytes()
+        assert (again.iterations_run, again.relaxation, again.absorb_count) == (
+            plan.iterations_run, plan.relaxation, plan.absorb_count
+        )
+
+    def test_divergent_omega_falls_back(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ot, "_relaxation", lambda ratio: calls.append(ratio) or 1.95)
+        C = random_instance(np.random.default_rng(4), 30, 40)
+        plan = sinkhorn(C, epsilon=0.1 * C.median_cost, max_iters=5000, tol=1e-9)
+        assert len(calls) == 1  # relaxation started
+        assert plan.converged and plan.absorb_count == 0
+        assert plan.relaxation == 1.0
+        assert plan.iterations_run > ot._RELAX_START + ot._RELAX_WINDOW
+
+    def test_absorption_ends_relaxation(self, monkeypatch):
+        # the outlier rows' scalings leave the absorption bounds after
+        # relaxation has started; the solve finishes with plain sweeps
+        events = []
+        real_relaxation, real_kernel = ot._relaxation, ot._tilted_kernel
+
+        def relaxation(ratio):
+            events.append("relax")
+            return real_relaxation(ratio)
+
+        def kernel(*args, **kwargs):
+            events.append("absorb" if kwargs.get("out") is not None else "build")
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(ot, "_relaxation", relaxation)
+        monkeypatch.setattr(ot, "_tilted_kernel", kernel)
+        C = outlier_instance(np.random.default_rng(22), 40, 30)
+        plan = sinkhorn(C, epsilon=0.05 * C.median_cost, max_iters=5000, tol=1e-9)
+        assert events[:3] == ["build", "relax", "absorb"]
+        assert plan.absorb_count == events.count("absorb")
+        assert plan.converged and plan.relaxation == 1.0
+
+    def test_plain_until_relax_start(self):
+        C = random_instance(np.random.default_rng(30), 40, 60)
+        plan = sinkhorn(C, epsilon=0.5 * C.median_cost, max_iters=500, tol=1e-9)
+        assert plan.iterations_run < ot._RELAX_START
+        assert plan.relaxation == 1.0 and plan.absorb_count == 0
 
 
 class TestOtWeights:
