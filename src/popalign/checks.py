@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import BoundViolation, InvalidConfig
 from .kde import fit_kde, importance_weights
-from .metrics import sliced_wasserstein, wasserstein_1d
+from .metrics import _w1_rows, sliced_wasserstein, wasserstein_1d
 from .ot import _as_cost, exact_ot_small, sinkhorn, transport_cost
 from .pipeline import truncate_by_weight
 from .rng import derive_seed, rng_from_seed
-from .sampling import normalize_weights
+from .sampling import _inverse_cdf, normalize_weights
 from .synthetic import sample_population
 
 _GAP_SOLVER_SLACK = 1e-6  # multiplies max(C), covers finite Sinkhorn tolerance
@@ -81,21 +81,13 @@ def wasserstein2_1d(x, y):
     """Exact W2 between two 1-d empirical distributions.
 
     Quantile-function form: sqrt of the integral of (F_x^{-1} - F_y^{-1})^2
-    over (0, 1), evaluated piecewise on the merged quantile breakpoints.
+    over (0, 1), on the merged quantile grid of metrics' W1 kernel.
     """
-    xs = np.sort(np.asarray(x, dtype=np.float64).ravel())
-    ys = np.sort(np.asarray(y, dtype=np.float64).ravel())
+    xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    ys = np.asarray(y, dtype=np.float64).reshape(1, -1)
     if xs.size == 0 or ys.size == 0:
         raise InvalidConfig("wasserstein2_1d needs at least one sample on each side")
-    n, m = xs.size, ys.size
-    qs = np.union1d(np.arange(1, n) / n, np.arange(1, m) / m)
-    qs = np.concatenate([[0.0], qs, [1.0]])
-    widths = np.diff(qs)
-    mids = 0.5 * (qs[:-1] + qs[1:])
-    ix = np.minimum((mids * n).astype(np.intp), n - 1)
-    iy = np.minimum((mids * m).astype(np.intp), m - 1)
-    sq = float(np.sum(widths * (xs[ix] - ys[iy]) ** 2))
-    return math.sqrt(max(sq, 0.0))
+    return math.sqrt(_w1_rows(xs, ys, p=2)[0])
 
 
 @dataclass(frozen=True)
@@ -165,11 +157,7 @@ def _stage1_from_pool(pool, fit_ref, n_dagger, bandwidth, retain_fraction,
                            query_in_source=kde_fit_subsample is not None)
     kept = truncate_by_weight(w, retain_fraction)
     kept = kept[np.argsort(pool.values[kept, 0], kind="stable")]
-    probs = normalize_weights(w[kept])
-    edges = np.cumsum(probs.probs)
-    draw = np.minimum(
-        np.searchsorted(edges, draw_uniforms, side="right"), kept.size - 1
-    )
+    draw = _inverse_cdf(normalize_weights(w[kept]).probs, draw_uniforms)
     return pool.take_rows(kept[draw])
 
 

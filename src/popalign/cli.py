@@ -80,7 +80,8 @@ def _cmd_collect(args):
     items = pio.load_items(args.items)
     responder = HttpResponder(args.endpoint, timeout=args.timeout, retries=args.retries)
     seed = args.seed if args.seed is not None else 0
-    matrix = collect_responses(personas, items, responder, seed, retries=args.retries)
+    # the client already retries each POST, so a cell gets one client call
+    matrix = collect_responses(personas, items, responder, seed, retries=0)
     pio.save_responses(args.out, matrix, ids=[p.id for p in personas])
     print(f"collected {matrix.n}x{matrix.d} responses -> {args.out}")
     return 0

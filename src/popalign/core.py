@@ -375,11 +375,16 @@ class AlignmentConfig:
 
 @dataclass(frozen=True)
 class ValidatedPool:
-    """Handle returned by validate_pool; carries the checked inputs."""
+    """Handle returned by validate_pool; carries the checked inputs.
+
+    id_to_index maps each persona id to its position in personas; row_to_id
+    maps each response row that a persona claims to that persona's id.
+    """
 
     personas: tuple
     responses: ResponseMatrix
     id_to_index: dict = field(compare=False, default=None)
+    row_to_id: dict = field(compare=False, default=None)
 
 
 def validate_pool(personas, responses=None):
@@ -435,4 +440,5 @@ def validate_pool(personas, responses=None):
         personas=personas,
         responses=responses,
         id_to_index={rec.id: i for i, rec in enumerate(personas)},
+        row_to_id=rows_used,
     )

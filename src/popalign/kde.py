@@ -271,24 +271,21 @@ def log_density_many(model, X, include_query=False):
     """
     Q = _queries(model, X, ndim=2)
     S = model.samples.values
+    out = None
     if model.d == 1 and S.shape[0] * Q.shape[0] >= _FGT_MIN_PAIRS:
         span = max(S[:, 0].max(), Q[:, 0].max()) - min(S[:, 0].min(), Q[:, 0].min())
         if span / model.bandwidth < 200_000:
             sums = _fgt_gauss_sums_1d(S[:, 0], Q[:, 0], model.bandwidth)
-            if include_query:
-                out = np.log1p(sums)
-                out -= model.log_norm_const + math.log(
-                    (S.shape[0] + 1) / S.shape[0]
-                )
-                return out
-            out = np.empty(Q.shape[0])
-            safe = sums >= _FGT_SAFE_SUM
-            out[safe] = np.log(sums[safe])
-            if not safe.all():
-                out[~safe] = _dense_kernel_lse(S, Q[~safe], model.bandwidth)
-            out -= model.log_norm_const
-            return out
-    out = _dense_kernel_lse(S, Q, model.bandwidth)
+            # small sums go dense; under include_query the query's own term 1
+            # swamps the transform's error, so only a sum that error took
+            # below zero does
+            small = np.flatnonzero(sums < (0.0 if include_query else _FGT_SAFE_SUM))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.log(sums)
+            if small.size:
+                out[small] = _dense_kernel_lse(S, Q[small], model.bandwidth)
+    if out is None:
+        out = _dense_kernel_lse(S, Q, model.bandwidth)
     if include_query:
         np.logaddexp(out, 0.0, out=out)
         out -= model.log_norm_const + math.log((S.shape[0] + 1) / S.shape[0])

@@ -11,10 +11,10 @@ a non-finite entry NonFiniteValue with its row and column (core._finite_values,
 which pearson_corr_matrix takes as well).
 
 One exact 1-d W1 kernel on quantile functions, `_w1_rows`, serves
-wasserstein_1d, amw (all columns at once) and sliced_wasserstein (all
-projections at once): each side is sorted once, and one merged integer grid
-of quantile breakpoints, shared by every row, turns the integral into a
-matrix-vector product.
+wasserstein_1d, amw (all columns at once), sliced_wasserstein (all
+projections at once) and, at exponent p=2, checks.wasserstein2_1d: each side
+is sorted once, and one merged integer grid of quantile breakpoints, shared
+by every row, turns the integral into a matrix-vector product.
 
 The MMD bandwidth's median heuristic is an exact selection, not a sort of
 the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
@@ -61,14 +61,15 @@ def _pair(X, Y):
     return A, B
 
 
-def _w1_rows(P, Q):
-    """Exact 1-d W1 between each row of P (c x n_x) and the same row of Q (c x n_y).
+def _w1_rows(P, Q, p=1):
+    """Exact 1-d W_p^p between each row of P (c x n_x) and the same row of Q (c x n_y).
 
-    W1 is the integral over t in (0, 1] of |F_P^-1(t) - F_Q^-1(t)|. Scaled by
-    n_x n_y, the two quantile functions step at the integers i n_y and j n_x,
-    so one merged integer grid, shared by every row, gives each interval's
-    width and the sorted indices on both sides. Each side is sorted once for
-    all rows, and each cache-sized chunk of rows is one matrix-vector product.
+    W_p^p is the integral over t in (0, 1] of |F_P^-1(t) - F_Q^-1(t)|^p; the
+    default p=1 is W1. Scaled by n_x n_y, the two quantile functions step at
+    the integers i n_y and j n_x, so one merged integer grid, shared by every
+    row, gives each interval's width and the sorted indices on both sides.
+    Each side is sorted once for all rows, and each cache-sized chunk of rows
+    is one matrix-vector product.
     """
     xs, ys = np.sort(P, axis=1), np.sort(Q, axis=1)
     nx, ny = xs.shape[1], ys.shape[1]
@@ -79,7 +80,10 @@ def _w1_rows(P, Q):
     step = max(1, _BLOCK_ELEMS // widths.size)
     for lo in range(0, out.size, step):
         gap = xs[lo:lo + step, ix] - ys[lo:lo + step, iy]
-        out[lo:lo + step] = np.abs(gap, out=gap) @ widths
+        np.abs(gap, out=gap)
+        if p != 1:
+            gap **= p
+        out[lo:lo + step] = gap @ widths
     return out / (nx * ny)
 
 

@@ -55,7 +55,7 @@ from .errors import (
     UnconvergedPlan,
 )
 from .rng import rng_from_seed
-from .sampling import multinomial_draw, normalize_weights
+from .sampling import _SUM_TOL, multinomial_draw, normalize_weights
 
 # absorption bounds for the scaling vectors; far inside double range
 _ABSORB_HI = 1e100
@@ -66,8 +66,6 @@ _EXACT_GUARD = 10_000
 # most bytes one transport batch may hold in its two live n x m float64
 # arrays; criterion 5's largest batch (about 5.6k x 5k) needs 0.45 GB
 _OT_BATCH_BYTES = 2 << 30
-
-_MARGINAL_SUM_TOL = 1e-12
 
 # over-relaxation: the last plain sweep (of 12, 15, 20, 25 and 30, 20 took
 # the fewest sweeps on the benchmark's tails-1d inputs: 508 against 511-556
@@ -182,8 +180,8 @@ def _check_marginal(p, size, name):
         raise InvalidConfig(
             f"{name} must be strictly positive and finite; drop zero-mass atoms first"
         )
-    if abs(float(arr.sum()) - 1.0) > _MARGINAL_SUM_TOL:
-        raise InvalidConfig(f"{name} sums to {float(arr.sum())!r}, not 1 within 1e-12")
+    if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
+        raise InvalidConfig(f"{name} sums to {float(arr.sum())!r}, not 1 within {_SUM_TOL}")
     return arr
 
 

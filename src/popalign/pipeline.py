@@ -210,10 +210,7 @@ def run_alignment(
                 f"n_is_candidates ({config.n_is_candidates}) exceeds pool size "
                 f"({pool_matrix.n})"
             )
-        row_to_id = {}
-        for rec in pool.personas:
-            if rec.response_row is not None:
-                row_to_id[rec.response_row] = rec.id
+        row_to_id = pool.row_to_id
         if len(row_to_id) != pool_matrix.n:
             raise InvalidConfig(
                 f"pool rows with personas: {len(row_to_id)} of {pool_matrix.n}; "

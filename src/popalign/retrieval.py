@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .core import PersonaRecord
+from .core import PersonaRecord, _finite_values
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -69,13 +69,9 @@ class EmbeddingIndex:
                 if i in seen:
                     raise DuplicateId(f"duplicate embedding id {i!r}", id=i)
                 seen.add(i)
-        arr = np.asarray(vectors, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"embedding matrix must be 2-d, got shape {arr.shape}")
+        arr = _finite_values(vectors, "embedding matrix")
         if arr.shape[0] != len(ids):
             raise DimensionMismatch(f"{len(ids)} ids for {arr.shape[0]} vectors")
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("embedding matrix contains a non-finite entry")
         norms = np.linalg.norm(arr, axis=1)
         dead = np.flatnonzero(norms == 0.0)
         if dead.size:

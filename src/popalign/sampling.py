@@ -76,12 +76,14 @@ def multinomial_draw(probs, n, seed):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidConfig(f"draw count must be a positive integer, got {n!r}")
 
-    p = probs.probs
-    cdf = np.cumsum(p)
     u = rng_from_seed(seed, stream=(_DRAW_STREAM,)).random(int(n))
-    idx = np.searchsorted(cdf, u, side="right")
+    return _inverse_cdf(probs.probs, u)
+
+
+def _inverse_cdf(p, u):
+    """Category of each uniform in u under p, with multinomial_draw's tie rule."""
+    idx = np.searchsorted(np.cumsum(p), u, side="right")
     # u >= cdf[-1] can occur by roundoff; the correct bucket is the last one
-    # with positive probability, which also guards the zero-probability tail.
-    last_positive = int(np.flatnonzero(p > 0)[-1])
-    np.minimum(idx, last_positive, out=idx)
+    # with positive probability, which also guards the zero-probability tail
+    np.minimum(idx, np.flatnonzero(p > 0)[-1], out=idx)
     return idx

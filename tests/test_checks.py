@@ -215,6 +215,36 @@ class TestConvergenceSweep:
             self.small_sweep(n_grid=())
 
 
+class TestPinnedSweep:
+    """A small seeded sweep whose divergences are pinned to recorded values.
+
+    n=3000 fits the persona KDE on the whole pool and n=6000 on its 4096-row
+    prefix; both evaluate it self-inclusively through the 1-d fast Gauss
+    transform, and both draw through the coupled inverse CDF.
+    """
+
+    W1 = {
+        3000: [0.13352291019754517, 0.21550640968325474, 0.16627593571309893],
+        6000: [0.13783819154854435, 0.24781849558014693, 0.12116216263335854],
+    }
+    W2 = {
+        3000: [0.19639871030022066, 0.28411203194377505, 0.23831981367356095],
+        6000: [0.19151126602384796, 0.30853985454803534, 0.2040573113212109],
+    }
+
+    def test_divergences_pinned(self):
+        result = convergence_sweep(
+            n_grid=(3000, 6000), d=1, m=500, n_dagger=300, repetitions=3,
+            seed=7, reference_size=1000, sw_projections=16,
+        )
+        for cell in result.cells:
+            div = cell["divergences"]
+            # one projection direction in d=1: sliced W is W1
+            assert div["w1"] == self.W1[cell["n"]]
+            assert div["sw"] == self.W1[cell["n"]]
+            np.testing.assert_allclose(div["w2"], self.W2[cell["n"]], rtol=1e-12, atol=0)
+
+
 class TestNoiseFloor:
     def test_aligned_pool_resamples_at_sampling_noise(self):
         # pool drawn from the reference generator: the stage-1 resample's W1

@@ -352,6 +352,44 @@ def responder_server():
     httpd.server_close()
 
 
+@pytest.fixture
+def counting_server():
+    """Start local endpoints that answer every POST with one fixed reply.
+
+    Calling the fixture's value with (status, body) returns the endpoint URL
+    and a list that grows by one entry per POST received.
+    """
+    servers = []
+
+    def start(status, body):
+        posts = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                posts.append(self.path)
+                payload = body.encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(
+            target=lambda: httpd.serve_forever(poll_interval=0.02), daemon=True
+        ).start()
+        servers.append(httpd)
+        return f"http://127.0.0.1:{httpd.server_port}/respond", posts
+
+    yield start
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 class TestCollect:
     def test_collect_against_local_server(self, tmp_path, capsys, responder_server):
         personas = tmp_path / "personas.jsonl"
@@ -369,6 +407,31 @@ class TestCollect:
         assert ids == ["p0", "p1"]
         np.testing.assert_array_equal(matrix.values, [[4.0, 3.5], [6.0, 5.5]])
         assert matrix.item_ids == ("qqqq", "rr")
+
+    def collect_one_cell(self, tmp_path, endpoint):
+        personas = tmp_path / "personas.jsonl"
+        pio.dump_jsonl(personas, [{"id": "p0", "narrative": "abc"}])
+        items = tmp_path / "items.jsonl"
+        pio.dump_jsonl(items, [{"item": "qqqq"}])
+        return main(["collect", "--personas", str(personas), "--items", str(items),
+                     "--endpoint", endpoint, "--out", str(tmp_path / "out.jsonl"),
+                     "--retries", "2", "--timeout", "5"])
+
+    def test_retries_count_http_attempts_per_cell(self, tmp_path, capsys,
+                                                  counting_server):
+        endpoint, posts = counting_server(503, "{}")
+        assert self.collect_one_cell(tmp_path, endpoint) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ResponderFailure"
+        assert len(posts) == 3
+
+    def test_contract_violation_is_not_reposted(self, tmp_path, capsys,
+                                                counting_server):
+        endpoint, posts = counting_server(200, json.dumps({"score": 1.0}))
+        assert self.collect_one_cell(tmp_path, endpoint) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ResponderFailure"
+        assert "missing 'value'" in err["message"]
+        assert len(posts) == 1
 
 
 class TestSweep:

@@ -225,6 +225,17 @@ class TestValidatePool:
         pool = validate_pool([PersonaRecord(id="a"), PersonaRecord(id="b")], m)
         assert len(pool.personas) == 2
 
+    def test_row_to_id_skips_personas_without_rows(self):
+        m = ResponseMatrix(np.ones((3, 2)))
+        personas = [
+            PersonaRecord(id="a", response_row=2),
+            PersonaRecord(id="b"),
+            PersonaRecord(id="c", response_row=0),
+            PersonaRecord(id="d"),
+        ]
+        pool = validate_pool(personas, m)
+        assert pool.row_to_id == {2: "a", 0: "c"}
+
 
 class TestPersonaRecord:
     def test_minimal(self):

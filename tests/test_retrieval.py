@@ -97,6 +97,14 @@ class TestEmbeddingIndex:
         with pytest.raises(NonFiniteValue):
             EmbeddingIndex.build(["a"], np.array([[np.nan, 1.0]]))
 
+    def test_nonfinite_named_by_row_and_column(self):
+        vectors = np.ones((3, 4))
+        vectors[2, 1] = np.inf
+        with pytest.raises(NonFiniteValue) as exc:
+            EmbeddingIndex.build(["a", "b", "c"], vectors)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+        assert "row 2, column 1" in str(exc.value)
+
     def test_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingIndex.build(["a", "b", "c"], np.ones((2, 3)))

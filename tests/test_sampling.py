@@ -5,6 +5,8 @@ import pytest
 
 from popalign import SamplingProbabilities, multinomial_draw, normalize_weights
 from popalign.errors import AllZeroWeights, InvalidConfig, NonFiniteWeight
+from popalign.rng import rng_from_seed
+from popalign import sampling
 
 
 class TestNormalize:
@@ -93,6 +95,18 @@ class TestMultinomialDraw:
         idx = multinomial_draw(p, 10_000, seed=5)
         assert idx.min() >= 0 and idx.max() < 40
         assert idx.dtype == np.int64
+
+    def test_inverse_cdf_is_the_draw(self):
+        # same Philox uniforms, same indices; the zero-probability tail is
+        # never selected, not even by a uniform at or past the last edge
+        p = normalize_weights(np.array([0.2, 0.0, 0.5, 0.3, 0.0, 0.0]))
+        u = rng_from_seed(11, stream=(sampling._DRAW_STREAM,)).random(5000)
+        idx = sampling._inverse_cdf(p.probs, u)
+        np.testing.assert_array_equal(idx, multinomial_draw(p, 5000, seed=11))
+        assert set(np.unique(idx)) == {0, 2, 3}
+        edges = np.cumsum(p.probs)
+        u = np.array([0.0, edges[0], edges[2], edges[-1], 1.0])
+        np.testing.assert_array_equal(sampling._inverse_cdf(p.probs, u), [0, 2, 3, 3, 3])
 
     def test_zero_count_rejected(self):
         p = normalize_weights(np.ones(2))
