@@ -154,7 +154,7 @@ def _stage1_from_pool(pool, fit_ref, n_dagger, bandwidth, retain_fraction,
     human_model = fit_kde(fit_ref, bandwidth)
     persona_model = fit_kde(pool_fit, bandwidth)
     w = importance_weights(human_model, persona_model, pool,
-                           query_in_source=kde_fit_subsample is not None)
+                           query_in_source=pool_fit is not pool)
     kept = truncate_by_weight(w, retain_fraction)
     kept = kept[np.argsort(pool.values[kept, 0], kind="stable")]
     draw = _inverse_cdf(normalize_weights(w[kept]).probs, draw_uniforms)

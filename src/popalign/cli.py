@@ -80,8 +80,7 @@ def _cmd_collect(args):
     items = pio.load_items(args.items)
     responder = HttpResponder(args.endpoint, timeout=args.timeout, retries=args.retries)
     seed = args.seed if args.seed is not None else 0
-    # the client already retries each POST, so a cell gets one client call
-    matrix = collect_responses(personas, items, responder, seed, retries=0)
+    matrix = collect_responses(personas, items, responder, seed)
     pio.save_responses(args.out, matrix, ids=[p.id for p in personas])
     print(f"collected {matrix.n}x{matrix.d} responses -> {args.out}")
     return 0
@@ -122,7 +121,7 @@ def _cmd_pairs(args):
             query_id, embedding, positive_id = (
                 record["query_id"], record["embedding"], record["positive_id"]
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InvalidConfig(f"queries line {lineno}: {exc}") from exc
         if not isinstance(embedding, list):
             raise SchemaError(f"line {lineno}: query embedding must be a JSON array", line=lineno)

@@ -16,6 +16,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteValue,
 )
+from .rng import rng_from_seed
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -157,6 +158,19 @@ def _bracket_pass(parts, a, b):
             size, stride = kept[0].size, 2 * stride
     counts = (lt_a, lt_a + eq_a, le_b - eq_b, le_b)
     return counts, np.concatenate(kept), stride, unordered
+
+
+def _pivot_pairs(n, m):
+    """_MEDIAN_SAMPLE seeded index pairs (i, j), i uniform on [0, n), j on [0, m).
+
+    The one draw behind _exact_median's first pivots (the transport cost
+    median and the MMD bandwidth's median heuristic); int32 indices keep
+    the sample's set-up at 1 MiB. The selection is exact for any pivots.
+    """
+    rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
+    i = rng.integers(0, n, _MEDIAN_SAMPLE, dtype=np.int32)
+    j = rng.integers(0, m, _MEDIAN_SAMPLE, dtype=np.int32)
+    return i, j
 
 
 def _exact_median(values, total, sample):
@@ -378,21 +392,24 @@ class ValidatedPool:
     """Handle returned by validate_pool; carries the checked inputs.
 
     id_to_index maps each persona id to its position in personas; row_to_id
-    maps each response row that a persona claims to that persona's id.
+    maps each response row that a persona claims to that persona's id. Both
+    maps are required: build a pool through validate_pool.
     """
 
     personas: tuple
     responses: ResponseMatrix
-    id_to_index: dict = field(compare=False, default=None)
-    row_to_id: dict = field(compare=False, default=None)
+    id_to_index: dict = field(compare=False)
+    row_to_id: dict = field(compare=False)
 
 
 def validate_pool(personas, responses=None):
     """Check pool-wide invariants and return a ValidatedPool handle.
 
     Validation is idempotent: re-validating a ValidatedPool returns it
-    unchanged. Any violated invariant raises the matching error naming the
-    offending record; nothing is repaired silently.
+    unchanged. One walk over the personas checks each record in list order
+    (unique id, embedding length, response row in range and unshared), so
+    the first offending record in the list is the one named; nothing is
+    repaired silently.
     """
     if isinstance(personas, ValidatedPool):
         return personas
@@ -402,43 +419,33 @@ def validate_pool(personas, responses=None):
     if not isinstance(responses, ResponseMatrix):
         responses = ResponseMatrix(responses)
 
-    seen = {}
-    for rec in personas:
-        if rec.id in seen:
-            raise DuplicateId(f"duplicate persona id {rec.id!r}", id=rec.id)
-        seen[rec.id] = rec
-
+    id_to_index, row_to_id = {}, {}
     emb_dim = None
-    for rec in personas:
-        if rec.embedding is None:
-            continue
-        if emb_dim is None:
-            emb_dim = rec.embedding.shape[0]
-        elif rec.embedding.shape[0] != emb_dim:
-            raise DimensionMismatch(
-                f"persona {rec.id!r} embedding has length {rec.embedding.shape[0]}, "
-                f"pool uses {emb_dim}"
-            )
-
-    rows_used = {}
-    for rec in personas:
-        if rec.response_row is None:
-            continue
-        if not 0 <= rec.response_row < responses.n:
-            raise DimensionMismatch(
-                f"persona {rec.id!r} response_row {rec.response_row} outside [0, {responses.n})"
-            )
-        if rec.response_row in rows_used:
-            raise DuplicateId(
-                f"personas {rows_used[rec.response_row]!r} and {rec.id!r} share response row "
-                f"{rec.response_row}",
-                id=rec.id,
-            )
-        rows_used[rec.response_row] = rec.id
+    for i, rec in enumerate(personas):
+        if rec.id in id_to_index:
+            raise DuplicateId(f"duplicate persona id {rec.id!r}", id=rec.id)
+        id_to_index[rec.id] = i
+        if rec.embedding is not None:
+            if emb_dim is None:
+                emb_dim = rec.embedding.shape[0]
+            elif rec.embedding.shape[0] != emb_dim:
+                raise DimensionMismatch(
+                    f"persona {rec.id!r} embedding has length {rec.embedding.shape[0]}, "
+                    f"pool uses {emb_dim}"
+                )
+        row = rec.response_row
+        if row is not None:
+            if not 0 <= row < responses.n:
+                raise DimensionMismatch(
+                    f"persona {rec.id!r} response_row {row} outside [0, {responses.n})"
+                )
+            if row in row_to_id:
+                raise DuplicateId(
+                    f"personas {row_to_id[row]!r} and {rec.id!r} share response row {row}",
+                    id=rec.id,
+                )
+            row_to_id[row] = rec.id
 
     return ValidatedPool(
-        personas=personas,
-        responses=responses,
-        id_to_index={rec.id: i for i, rec in enumerate(personas)},
-        row_to_id=rows_used,
+        personas=personas, responses=responses, id_to_index=id_to_index, row_to_id=row_to_id
     )

@@ -126,7 +126,7 @@ class SchemaError(PopalignError):
 
 
 class ResponderFailure(PopalignError):
-    """A responder cell failed after the configured retries."""
+    """A responder call failed; collect_responses calls once per cell, retries are the client's."""
 
     def __init__(self, msg, row=None, col=None):
         super().__init__(msg)

@@ -106,7 +106,11 @@ def _float_rows(rows, label):
 
 
 def parse_jsonl(path):
-    """Yield (1-based line number, parsed record) for each nonblank line."""
+    """Yield (1-based line number, parsed JSON object) for each nonblank line.
+
+    Every format is one object per line: a line that does not parse raises
+    ParseError, one that parses to anything but an object SchemaError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -115,6 +119,8 @@ def parse_jsonl(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: {exc.msg}", line=lineno) from exc
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
             yield lineno, record
 
 
@@ -174,8 +180,6 @@ def load_response_records(path):
     def rows():
         nonlocal items
         for lineno, record in parse_jsonl(path):
-            if not isinstance(record, dict):
-                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
             if items is None:
                 if "items" not in record:
                     raise SchemaError(
@@ -232,8 +236,6 @@ def save_personas(path, personas):
 def load_personas(path):
     out = []
     for lineno, record in parse_jsonl(path):
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected an object", line=lineno)
         pid = _require(record, "id", str, lineno, "persona")
         narrative = record.get("narrative", "")
         if not isinstance(narrative, str):
@@ -275,8 +277,6 @@ def load_embedding_records(path):
 
     def rows():
         for lineno, record in parse_jsonl(path):
-            if not isinstance(record, dict):
-                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
             ids.append(_require(record, "id", str, lineno, "embedding"))
             yield lineno, _require(record, "embedding", list, lineno, "embedding")
 
@@ -301,8 +301,6 @@ def save_items(path, items):
 def load_items(path):
     out = []
     for lineno, record in parse_jsonl(path):
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected an object", line=lineno)
         out.append(_require(record, "item", str, lineno, "item"))
     if not out:
         raise SchemaError("items file has no records")
@@ -329,8 +327,6 @@ def save_pairs(path, pairs):
 def load_pairs(path):
     out = []
     for lineno, record in parse_jsonl(path):
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected an object", line=lineno)
         negs = _require(record, "negative_ids", list, lineno, "pair")
         if not all(isinstance(s, str) for s in negs):
             raise SchemaError(f"line {lineno}: negative_ids must be strings", line=lineno)

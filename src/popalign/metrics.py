@@ -30,10 +30,9 @@ import numpy as np
 
 from .core import (
     _BLOCK_ELEMS,
-    _MEDIAN_SAMPLE,
-    _MEDIAN_STREAM,
     _exact_median,
     _finite_values,
+    _pivot_pairs,
     _sq_dist_blocks,
 )
 from .errors import (
@@ -160,10 +159,8 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
 
 
 def _pair_sample(Z):
-    """Squared distances of _MEDIAN_SAMPLE seeded pairs i != j, uniform over pairs."""
-    rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
-    i = rng.integers(0, Z.shape[0], _MEDIAN_SAMPLE)
-    j = rng.integers(0, Z.shape[0] - 1, _MEDIAN_SAMPLE)
+    """Squared distances of core._pivot_pairs' seeded pairs i != j, uniform over pairs."""
+    i, j = _pivot_pairs(Z.shape[0], Z.shape[0] - 1)
     j += j >= i
     diff = Z[i] - Z[j]
     return np.einsum("ij,ij->i", diff, diff)
@@ -187,7 +184,7 @@ def _median_pairwise_distance(Z):
 
     _exact_median selects the middle rank(s) of the squared distances in the
     upper blocks of core._sq_dist_blocks(Z), the same values the whole list
-    would hold, with its first pivots from _MEDIAN_SAMPLE seeded pairs; sqrt
+    would hold, with its first pivots from core._pivot_pairs' seeded pairs; sqrt
     is monotone, so the result is bit-identical to np.median of the
     n(n-1)/2 distances. Each pass is one sweep over the distance blocks, and
     the first bracket is under _MEDIAN_CAP up to about 11k rows. Memory is

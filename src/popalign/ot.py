@@ -36,12 +36,11 @@ import numpy as np
 
 from .core import (
     _BLOCK_ELEMS,
-    _MEDIAN_SAMPLE,
-    _MEDIAN_STREAM,
     AlignmentConfig,
     ItemWeights,
     _exact_median,
     _finite_values,
+    _pivot_pairs,
     _sq_dist_blocks,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .errors import (
     PopalignError,
     UnconvergedPlan,
 )
-from .rng import rng_from_seed
 from .sampling import _SUM_TOL, multinomial_draw, normalize_weights
 
 # absorption bounds for the scaling vectors; far inside double range
@@ -120,16 +118,12 @@ def _median_cost(C):
     """np.median(C), bit for bit, without the copy of C that np.median sorts.
 
     core._exact_median reads C in 1 MB chunks of rows, with first pivots
-    from _MEDIAN_SAMPLE seeded entries, each at a uniform row and column
-    (int32 indices keep the sample's set-up at 1 MiB).
+    at core._pivot_pairs' seeded rows and columns.
     """
     if C.size == 0:
         return float(np.mean(C))  # nan, with np.median's warning
     V = C.reshape(-1, C.shape[-1]) if C.ndim > 1 else C.reshape(1, -1)
-    n, m = V.shape
-    rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
-    i = rng.integers(0, n, _MEDIAN_SAMPLE, dtype=np.int32)
-    j = rng.integers(0, m, _MEDIAN_SAMPLE, dtype=np.int32)
+    i, j = _pivot_pairs(*V.shape)
     sample = V[i, j]
     del i, j
     return float(np.mean(_exact_median(lambda: _row_chunks(V), V.size, sample)))
@@ -166,10 +160,15 @@ def gibbs_kernel(C, epsilon):
     below ~exp(-745) round to 0, which sinkhorn() detects when a whole
     row/column dies.
     """
-    eps = float(epsilon)
-    if not np.isfinite(eps) or eps <= 0:
+    return _tilted_kernel(_as_cost(C), _positive_epsilon(epsilon))
+
+
+def _positive_epsilon(epsilon):
+    """epsilon as a positive finite float; None, NaN, inf or <= 0 raise NonPositiveEpsilon."""
+    eps = math.nan if epsilon is None else float(epsilon)
+    if not 0 < eps < math.inf:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon!r}")
-    return _tilted_kernel(_as_cost(C), eps)
+    return eps
 
 
 def _check_marginal(p, size, name):
@@ -273,10 +272,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         raise InvalidConfig(f"max_iters must be a positive integer, got {max_iters!r}")
     if not (float(tol) > 0):
         raise InvalidConfig(f"tol must be positive, got {tol!r}")
-
-    eps = float(epsilon) if epsilon is not None else None
-    if eps is None or not np.isfinite(eps) or eps <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon!r}")
+    eps = _positive_epsilon(epsilon)
 
     f, g = np.zeros(n), np.zeros(m)  # absorbed log row/col potentials
     u, v = np.ones(n), np.ones(m)

@@ -61,12 +61,15 @@ def _stage(name, timings):
         logger.debug("stage %s: %.6f s", name, elapsed)
 
 
-def collect_responses(personas, items, responder, seed, retries=2):
+def collect_responses(personas, items, responder, seed):
     """Fill the N x d response matrix through the injected responder.
 
     Per-cell seeds derive from (seed, row, column), so recomputing any subset
-    of cells reproduces the full-run values. A cell failing after `retries`
-    additional attempts aborts with ResponderFailure carrying the coordinates.
+    of cells reproduces the full-run values. Each cell gets exactly one
+    `respond` call: retrying a fixed (persona, item, seed) call only helps
+    against transient failures, and those are the client's to retry (see
+    HttpResponder's `retries`). A call that raises or returns a non-finite
+    value aborts with ResponderFailure carrying the cell's coordinates.
     """
     items = list(items)
     if not personas or not items:
@@ -74,25 +77,15 @@ def collect_responses(personas, items, responder, seed, retries=2):
     values = np.empty((len(personas), len(items)))
     for i, rec in enumerate(personas):
         for k, item in enumerate(items):
-            cell_seed = derive_seed(seed, i, k)
-            last = None
-            for _attempt in range(retries + 1):
-                try:
-                    value = float(responder.respond(rec.narrative, item, cell_seed))
-                except Exception as exc:
-                    last = exc
-                    continue
-                if not math.isfinite(value):
-                    last = InvalidConfig(f"responder returned non-finite {value!r}")
-                    continue
-                values[i, k] = value
-                break
-            else:
+            try:
+                value = float(responder.respond(rec.narrative, item, derive_seed(seed, i, k)))
+            except Exception as exc:  # the injected responder may raise anything
+                raise ResponderFailure(f"cell ({i}, {k}) failed: {exc}", row=i, col=k) from exc
+            if not math.isfinite(value):
                 raise ResponderFailure(
-                    f"cell ({i}, {k}) failed after {retries + 1} attempts: {last}",
-                    row=i,
-                    col=k,
-                ) from last
+                    f"cell ({i}, {k}): responder returned non-finite {value!r}", row=i, col=k
+                )
+            values[i, k] = value
     return ResponseMatrix(values, tuple(items))
 
 
@@ -188,9 +181,12 @@ def run_alignment(
     The returned list holds n_final persona ids in draw order (a multiset,
     duplicates expected). kde_fit_subsample caps both KDE fitting sets by a
     seeded subsample for very large pools; the default fits on everything.
-    Under a subsampled fit the persona density is evaluated self-inclusively
-    (each pool point counts toward its own estimate), keeping importance
-    ratios bounded at pool points the subsample missed.
+    The persona density is evaluated self-inclusively (each pool point counts
+    toward its own estimate, keeping importance ratios bounded at pool points
+    the subsample missed) only when a subsample was actually taken, that is
+    when the cap is below the pool size. A cap at or above it fits the whole
+    pool, in which every point's own kernel is already a source term; a cap
+    at or above both sample sizes gives the same report as no cap.
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("run_alignment needs an AlignmentConfig")
@@ -221,16 +217,15 @@ def run_alignment(
         human_model = fit_kde(
             _maybe_subsample(reference, kde_fit_subsample, config.seed, 1), config.bandwidth
         )
-        persona_model = fit_kde(
-            _maybe_subsample(pool_matrix, kde_fit_subsample, config.seed, 2), config.bandwidth
-        )
+        persona_fit = _maybe_subsample(pool_matrix, kde_fit_subsample, config.seed, 2)
+        persona_model = fit_kde(persona_fit, config.bandwidth)
 
     with _stage("importance_weights", timings):
         # a subsampled persona fit loses the self-term floor at pool points
         # outside the subset; include_query restores it
         log_ratios = importance_log_ratios(
             human_model, persona_model, pool_matrix,
-            query_in_source=kde_fit_subsample is not None,
+            query_in_source=persona_fit is not pool_matrix,
         )
         is_weights, weight_summary = _weight_summary(log_ratios, float(log_clamp))
 

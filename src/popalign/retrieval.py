@@ -9,7 +9,7 @@ The false-negative filter and the group reviser are injected callables with
 HTTP wire contracts (see popalign.clients); tests use deterministic stubs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import logging
 
@@ -53,7 +53,6 @@ class EmbeddingIndex:
 
     ids: tuple
     vectors: np.ndarray
-    id_to_row: dict = field(compare=False, default=None)
 
     @classmethod
     def build(cls, ids, vectors):
@@ -78,7 +77,7 @@ class EmbeddingIndex:
             raise ZeroVector(f"zero embedding vector for id {ids[int(dead[0])]!r}")
         unit = arr / norms[:, None]
         unit.setflags(write=False)
-        return cls(ids=ids, vectors=unit, id_to_row={i: r for r, i in enumerate(ids)})
+        return cls(ids=ids, vectors=unit)
 
     @property
     def size(self):
@@ -87,6 +86,11 @@ class EmbeddingIndex:
     @property
     def dim(self):
         return self.vectors.shape[1]
+
+    @cached_property
+    def id_to_row(self):
+        """Row of each id in `ids` and `vectors`."""
+        return {i: r for r, i in enumerate(self.ids)}
 
     @cached_property
     def _id_order(self):
@@ -222,9 +226,6 @@ def build_training_pairs(
     # reject(query_id, candidate_id) -> True means "semantically aligned, drop it"
     reject = false_negative_filter if false_negative_filter is not None else _accept_all
     ids = index.ids
-    row_of = index.id_to_row
-    if row_of is None:
-        row_of = {i: r for r, i in enumerate(ids)}
     pairs = []
     empty_queries = []
     for q_pos, (query_id, query_emb, positive_id) in enumerate(queries):
@@ -233,7 +234,7 @@ def build_training_pairs(
         # still open to the random draw
         keep = np.ones(index.size, dtype=bool)
         try:
-            positive_row = row_of.get(positive_id)
+            positive_row = index.id_to_row.get(positive_id)
         except TypeError:  # an unhashable id equals no index id
             positive_row = None
         if positive_row is not None:

@@ -5,6 +5,11 @@ terminal-summary hook below re-prints them at the end of the run so the
 pass/fail status of every criterion is visible in plain `pytest` output.
 """
 
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+import pytest
+
 ACCEPTANCE_LINES = []
 
 
@@ -14,3 +19,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def counting_server():
+    """Start local endpoints that answer every POST with one fixed reply.
+
+    Calling the fixture's value with (status, body) returns the endpoint URL
+    and a list that grows by one entry per POST received.
+    """
+    servers = []
+
+    def start(status, body):
+        posts = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                posts.append(self.path)
+                payload = body.encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(
+            target=lambda: httpd.serve_forever(poll_interval=0.02), daemon=True
+        ).start()
+        servers.append(httpd)
+        return f"http://127.0.0.1:{httpd.server_port}/respond", posts
+
+    yield start
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()

@@ -301,6 +301,16 @@ class TestPairs:
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
 
+    def test_non_object_query_line(self, tmp_path, capsys):
+        emb = tmp_path / "emb.jsonl"
+        pio.save_embeddings(emb, ["a", "b"], np.eye(2))
+        queries = tmp_path / "q.jsonl"
+        queries.write_text("[1, 2]\n")
+        assert main(["pairs", "--embeddings", str(emb), "--queries", str(queries),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["message"]) == ("SchemaError", "line 1: expected an object")
+
     @pytest.mark.parametrize("embedding, error, message", [
         ([True, 0.0], "SchemaError", "line 2: query embedding contains a non-number"),
         (["1.5", 0.0], "SchemaError", "line 2: query embedding contains a non-number"),
@@ -350,44 +360,6 @@ def responder_server():
     yield f"http://127.0.0.1:{httpd.server_port}/respond"
     httpd.shutdown()
     httpd.server_close()
-
-
-@pytest.fixture
-def counting_server():
-    """Start local endpoints that answer every POST with one fixed reply.
-
-    Calling the fixture's value with (status, body) returns the endpoint URL
-    and a list that grows by one entry per POST received.
-    """
-    servers = []
-
-    def start(status, body):
-        posts = []
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                posts.append(self.path)
-                payload = body.encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        httpd = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(
-            target=lambda: httpd.serve_forever(poll_interval=0.02), daemon=True
-        ).start()
-        servers.append(httpd)
-        return f"http://127.0.0.1:{httpd.server_port}/respond", posts
-
-    yield start
-    for httpd in servers:
-        httpd.shutdown()
-        httpd.server_close()
 
 
 class TestCollect:

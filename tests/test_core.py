@@ -219,6 +219,19 @@ class TestValidatePool:
         with pytest.raises(DimensionMismatch):
             validate_pool(personas, m)
 
+    @pytest.mark.parametrize("later", [
+        PersonaRecord(id="p0"),  # a duplicate id
+        PersonaRecord(id="p2", response_row=0),  # a shared row
+        PersonaRecord(id="p2", response_row=2, embedding=np.ones(3)),  # another length
+    ])
+    def test_first_offender_in_list_order(self, later):
+        personas, m = self.make_pool()
+        personas[0] = PersonaRecord(id="p0", response_row=0, embedding=np.ones(4))
+        personas[1] = PersonaRecord(id="p1", response_row=3)  # row out of range
+        personas[2] = later
+        with pytest.raises(DimensionMismatch, match="'p1' response_row 3"):
+            validate_pool(personas, m)
+
     def test_rows_optional(self):
         # personas without response rows are legal; retrieval-only pools
         m = ResponseMatrix(np.ones((2, 3)))

@@ -307,6 +307,29 @@ class TestCanonicalJson:
         )
 
 
+# each JSON-lines loader with a valid first line for its format
+JSONL_LOADERS = {
+    "responses": (load_responses, '{"items": ["a", "b"]}'),
+    "response records": (load_response_records, '{"items": ["a", "b"]}'),
+    "personas": (load_personas, '{"id": "p0", "narrative": ""}'),
+    "embeddings": (load_embeddings, '{"id": "x", "embedding": [1.0, 0.0]}'),
+    "embedding records": (load_embedding_records, '{"id": "x", "embedding": [1.0, 0.0]}'),
+    "items": (load_items, '{"item": "q"}'),
+    "pairs": (load_pairs, '{"query_id": "q", "positive_id": "a", "negative_ids": ["b"]}'),
+}
+
+
+class TestObjectGate:
+    @pytest.mark.parametrize("kind", sorted(JSONL_LOADERS))
+    def test_non_object_line_is_a_schema_error(self, tmp_path, kind):
+        load, first = JSONL_LOADERS[kind]
+        path = tmp_path / "f.jsonl"
+        path.write_text(first + "\n[1, 2]\n")
+        with pytest.raises(SchemaError, match="line 2: expected an object") as exc:
+            load(path)
+        assert exc.value.line == 2
+
+
 class TestDumpJsonl:
     def test_rejects_nan_at_write(self, tmp_path):
         from popalign.io import dump_jsonl

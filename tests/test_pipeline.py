@@ -21,7 +21,8 @@ from popalign import (
     sample_population,
     trait_narrative,
 )
-from popalign.core import PersonaRecord
+from popalign.clients import HttpResponder
+from popalign.core import PersonaRecord, ValidatedPool
 from popalign.errors import InvalidConfig, NumericalCollapse, ResponderFailure
 from popalign.pipeline import (
     _FINAL_STREAM,
@@ -80,21 +81,36 @@ class TestCollectResponses:
         b = collect_responses(personas, items, responder, seed=10)
         assert not np.array_equal(a.values, b.values)
 
-    def test_retry_recovers_transient_failures(self):
+    def test_one_call_per_cell(self):
+        responder, _, _, items = linear_responder()
+        personas = make_trait_personas(np.zeros((4, 2)))
+        counting = FlakyResponder(responder, None, fail_times=0)
+        collect_responses(personas, items, counting, seed=0)
+        assert counting.calls == 4 * 6
+
+    def test_transient_failure_is_not_retried(self):
+        # retries belong to the client; a failing call fails its cell at once
         responder, _, _, items = linear_responder()
         personas = make_trait_personas(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        clean = collect_responses(personas, items, responder, seed=0)
-        flaky = FlakyResponder(responder, (personas[1].narrative, items[3]), fail_times=2)
-        got = collect_responses(personas, items, flaky, seed=0, retries=2)
-        np.testing.assert_array_equal(got.values, clean.values)
-        assert flaky.calls == 2 * 6 + 2  # two wasted attempts on the flaky cell
+        flaky = FlakyResponder(responder, (personas[1].narrative, items[3]), fail_times=1)
+        with pytest.raises(ResponderFailure) as exc:
+            collect_responses(personas, items, flaky, seed=0)
+        assert (exc.value.row, exc.value.col) == (1, 3)
+        assert flaky.calls == 6 + 4  # one call for each cell up to (1, 3)
+
+    def test_client_retries_are_the_only_retries(self, counting_server):
+        endpoint, posts = counting_server(503, "{}")
+        personas = make_trait_personas(np.zeros((1, 2)))
+        with pytest.raises(ResponderFailure):
+            collect_responses(personas, ["q"], HttpResponder(endpoint, retries=2), seed=0)
+        assert len(posts) == 3
 
     def test_persistent_failure_names_cell(self):
         responder, _, _, items = linear_responder()
         personas = make_trait_personas(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]))
         flaky = FlakyResponder(responder, (personas[2].narrative, items[5]), fail_times=10)
         with pytest.raises(ResponderFailure) as exc:
-            collect_responses(personas, items, flaky, seed=0, retries=2)
+            collect_responses(personas, items, flaky, seed=0)
         assert exc.value.row == 2
         assert exc.value.col == 5
 
@@ -105,7 +121,7 @@ class TestCollectResponses:
 
         personas = make_trait_personas(np.zeros((1, 2)))
         with pytest.raises(ResponderFailure) as exc:
-            collect_responses(personas, ["q"], InfResponder(), seed=0, retries=1)
+            collect_responses(personas, ["q"], InfResponder(), seed=0)
         assert exc.value.row == 0
         assert exc.value.col == 0
 
@@ -331,6 +347,24 @@ class TestRunAlignment:
         assert a == b
         assert report_json(rep_a) == report_json(rep_b)
         assert a != full  # the cap genuinely changes the fit
+
+    @pytest.mark.parametrize("factor", [1, 10])
+    def test_cap_at_or_above_pool_size_is_no_cap(self, factor):
+        # a cap that takes no subsample fits the whole pool, so the persona
+        # density must not count each point's own kernel a second time
+        pool, ref, personas = small_problem(n=300, m=200)
+        cfg = AlignmentConfig(n_is_candidates=150, n_final=40, seed=4)
+        _, uncapped = run_alignment(pool, ref, personas, cfg)
+        _, capped = run_alignment(pool, ref, personas, cfg,
+                                  kde_fit_subsample=factor * pool.n)
+        assert report_json(capped) == report_json(uncapped)
+
+    def test_hand_built_pool_refused(self):
+        # without its id maps a pool would pass validate_pool unchanged and
+        # fail later inside run_alignment
+        pool, _, personas = small_problem(n=20, m=10)
+        with pytest.raises(TypeError, match="id_to_index"):
+            ValidatedPool(personas=tuple(personas), responses=pool)
 
     def test_report_json_shape(self):
         pool, ref, personas = small_problem(n=100, m=60)

@@ -538,8 +538,9 @@ class TestTrainingPairsOracle:
 
     def test_index_without_id_map(self):
         built, rng = make_index(50, 5, seed=32)
+        # an index constructed directly, not through build, derives its map
         bare = EmbeddingIndex(ids=built.ids, vectors=built.vectors)
-        assert bare.id_to_row is None
+        assert bare.id_to_row == {i: r for r, i in enumerate(built.ids)}
         queries = self.queries(built, rng)
         out = self.assert_same(bare, queries, percent=10, n_hard=4, n_random=4, seed=1)
         assert out == ("ok", build_training_pairs(built, queries, n_hard=4, n_random=4, seed=1,
