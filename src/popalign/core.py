@@ -6,7 +6,10 @@ to share across threads.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import compress, repeat
+from operator import attrgetter, is_not
 
 import numpy as np
 
@@ -243,6 +246,33 @@ def _finite_values(X, label, ndim=2):
     return A
 
 
+def _value_eq(cls):
+    """Give dataclass cls an == that compares its ndarray fields by value.
+
+    The generated == compares tuples of fields, and ndarray == ndarray is
+    elementwise, so it raised instead of answering. This one compares arrays
+    with np.array_equal, everything else with ==, and never raises on
+    arrays. Hashing stays as the dataclass made it.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same_value(getattr(self, n), getattr(other, n)) for n in names)
+
+    cls.__eq__ = __eq__
+    return cls
+
+
+def _same_value(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+        )
+    return a == b
+
+
 def _frozen_array(values, dtype=np.float64, ndim=None, name="array"):
     arr = np.array(values, dtype=dtype, order="C")
     if ndim is not None and arr.ndim != ndim:
@@ -251,6 +281,7 @@ def _frozen_array(values, dtype=np.float64, ndim=None, name="array"):
     return arr
 
 
+@_value_eq
 @dataclass(frozen=True)
 class ResponseMatrix:
     """N x d matrix of scalar questionnaire responses.
@@ -291,6 +322,7 @@ class ResponseMatrix:
         return ResponseMatrix(self.values[np.asarray(rows, dtype=np.intp)], self.item_ids)
 
 
+@_value_eq
 @dataclass(frozen=True)
 class PersonaRecord:
     """One candidate persona: id, narrative, optional embedding and response row.
@@ -317,6 +349,7 @@ class PersonaRecord:
             object.__setattr__(self, "response_row", int(self.response_row))
 
 
+@_value_eq
 @dataclass(frozen=True)
 class ItemWeights:
     """Per-item positive weights for the squared-difference transport cost."""
@@ -387,6 +420,7 @@ class AlignmentConfig:
             raise InvalidConfig("item_weights must be an ItemWeights instance or None")
 
 
+@_value_eq
 @dataclass(frozen=True)
 class ValidatedPool:
     """Handle returned by validate_pool; carries the checked inputs.
@@ -406,10 +440,11 @@ def validate_pool(personas, responses=None):
     """Check pool-wide invariants and return a ValidatedPool handle.
 
     Validation is idempotent: re-validating a ValidatedPool returns it
-    unchanged. One walk over the personas checks each record in list order
-    (unique id, embedding length, response row in range and unshared), so
-    the first offending record in the list is the one named; nothing is
-    repaired silently.
+    unchanged. The checks (unique ids, one embedding length, response rows
+    in range and unshared) run on the id maps as wholes; only when one fails
+    does _first_offender walk the records in list order, so the first
+    offending record in the list is the one named. Nothing is repaired
+    silently.
     """
     if isinstance(personas, ValidatedPool):
         return personas
@@ -418,13 +453,35 @@ def validate_pool(personas, responses=None):
     personas = tuple(personas)
     if not isinstance(responses, ResponseMatrix):
         responses = ResponseMatrix(responses)
+    n_rows = responses.n
 
-    id_to_index, row_to_id = {}, {}
+    ids = list(map(attrgetter("id"), personas))
+    rows = list(map(attrgetter("response_row"), personas))
+    id_to_index = dict(zip(ids, range(len(ids))))
+    claims = list(map(is_not, rows, repeat(None)))
+    row_to_id = dict(zip(compress(rows, claims), compress(ids, claims)))
+    embeddings = map(attrgetter("embedding"), personas)
+    widths = set(map(len, filter(partial(is_not, None), embeddings)))
+    if (
+        len(id_to_index) < len(ids)
+        or len(row_to_id) < claims.count(True)
+        or (row_to_id and not 0 <= min(row_to_id) <= max(row_to_id) < n_rows)
+        or len(widths) > 1
+    ):
+        _first_offender(personas, n_rows)
+    return ValidatedPool(
+        personas=personas, responses=responses, id_to_index=id_to_index, row_to_id=row_to_id
+    )
+
+
+def _first_offender(personas, n_rows):
+    """Raise for the first record, in list order, that breaks a pool invariant."""
+    seen_ids, row_to_id = set(), {}
     emb_dim = None
-    for i, rec in enumerate(personas):
-        if rec.id in id_to_index:
+    for rec in personas:
+        if rec.id in seen_ids:
             raise DuplicateId(f"duplicate persona id {rec.id!r}", id=rec.id)
-        id_to_index[rec.id] = i
+        seen_ids.add(rec.id)
         if rec.embedding is not None:
             if emb_dim is None:
                 emb_dim = rec.embedding.shape[0]
@@ -435,9 +492,9 @@ def validate_pool(personas, responses=None):
                 )
         row = rec.response_row
         if row is not None:
-            if not 0 <= row < responses.n:
+            if not 0 <= row < n_rows:
                 raise DimensionMismatch(
-                    f"persona {rec.id!r} response_row {row} outside [0, {responses.n})"
+                    f"persona {rec.id!r} response_row {row} outside [0, {n_rows})"
                 )
             if row in row_to_id:
                 raise DuplicateId(
@@ -445,7 +502,3 @@ def validate_pool(personas, responses=None):
                     id=rec.id,
                 )
             row_to_id[row] = rec.id
-
-    return ValidatedPool(
-        personas=personas, responses=responses, id_to_index=id_to_index, row_to_id=row_to_id
-    )

@@ -138,21 +138,19 @@ def dump_jsonl(path, records):
                 raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
 
 
-def _check_finite_tree(obj, context):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise NonFiniteValue(f"{context}: non-finite value {obj!r}")
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite_tree(v, context)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite_tree(v, context)
-
-
 def canonical_json(obj):
-    """Deterministic JSON text: sorted keys, fixed separators, no NaN."""
-    _check_finite_tree(obj, "canonical_json")
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Deterministic JSON text: sorted keys, fixed separators, no NaN.
+
+    json's own allow_nan=False check is the one finiteness gate: its
+    out-of-range error becomes NonFiniteValue, any other ValueError (a
+    circular reference, say) propagates unchanged.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float values"):
+            raise
+        raise NonFiniteValue(f"canonical_json: {exc}") from exc
 
 
 # ---------------------------------------------------------------- responses

@@ -22,6 +22,7 @@ from .errors import (
     InvalidConfig,
     NonPositiveBandwidth,
 )
+from .parallel import run_pair
 
 # d=1 evaluations switch to the fast Gauss transform from this many
 # source*query pairs. Measured on a 2-core x86-64 VM (Student-t(3) samples,
@@ -299,15 +300,18 @@ def importance_log_ratios(human_model, persona_model, X, query_in_source=False):
 
     query_in_source=True evaluates the persona (source) model with
     include_query, for the case where it was fit on a subsample of the very
-    pool X ranges over.
+    pool X ranges over. The two densities are independent and run as one
+    pair (parallel.run_pair).
     """
     if human_model.d != persona_model.d:
         raise DimensionMismatch(
             f"model dimensions differ: {human_model.d} vs {persona_model.d}"
         )
-    return log_density_many(human_model, X) - log_density_many(
-        persona_model, X, include_query=query_in_source
+    human, persona = run_pair(
+        lambda: log_density_many(human_model, X),
+        lambda: log_density_many(persona_model, X, include_query=query_in_source),
     )
+    return human - persona
 
 
 def importance_weights(human_model, persona_model, X, log_clamp=30.0,

@@ -42,6 +42,7 @@ from .core import (
     _finite_values,
     _pivot_pairs,
     _sq_dist_blocks,
+    _value_eq,
 )
 from .errors import (
     DegenerateCostScale,
@@ -61,8 +62,10 @@ _ABSORB_LO = 1e-100
 
 _EXACT_GUARD = 10_000
 
-# most bytes one transport batch may hold in its two live n x m float64
-# arrays; criterion 5's largest batch (about 5.6k x 5k) needs 0.45 GB
+# most bytes one transport instance (a batch, or a direct cost_matrix,
+# gibbs_kernel or sinkhorn call) may hold in its two live n x m float64
+# arrays, the cost and the kernel; criterion 5's largest batch (about
+# 5.6k x 5k) needs 0.45 GB
 _OT_BATCH_BYTES = 2 << 30
 
 # over-relaxation: the last plain sweep (of 12, 15, 20, 25 and 30, 20 took
@@ -74,6 +77,7 @@ _RELAX_WINDOW = 10
 _RELAX_RATIO_CAP = 0.99
 
 
+@_value_eq
 @dataclass(frozen=True)
 class CostMatrix:
     """Nonnegative transport costs with the cached exact median entry."""
@@ -84,6 +88,18 @@ class CostMatrix:
     @property
     def shape(self):
         return self.values.shape
+
+
+def _check_instance(shape):
+    """Raise InstanceTooLarge unless a cost and a kernel of this shape fit _OT_BATCH_BYTES."""
+    live = 2 * 8 * math.prod(shape)
+    if live > _OT_BATCH_BYTES:
+        raise InstanceTooLarge(
+            f"a {' x '.join(map(str, shape))} transport instance holds two such float64 "
+            f"arrays (cost and kernel), {live / 2**30:.1f} GiB, over the "
+            f"{_OT_BATCH_BYTES / 2**30:.0f} GiB budget; solve it in column batches "
+            f"(batched_ot_weights) and lower ot_batch_size"
+        )
 
 
 def cost_matrix(X_dagger, Y, omega=None):
@@ -108,6 +124,7 @@ def cost_matrix(X_dagger, Y, omega=None):
             raise DimensionMismatch(f"{omega.d} item weights for dimension {d}")
         w = omega.weights
 
+    _check_instance((X.shape[0], Yv.shape[0]))
     C = np.empty((X.shape[0], Yv.shape[0]))
     for _block in _sq_dist_blocks(X, Yv, w, out=C):
         pass  # each block is its own rows of C
@@ -137,10 +154,15 @@ def _row_chunks(V):
 
 
 def _as_cost(C):
-    """C itself if a CostMatrix, else the array as one with its exact median."""
+    """C itself if a CostMatrix, else the array as one with its exact median.
+
+    Every caller builds an n x m kernel or plan from it, so the instance
+    budget (_check_instance) is checked first.
+    """
+    arr = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=np.float64)
+    _check_instance(arr.shape)
     if isinstance(C, CostMatrix):
         return C
-    arr = np.asarray(C, dtype=np.float64)
     return CostMatrix(arr, _median_cost(arr))
 
 
@@ -184,6 +206,7 @@ def _check_marginal(p, size, name):
     return arr
 
 
+@_value_eq
 @dataclass(frozen=True)
 class TransportPlan:
     """Entropic coupling with its targets, scalings, and convergence record.
@@ -431,14 +454,7 @@ def batched_ot_weights(
     n = Xv.shape[0]
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
-    # the cost matrix and the kernel
-    live = 2 * 8 * n * min(bs, m_total)
-    if live > _OT_BATCH_BYTES:
-        raise InstanceTooLarge(
-            f"a {n} x {min(bs, m_total)} transport batch holds two n x m float64 arrays, "
-            f"{live / 2**30:.1f} GiB, over the {_OT_BATCH_BYTES / 2**30:.0f} GiB budget; "
-            f"lower ot_batch_size"
-        )
+    _check_instance((n, min(bs, m_total)))
 
     weights = np.zeros(n)
     details = []

@@ -27,6 +27,7 @@ from .io import _config_mapping, canonical_json
 from .kde import _clamped_exp, fit_kde, importance_log_ratios
 from .metrics import metric_report
 from .ot import batched_ot_weights, resample_ot
+from .parallel import run_pair
 from .rng import derive_seed, rng_from_seed
 from .sampling import multinomial_draw, normalize_weights
 
@@ -260,15 +261,18 @@ def run_alignment(
     with _stage("metrics", timings):
         rng = rng_from_seed(config.seed, stream=(_RANDOM_SELECT_STREAM,))
         baseline_rows = np.sort(rng.choice(pool_matrix.n, size=config.n_final, replace=False))
-        metrics_pre = metric_report(
-            pool_matrix.take_rows(baseline_rows),
-            reference,
-            seed=derive_seed(config.seed, _SW_PRE_TAG),
-        )
-        metrics_post = metric_report(
-            pool_matrix.take_rows(selected_rows),
-            reference,
-            seed=derive_seed(config.seed, _SW_POST_TAG),
+        # the two reports are independent: one pair (parallel.run_pair)
+        metrics_pre, metrics_post = run_pair(
+            lambda: metric_report(
+                pool_matrix.take_rows(baseline_rows),
+                reference,
+                seed=derive_seed(config.seed, _SW_PRE_TAG),
+            ),
+            lambda: metric_report(
+                pool_matrix.take_rows(selected_rows),
+                reference,
+                seed=derive_seed(config.seed, _SW_POST_TAG),
+            ),
         )
 
     selected_ids = [row_to_id[int(r)] for r in selected_rows]

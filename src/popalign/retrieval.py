@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .core import PersonaRecord, _finite_values
+from .core import PersonaRecord, _finite_values, _value_eq
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -47,6 +47,7 @@ def _unit(v, name="vector"):
     return arr / norm
 
 
+@_value_eq
 @dataclass(frozen=True)
 class EmbeddingIndex:
     """Persona ids with their L2-normalized embedding vectors."""

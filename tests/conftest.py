@@ -10,6 +10,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from popalign.parallel import blas_threads
+
 ACCEPTANCE_LINES = []
 
 
@@ -19,6 +21,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def session_blas_threads():
+    return blas_threads()
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged(session_blas_threads):
+    """Fail any test that leaves numpy's OpenBLAS thread count changed.
+
+    parallel.run_pair pins the count to one thread while a pair runs; a pin
+    that leaked would silently slow every later product. Where the count
+    cannot be read, there is no pin and nothing to check.
+    """
+    yield
+    if session_blas_threads is not None:
+        assert blas_threads() == session_blas_threads, "the OpenBLAS thread count leaked"
 
 
 @pytest.fixture

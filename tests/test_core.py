@@ -250,6 +250,42 @@ class TestValidatePool:
         assert pool.row_to_id == {2: "a", 0: "c"}
 
 
+class TestValueEquality:
+    """== on the ndarray-carrying types compares arrays by value and never raises."""
+
+    def test_response_matrix(self):
+        a = np.arange(6.0).reshape(3, 2)
+        assert ResponseMatrix(a) == ResponseMatrix(a.copy())
+        assert ResponseMatrix(a) != ResponseMatrix(a + 1.0)
+        assert ResponseMatrix(a) != ResponseMatrix(a.reshape(2, 3))
+        assert ResponseMatrix(a) != ResponseMatrix(a, ("x", "y"))
+
+    def test_persona_record(self):
+        p = PersonaRecord(id="p", embedding=np.array([1.0, 2.0]), response_row=3)
+        assert p == PersonaRecord(id="p", embedding=[1.0, 2.0], response_row=3)
+        assert p != PersonaRecord(id="p", embedding=[1.0, 2.5], response_row=3)
+        assert p != PersonaRecord(id="p", response_row=3)
+        # a record without an embedding stays hashable
+        assert hash(PersonaRecord(id="q")) == hash(PersonaRecord(id="q"))
+
+    def test_item_weights(self):
+        assert ItemWeights([1.0, 2.0]) == ItemWeights(np.array([1.0, 2.0]))
+        assert ItemWeights([1.0, 2.0]) != ItemWeights([1.0, 3.0])
+        assert ItemWeights([1.0, 2.0]) != ItemWeights([1.0, 2.0, 3.0])
+
+    def test_validated_pool(self):
+        personas = [PersonaRecord(id=f"p{i}", embedding=np.ones(2), response_row=i)
+                    for i in range(3)]
+        values = np.arange(6.0).reshape(3, 2)
+        pool = validate_pool(personas, values)
+        assert pool == validate_pool(list(personas), values.copy())
+        assert pool != validate_pool(personas, values + 1.0)
+
+    def test_other_types_compare_unequal(self):
+        assert ResponseMatrix(np.ones((1, 1))) != np.ones((1, 1))
+        assert ItemWeights([1.0]) != "weights"
+
+
 class TestPersonaRecord:
     def test_minimal(self):
         p = PersonaRecord(id="x")

@@ -296,6 +296,13 @@ class TestCanonicalJson:
         with pytest.raises(NonFiniteValue):
             canonical_json({"a": math.inf})
 
+    def test_other_value_errors_propagate_unchanged(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference") as exc:
+            canonical_json({"a": loop})
+        assert not isinstance(exc.value, NonFiniteValue)
+
     def test_float_repr_round_trips(self):
         doc = {"vals": AWKWARD}
         back = json.loads(canonical_json(doc))

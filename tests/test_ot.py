@@ -227,6 +227,51 @@ class TestMedianCost:
         assert not plan.converged
 
 
+class TestInstanceBudget:
+    """Direct O(n m) calls check the transport budget before allocating."""
+
+    N = 2**16
+
+    def test_cost_matrix(self):
+        X = np.zeros((self.N, 1))
+        with pytest.raises(InstanceTooLarge, match="ot_batch_size"):
+            cost_matrix(X, X)
+
+    @pytest.mark.parametrize("solve", [
+        lambda C: gibbs_kernel(C, 1.0),
+        lambda C: sinkhorn(C, epsilon=1.0),
+    ], ids=["gibbs_kernel", "sinkhorn"])
+    def test_kernel_builders(self, solve):
+        # a zero-stride view: the shape of a 2^16 x 2^16 cost, the memory of one value
+        C = np.broadcast_to(1.0, (self.N, self.N))
+        with pytest.raises(InstanceTooLarge, match="ot_batch_size"):
+            solve(C)
+
+    def test_budget_is_the_batch_budget(self, monkeypatch):
+        # 2 x 8 x 10 x 20 bytes: at the budget passes, one byte under it fails
+        X, Y = np.zeros((10, 1)), np.ones((20, 1))
+        monkeypatch.setattr(ot, "_OT_BATCH_BYTES", 3200)
+        C = cost_matrix(X, Y)
+        sinkhorn(C, epsilon=1.0)
+        monkeypatch.setattr(ot, "_OT_BATCH_BYTES", 3199)
+        for call in (lambda: cost_matrix(X, Y), lambda: gibbs_kernel(C, 1.0),
+                     lambda: sinkhorn(C.values, epsilon=1.0)):
+            with pytest.raises(InstanceTooLarge):
+                call()
+
+
+class TestPlanEquality:
+    def test_cost_and_plan_compare_by_value(self):
+        rng = np.random.default_rng(30)
+        X, Y = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
+        C = cost_matrix(X, Y)
+        assert C == cost_matrix(X.copy(), Y.copy())
+        assert C != cost_matrix(X + 1.0, Y)
+        plan = sinkhorn(C, epsilon=0.5)
+        assert plan == sinkhorn(cost_matrix(X, Y), epsilon=0.5)
+        assert plan != sinkhorn(C, epsilon=0.6)
+
+
 class TestGibbsKernel:
     def test_zero_cost(self):
         K = gibbs_kernel(np.zeros((2, 2)), 0.5)

@@ -37,6 +37,15 @@ def make_index(n=20, e=6, seed=0):
     return EmbeddingIndex.build(ids, rng.normal(size=(n, e))), rng
 
 
+class TestEmbeddingIndexEquality:
+    def test_compares_vectors_by_value(self):
+        vectors = np.array([[1.0, 0.0], [3.0, 4.0]])
+        index = EmbeddingIndex.build(["a", "b"], vectors)
+        assert index == EmbeddingIndex.build(["a", "b"], vectors.copy())
+        assert index != EmbeddingIndex.build(["a", "b"], vectors[::-1])
+        assert index != EmbeddingIndex.build(["a", "c"], vectors)
+
+
 class TestCosine:
     def test_parallel(self):
         assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
