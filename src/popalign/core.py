@@ -7,9 +7,6 @@ to share across threads.
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
-from itertools import compress, repeat
-from operator import attrgetter, is_not
 
 import numpy as np
 
@@ -440,11 +437,10 @@ def validate_pool(personas, responses=None):
     """Check pool-wide invariants and return a ValidatedPool handle.
 
     Validation is idempotent: re-validating a ValidatedPool returns it
-    unchanged. The checks (unique ids, one embedding length, response rows
-    in range and unshared) run on the id maps as wholes; only when one fails
-    does _first_offender walk the records in list order, so the first
-    offending record in the list is the one named. Nothing is repaired
-    silently.
+    unchanged. One walk over the personas checks each record in list order
+    (unique id, embedding length, response row in range and unshared), so
+    the first offending record in the list is the one named; nothing is
+    repaired silently.
     """
     if isinstance(personas, ValidatedPool):
         return personas
@@ -453,35 +449,14 @@ def validate_pool(personas, responses=None):
     personas = tuple(personas)
     if not isinstance(responses, ResponseMatrix):
         responses = ResponseMatrix(responses)
+
     n_rows = responses.n
-
-    ids = list(map(attrgetter("id"), personas))
-    rows = list(map(attrgetter("response_row"), personas))
-    id_to_index = dict(zip(ids, range(len(ids))))
-    claims = list(map(is_not, rows, repeat(None)))
-    row_to_id = dict(zip(compress(rows, claims), compress(ids, claims)))
-    embeddings = map(attrgetter("embedding"), personas)
-    widths = set(map(len, filter(partial(is_not, None), embeddings)))
-    if (
-        len(id_to_index) < len(ids)
-        or len(row_to_id) < claims.count(True)
-        or (row_to_id and not 0 <= min(row_to_id) <= max(row_to_id) < n_rows)
-        or len(widths) > 1
-    ):
-        _first_offender(personas, n_rows)
-    return ValidatedPool(
-        personas=personas, responses=responses, id_to_index=id_to_index, row_to_id=row_to_id
-    )
-
-
-def _first_offender(personas, n_rows):
-    """Raise for the first record, in list order, that breaks a pool invariant."""
-    seen_ids, row_to_id = set(), {}
+    id_to_index, row_to_id = {}, {}
     emb_dim = None
-    for rec in personas:
-        if rec.id in seen_ids:
+    for i, rec in enumerate(personas):
+        if rec.id in id_to_index:
             raise DuplicateId(f"duplicate persona id {rec.id!r}", id=rec.id)
-        seen_ids.add(rec.id)
+        id_to_index[rec.id] = i
         if rec.embedding is not None:
             if emb_dim is None:
                 emb_dim = rec.embedding.shape[0]
@@ -502,3 +477,7 @@ def _first_offender(personas, n_rows):
                     id=rec.id,
                 )
             row_to_id[row] = rec.id
+
+    return ValidatedPool(
+        personas=personas, responses=responses, id_to_index=id_to_index, row_to_id=row_to_id
+    )

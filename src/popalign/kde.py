@@ -301,7 +301,9 @@ def importance_log_ratios(human_model, persona_model, X, query_in_source=False):
     query_in_source=True evaluates the persona (source) model with
     include_query, for the case where it was fit on a subsample of the very
     pool X ranges over. The two densities are independent and run as one
-    pair (parallel.run_pair).
+    pair (parallel.run_pair), which pins numpy's process-wide OpenBLAS
+    thread count to one while it runs: BLAS calls on other threads run
+    single-threaded meanwhile, and a count they set is undone afterwards.
     """
     if human_model.d != persona_model.d:
         raise DimensionMismatch(

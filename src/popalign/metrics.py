@@ -11,11 +11,13 @@ a non-finite entry NonFiniteValue with its row and column (core._finite_values,
 which pearson_corr_matrix takes as well).
 
 One exact 1-d W1 kernel on quantile functions, `_w1_rows`, serves
-wasserstein_1d, amw (all columns at once), sliced_wasserstein (all
-projections, each cache-sized chunk projected as it is scored) and, at
-exponent p=2, checks.wasserstein2_1d: one merged integer grid of quantile
-breakpoints, shared by every row, turns the integral into a matrix-vector
-product per chunk of sorted rows.
+wasserstein_1d, amw (all columns at once) and, at exponent p=2,
+checks.wasserstein2_1d: each side is sorted once, and one merged integer
+grid of quantile breakpoints (`_quantile_grid`), shared by every row, turns
+the integral into a matrix-vector product (`_w1_sorted`). sliced_wasserstein
+builds the grid once and projects, sorts in place and scores one cache-sized
+chunk of directions at a time through `_w1_sorted`, so it holds no
+n_projections x n array.
 
 The MMD bandwidth's median heuristic is an exact selection, not a sort of
 the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
@@ -61,47 +63,38 @@ def _pair(X, Y):
     return A, B
 
 
-def _w1_rows(P, Q, p=1, directions=None):
+def _w1_rows(P, Q, p=1):
     """Exact 1-d W_p^p between each row of P (c x n_x) and the same row of Q (c x n_y).
 
     W_p^p is the integral over t in (0, 1] of |F_P^-1(t) - F_Q^-1(t)|^p; the
     default p=1 is W1. Scaled by n_x n_y, the two quantile functions step at
     the integers i n_y and j n_x, so one merged integer grid, shared by every
     row, gives each interval's width and the sorted indices on both sides.
-    Rows go in cache-sized chunks: each chunk is sorted, then scored by one
-    matrix-vector product.
-
-    With directions (c x d), P and Q are samples (n_x x d and n_y x d)
-    instead, and row k is their projection onto directions[k]. Each chunk
-    is projected as it is scored, so no c x n array is ever held. A row
-    projected alike scores bit for bit alike; BLAS may round a row of a
-    chunk's product differently from the same row of the whole c x n
-    product (see core._sq_dist_blocks), which moves that score by rounding.
+    Each side is sorted once for all rows, and each cache-sized chunk of rows
+    is one matrix-vector product.
     """
-    if directions is None:
-        (c, nx), ny = P.shape, Q.shape[1]
-    else:
-        c, nx, ny = directions.shape[0], P.shape[0], Q.shape[0]
+    xs, ys = np.sort(P, axis=1), np.sort(Q, axis=1)
+    return _w1_sorted(xs, ys, _quantile_grid(xs.shape[1], ys.shape[1]), p)
+
+
+def _quantile_grid(nx, ny):
+    """(ix, iy, widths): the merged integer grid of _w1_rows for n_x and n_y samples."""
     grid = np.union1d(np.arange(nx + 1) * ny, np.arange(ny + 1) * nx)
-    ix, iy = grid[:-1] // ny, grid[:-1] // nx
-    widths = np.diff(grid).astype(np.float64)
-    out = np.empty(c)
+    return grid[:-1] // ny, grid[:-1] // nx, np.diff(grid).astype(np.float64)
+
+
+def _w1_sorted(xs, ys, grid, p=1):
+    """_w1_rows on rows already sorted, over their _quantile_grid."""
+    ix, iy, widths = grid
+    out = np.empty(xs.shape[0])
     step = max(1, _BLOCK_ELEMS // widths.size)
-    for lo in range(0, c, step):
-        hi = min(lo + step, c)
-        if directions is None:
-            xs, ys = np.sort(P[lo:hi], axis=1), np.sort(Q[lo:hi], axis=1)
-        else:
-            D = directions[lo:hi]
-            xs, ys = D @ P.T, D @ Q.T
-            xs.sort(axis=1)
-            ys.sort(axis=1)
-        gap = xs[:, ix] - ys[:, iy]
+    for lo in range(0, out.size, step):
+        gap = xs[lo:lo + step, ix] - ys[lo:lo + step, iy]
         np.abs(gap, out=gap)
         if p != 1:
             gap **= p
-        out[lo:hi] = gap @ widths
-    return out / (nx * ny)
+        out[lo:lo + step] = gap @ widths
+    return out / (xs.shape[1] * ys.shape[1])
 
 
 def wasserstein_1d(x, y):
@@ -173,7 +166,17 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
         dirs[redo] = rng.standard_normal((int(redo.sum()), d))
         norms = np.linalg.norm(dirs, axis=1)
     dirs /= norms[:, None]
-    return float(np.mean(_w1_rows(A, B, directions=dirs)))
+    # the chunk height is _w1_sorted's own step, so each chunk is scored by
+    # one matrix-vector product, as its rows were in the whole projection
+    grid = _quantile_grid(A.shape[0], B.shape[0])
+    step = max(1, _BLOCK_ELEMS // grid[2].size)
+    rows = []
+    for lo in range(0, dirs.shape[0], step):
+        xs, ys = dirs[lo:lo + step] @ A.T, dirs[lo:lo + step] @ B.T
+        xs.sort(axis=1)
+        ys.sort(axis=1)
+        rows.append(_w1_sorted(xs, ys, grid))
+    return float(np.mean(np.concatenate(rows)))
 
 
 def _pair_sample(Z):

@@ -42,7 +42,6 @@ from .core import (
     _finite_values,
     _pivot_pairs,
     _sq_dist_blocks,
-    _value_eq,
 )
 from .errors import (
     DegenerateCostScale,
@@ -77,7 +76,6 @@ _RELAX_WINDOW = 10
 _RELAX_RATIO_CAP = 0.99
 
 
-@_value_eq
 @dataclass(frozen=True)
 class CostMatrix:
     """Nonnegative transport costs with the cached exact median entry."""
@@ -206,7 +204,6 @@ def _check_marginal(p, size, name):
     return arr
 
 
-@_value_eq
 @dataclass(frozen=True)
 class TransportPlan:
     """Entropic coupling with its targets, scalings, and convergence record.

@@ -13,8 +13,9 @@ pin makes every bit independent of the worker count. The count is found and
 set through the `scipy_openblas_{get,set}_num_threads64_` functions of the
 OpenBLAS that numpy loaded; without them the pair runs serially, exactly as
 two plain calls. The pin also stops the library's idle pool threads, which
-would otherwise spin on the second core (see _one_blas_thread). Nothing is
-looked up and no thread starts before the first call.
+would otherwise spin on the second core, when no other Python thread is
+alive (see _one_blas_thread). Nothing is looked up and no thread starts
+before the first call.
 """
 
 from contextlib import contextmanager
@@ -83,10 +84,12 @@ def _one_blas_thread(controls):
     """Pin OpenBLAS to one thread for the block; the count is process-wide,
     so pairs running at once share one pin, undone when the last ends.
 
-    The pin also stops OpenBLAS's idle pool threads: after a threaded call
-    (a Sinkhorn matrix-vector product, say) a pool thread spins for about
-    0.13 s of CPU, measured on a 2-core x86-64 VM, whatever the thread
-    count, and takes that time from the pair's second worker.
+    The first pin also stops OpenBLAS's idle pool threads: after a threaded
+    call (a Sinkhorn matrix-vector product, say) a pool thread spins for
+    about 0.13 s of CPU, measured on a 2-core x86-64 VM, whatever the thread
+    count, and takes that time from the pair's second worker. The stop tears
+    the pool down under any BLAS call in flight, so it is made only while
+    the calling thread is the process's one Python thread.
     """
     global _pins, _saved_threads
     get, put, stop = controls
@@ -94,7 +97,7 @@ def _one_blas_thread(controls):
         if _pins == 0:
             _saved_threads = get()
             put(1)
-            if stop is not None:
+            if stop is not None and threading.active_count() == 1:
                 stop()
         _pins += 1
     try:
@@ -113,9 +116,9 @@ def run_pair(first, second):
     run: if first raises, its error propagates (after second has finished),
     whatever second did; otherwise second's error does. Pairs may run from
     several threads at once: the BLAS count is restored when the last of
-    them ends. The pin is process-wide, so BLAS work on other threads runs
-    single-threaded meanwhile, and the first pin stops OpenBLAS's pool:
-    start no pair while another thread is inside a BLAS call.
+    them ends. The pin is process-wide: BLAS work on other threads runs
+    single-threaded meanwhile, and a count another thread sets while a pair
+    runs is overwritten by that restore.
     """
     controls = _openblas_controls()
     if not controls:

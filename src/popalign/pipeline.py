@@ -188,6 +188,11 @@ def run_alignment(
     when the cap is below the pool size. A cap at or above it fits the whole
     pool, in which every point's own kernel is already a source term; a cap
     at or above both sample sizes gives the same report as no cap.
+
+    The importance weights and the two metric reports each run as a pair on
+    two threads (parallel.run_pair), which pins numpy's process-wide
+    OpenBLAS thread count to one while it runs: BLAS calls on other threads
+    run single-threaded meanwhile, and a count they set is undone afterwards.
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("run_alignment needs an AlignmentConfig")

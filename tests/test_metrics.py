@@ -32,6 +32,7 @@ from popalign import (
 )
 from popalign import core, metrics
 from popalign.core import ResponseMatrix
+from popalign.rng import rng_from_seed
 from popalign.errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -227,30 +228,62 @@ class TestSlicedWasserstein:
         (900, 1300, 8),
         (70_000, 3, 3),  # one direction per chunk
     ])
-    def test_chunked_projections_score_as_whole_ones(self, nx, ny, d):
-        # each chunk of directions is projected as it is scored, one chunk
-        # per matrix-vector product of the W1 kernel
+    def test_chunked_projections_score_as_whole_ones(self, nx, ny, d, monkeypatch):
+        # sliced_wasserstein projects, sorts and scores one chunk of
+        # directions per _w1_sorted call; the unchunked formula scores all
+        # of them in one _w1_rows call
         rng = np.random.default_rng(nx)
         A, B = rng.normal(size=(nx, d)), rng.normal(0.3, 1.2, size=(ny, d))
         n_dirs = 512 if nx < 10_000 else 5
-        dirs = rng.normal(size=(n_dirs, d))
+        w1_sorted, calls = metrics._w1_sorted, []
+
+        def recording(xs, ys, grid):
+            calls.append((xs.copy(), ys.copy(), w1_sorted(xs, ys, grid)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(metrics, "_w1_sorted", recording)
+        sw = sliced_wasserstein(A, B, n_projections=n_dirs, seed=nx)
+        monkeypatch.undo()
+
+        dirs = rng_from_seed(nx, stream=(metrics._SW_STREAM,)).standard_normal((n_dirs, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        whole = metrics._w1_rows(dirs @ A.T, dirs @ B.T)
-        chunked = metrics._w1_rows(A, B, directions=dirs)
+        whole_P, whole_Q = dirs @ A.T, dirs @ B.T
+        whole = metrics._w1_rows(whole_P, whole_Q)
         step = core._BLOCK_ELEMS // (nx + ny - math.gcd(nx, ny))
-        assert (step >= n_dirs) == (nx == 90)
-
-        def by_chunks(X):
-            return np.concatenate([dirs[lo:lo + step] @ X.T for lo in range(0, n_dirs, step)])
-
+        assert [c[2].size for c in calls] == [
+            min(step, n_dirs - lo) for lo in range(0, n_dirs, step)
+        ]
+        assert (len(calls) == 1) == (nx == 90)
+        xs, ys, rows = (np.concatenate(parts) for parts in zip(*calls))
+        assert sw == float(np.mean(rows))
         # BLAS may round a product row differently in a shorter product;
         # rows it rounds alike score bit for bit alike
-        alike = ((by_chunks(A) == dirs @ A.T).all(axis=1)
-                 & (by_chunks(B) == dirs @ B.T).all(axis=1))
-        if step >= n_dirs:
+        alike = ((xs == np.sort(whole_P, axis=1)).all(axis=1)
+                 & (ys == np.sort(whole_Q, axis=1)).all(axis=1))
+        if len(calls) == 1:
             assert alike.all()
-        np.testing.assert_array_equal(chunked[alike], whole[alike])
-        np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(rows[alike], whole[alike])
+        np.testing.assert_allclose(rows, whole, rtol=1e-13, atol=0)
+        if alike.all():
+            assert sw == float(np.mean(whole))
+
+    def test_report_pinned_on_a_fixed_shape(self):
+        # 1500 + 1100 rows in d=4: ten chunks of at most 52 directions.
+        # Recorded with numpy's bundled OpenBLAS on x86-64; the unchunked
+        # formula gave the same report, so any later drift in the chunking
+        # (or the kernel) shows here
+        rng = np.random.default_rng(2024)
+        A = rng.standard_normal((1500, 4))
+        B = rng.standard_normal((1100, 4)) * 1.3 + 0.2
+        assert metric_report(A, B, seed=5) == MetricReport(
+            amw=0.28178640141257927,
+            fd=0.4937209678771488,
+            sw=0.2820152540876082,
+            mmd=0.021110309597431876,
+            mae_corr=0.028837056782572573,
+            sample_sizes=(1500, 1100),
+            settings={"mmd_bandwidth": 2.8949102084611624, "sw_projections": 512, "sw_seed": 5},
+        )
 
     def test_memory_stays_at_a_few_chunks(self):
         # the whole 512 x n projections, sorted, took 82 MiB at 5000 + 5000

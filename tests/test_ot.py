@@ -260,18 +260,6 @@ class TestInstanceBudget:
                 call()
 
 
-class TestPlanEquality:
-    def test_cost_and_plan_compare_by_value(self):
-        rng = np.random.default_rng(30)
-        X, Y = rng.normal(size=(6, 2)), rng.normal(size=(5, 2))
-        C = cost_matrix(X, Y)
-        assert C == cost_matrix(X.copy(), Y.copy())
-        assert C != cost_matrix(X + 1.0, Y)
-        plan = sinkhorn(C, epsilon=0.5)
-        assert plan == sinkhorn(cost_matrix(X, Y), epsilon=0.5)
-        assert plan != sinkhorn(C, epsilon=0.6)
-
-
 class TestGibbsKernel:
     def test_zero_cost(self):
         K = gibbs_kernel(np.zeros((2, 2)), 0.5)

@@ -151,6 +151,8 @@ class TestRunPair:
 
         monkeypatch.setattr(parallel, "_controls", (get, put, lambda: calls.append("stop")))
         monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        # as in a process whose one Python thread starts the pair
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
 
         def inner():
             return parallel.run_pair(lambda: state["threads"], lambda: state["threads"])
@@ -162,6 +164,31 @@ class TestRunPair:
             parallel.run_pair(inner, second)
         assert calls == ["get", "set 1", "stop", "set 4"]
         assert state["threads"] == 4
+
+    def test_pair_beside_a_busy_thread_leaves_the_pool_running(self, monkeypatch):
+        # stopping OpenBLAS's pool would pull it from under a BLAS call in
+        # flight on the other thread; the pin itself still applies
+        calls = []
+        state = {"threads": 2}
+
+        def put(n):
+            calls.append(f"set {n}")
+            state["threads"] = n
+
+        monkeypatch.setattr(
+            parallel, "_controls",
+            (lambda: state["threads"], put, lambda: calls.append("stop")),
+        )
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        release = threading.Event()
+        busy = threading.Thread(target=release.wait)
+        busy.start()
+        try:
+            assert parallel.run_pair(lambda: state["threads"], lambda: 0) == (1, 0)
+        finally:
+            release.set()
+            busy.join()
+        assert calls == ["set 1", "set 2"]
 
     def test_import_looks_nothing_up_and_starts_no_thread(self):
         code = (
