@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: align, metrics, collect, retrieve, pairs, simulate, sweep.
-Every subcommand but retrieve takes --seed; only align takes --config, a flat
-JSON config file that its flags override. On failure a machine-readable JSON
+Every subcommand but retrieve takes --seed, 0 by default (align's default keeps
+the config file's seed); only align takes --config, a flat JSON config file that
+its flags override. On failure a machine-readable JSON
 error record is printed to stderr and the exit code is nonzero.
 """
 
@@ -68,7 +69,7 @@ def _cmd_metrics(args):
         X,
         Y,
         n_projections=args.projections,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         kernel_bandwidth=args.mmd_bandwidth,
     )
     _write_or_print(pio.canonical_json(rep.to_record()), args.out)
@@ -79,8 +80,7 @@ def _cmd_collect(args):
     personas = pio.load_personas(args.personas)
     items = pio.load_items(args.items)
     responder = HttpResponder(args.endpoint, timeout=args.timeout, retries=args.retries)
-    seed = args.seed if args.seed is not None else 0
-    matrix = collect_responses(personas, items, responder, seed)
+    matrix = collect_responses(personas, items, responder, args.seed)
     pio.save_responses(args.out, matrix, ids=[p.id for p in personas])
     print(f"collected {matrix.n}x{matrix.d} responses -> {args.out}")
     return 0
@@ -138,7 +138,7 @@ def _cmd_pairs(args):
         queries,
         n_hard=args.n_hard,
         n_random=args.n_random,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         false_negative_filter=fn_filter,
         strict=not args.skip_empty,
     )
@@ -148,9 +148,8 @@ def _cmd_pairs(args):
 
 
 def _cmd_simulate(args):
-    seed = args.seed if args.seed is not None else 0
-    pool = sample_population(args.preset, args.n, args.d, seed, role="pool")
-    reference = sample_population(args.preset, args.m, args.d, seed, role="reference")
+    pool = sample_population(args.preset, args.n, args.d, args.seed, role="pool")
+    reference = sample_population(args.preset, args.m, args.d, args.seed, role="reference")
     pool_ids = [f"p{i:06d}" for i in range(pool.n)]
     pio.save_responses(args.out_pool, pool, ids=pool_ids)
     pio.save_responses(args.out_reference, reference, ids=[f"h{i:06d}" for i in range(reference.n)])
@@ -175,7 +174,7 @@ def _cmd_sweep(args):
         n_dagger=args.n_dagger,
         bandwidth_grid=tuple(float(s) for s in args.bandwidth_grid.split(",")),
         repetitions=args.reps,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         kde_fit_subsample=args.kde_fit_subsample,
     )
     pio.dump_jsonl(args.out, result.to_rows())
@@ -193,11 +192,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seeded(p):
-        p.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
+    def seeded(p, default=0):
+        p.add_argument("--seed", type=int, default=default, help="64-bit unsigned seed")
 
     p = sub.add_parser("align", help="run the two-stage alignment pipeline")
-    seeded(p)
+    seeded(p, default=None)
     p.add_argument("--config", default=None, help="flat JSON config file")
     p.add_argument("--pool", required=True, help="pool response file")
     p.add_argument("--reference", required=True, help="reference response file")

@@ -6,6 +6,7 @@ to share across threads.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -16,9 +17,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteValue,
 )
-from .rng import rng_from_seed
-
-_MAX_SEED = (1 << 64) - 1
+from .rng import _as_uint64, _integer, rng_from_seed
 
 # cap on elements per squared-distance block: 2^17 float64 is 1 MB, so a
 # block stays in cache through the several passes each caller makes over it
@@ -243,6 +242,41 @@ def _finite_values(X, label, ndim=2):
     return A
 
 
+def _count(value, name, error=InvalidConfig):
+    """value as a positive int (rng._integer's rule), else `error` naming it."""
+    n = _integer(value, name, error)
+    if n < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
+def _positive_real(value, name, error=InvalidConfig):
+    """value as a positive finite float (_real's rule), else `error` naming it."""
+    x = _real(value)
+    if not 0 < x < math.inf:
+        raise error(f"{name} must be a positive finite real, got {value!r}")
+    return x
+
+
+def _fraction(value, name, error=InvalidConfig):
+    """value as a float in (0, 1] (_real's rule), else `error` naming it."""
+    x = _real(value)
+    if not 0 < x <= 1:
+        raise error(f"{name} must be a fraction in (0, 1], got {value!r}")
+    return x
+
+
+def _real(value):
+    """value as a float, or NaN, which every gate refuses: the package's one
+    real rule, a numbers.Real (Python or numpy) but never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf
+
+
 def _value_eq(cls):
     """Give dataclass cls an == that compares its ndarray fields by value.
 
@@ -390,25 +424,14 @@ class AlignmentConfig:
     ot_batch_size: int = 10_000
 
     def __post_init__(self):
-        for name in ("n_is_candidates", "n_final", "sinkhorn_iters", "ot_batch_size"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise InvalidConfig(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        for name in ("bandwidth", "epsilon", "sinkhorn_tol"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidConfig(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, v)
-        rf = float(self.retain_fraction)
-        if not 0 < rf <= 1:
-            raise InvalidConfig(f"retain_fraction must lie in (0, 1], got {rf!r}")
-        object.__setattr__(self, "retain_fraction", rf)
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) <= _MAX_SEED:
-            raise InvalidConfig(f"seed must be unsigned 64-bit, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        for names, gate in (
+            (("n_is_candidates", "n_final", "sinkhorn_iters", "ot_batch_size"), _count),
+            (("bandwidth", "epsilon", "sinkhorn_tol"), _positive_real),
+            (("retain_fraction",), _fraction),
+            (("seed",), _as_uint64),
+        ):
+            for name in names:
+                object.__setattr__(self, name, gate(getattr(self, name), name))
         if self.n_final > self.n_is_candidates:
             raise InvalidConfig(
                 f"n_final ({self.n_final}) exceeds n_is_candidates ({self.n_is_candidates})"

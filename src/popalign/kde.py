@@ -7,7 +7,7 @@ The density estimate over an M-sample fitting set S in d dimensions is
 evaluated entirely in log space (log-sum-exp), which survives the severe
 underflow a plain average hits already at moderate dimension. Importance
 weights are the exponentiated log-density ratio target/source with a
-configurable symmetric clamp on the log ratio; an unbounded ratio would let a
+symmetric clamp on the log ratio (_LOG_CLAMP); an unbounded ratio would let a
 single far-out candidate swallow the whole resampling budget.
 """
 
@@ -16,13 +16,13 @@ import math
 
 import numpy as np
 
-from .core import ResponseMatrix, _finite_values, _sq_dist_blocks
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    NonPositiveBandwidth,
-)
+from .core import ResponseMatrix, _finite_values, _positive_real, _sq_dist_blocks
+from .errors import DimensionMismatch, NonPositiveBandwidth
 from .parallel import run_pair
+
+# the importance log ratio is clamped to [-_LOG_CLAMP, _LOG_CLAMP], so every
+# weight lies in [e^-30, e^30]; the report records it as is_weights.log_clamp
+_LOG_CLAMP = 30.0
 
 # d=1 evaluations switch to the fast Gauss transform from this many
 # source*query pairs. Measured on a 2-core x86-64 VM (Student-t(3) samples,
@@ -70,9 +70,7 @@ def fit_kde(samples, bandwidth):
     """Fit a Gaussian KDE with shared bandwidth `bandwidth` on `samples`."""
     if not isinstance(samples, ResponseMatrix):
         samples = ResponseMatrix(samples)
-    h = float(bandwidth)
-    if not math.isfinite(h) or h <= 0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth!r}")
+    h = _positive_real(bandwidth, "bandwidth", NonPositiveBandwidth)
     m, d = samples.values.shape
     log_norm = math.log(m) + 0.5 * d * math.log(2.0 * math.pi * h * h)
     return DensityModel(samples=samples, bandwidth=h, log_norm_const=log_norm)
@@ -316,28 +314,19 @@ def importance_log_ratios(human_model, persona_model, X, query_in_source=False):
     return human - persona
 
 
-def importance_weights(human_model, persona_model, X, log_clamp=30.0,
-                       query_in_source=False):
+def importance_weights(human_model, persona_model, X, query_in_source=False):
     """Importance-sampling weights w_i = exp(clamped log density ratio).
 
-    The log ratio is clamped to [-log_clamp, +log_clamp] before
+    The log ratio is clamped to [-_LOG_CLAMP, +_LOG_CLAMP] before
     exponentiation, so every weight is finite and strictly positive. On
     identical models the ratio is exactly zero and every weight is exactly 1.
     """
     ratios = importance_log_ratios(human_model, persona_model, X,
                                    query_in_source=query_in_source)
-    return _clamped_exp(ratios, log_clamp)[0]
+    return _clamped_exp(ratios)[0]
 
 
-def _clamped_exp(log_ratios, log_clamp):
-    """(exp of log_ratios clamped to [-log_clamp, +log_clamp], count clamped).
-
-    Raises InvalidConfig unless log_clamp is positive: a zero clamp sets
-    every weight to 1 and a negative one to a constant, which silently
-    disables importance resampling.
-    """
-    c = float(log_clamp)
-    if not c > 0:
-        raise InvalidConfig(f"log_clamp must be positive, got {log_clamp!r}")
-    clamp_count = int(np.count_nonzero(np.abs(log_ratios) > c))
-    return np.exp(np.clip(log_ratios, -c, c)), clamp_count
+def _clamped_exp(log_ratios):
+    """(exp of log_ratios clamped to [-_LOG_CLAMP, +_LOG_CLAMP], count clamped)."""
+    clamp_count = int(np.count_nonzero(np.abs(log_ratios) > _LOG_CLAMP))
+    return np.exp(np.clip(log_ratios, -_LOG_CLAMP, _LOG_CLAMP)), clamp_count

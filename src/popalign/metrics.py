@@ -33,9 +33,11 @@ import numpy as np
 
 from .core import (
     _BLOCK_ELEMS,
+    _count,
     _exact_median,
     _finite_values,
     _pivot_pairs,
+    _positive_real,
     _sq_dist_blocks,
 )
 from .errors import (
@@ -44,7 +46,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InsufficientSamples,
-    InvalidConfig,
     NonFiniteValue,
 )
 from .rng import rng_from_seed
@@ -78,16 +79,17 @@ def _w1_rows(P, Q, p=1):
 
 
 def _quantile_grid(nx, ny):
-    """(ix, iy, widths): the merged integer grid of _w1_rows for n_x and n_y samples."""
+    """(ix, iy, widths, step): the merged integer grid of _w1_rows for n_x and n_y
+    samples, and the rows of a cache-sized chunk over it (one matrix-vector product)."""
     grid = np.union1d(np.arange(nx + 1) * ny, np.arange(ny + 1) * nx)
-    return grid[:-1] // ny, grid[:-1] // nx, np.diff(grid).astype(np.float64)
+    widths = np.diff(grid).astype(np.float64)
+    return grid[:-1] // ny, grid[:-1] // nx, widths, max(1, _BLOCK_ELEMS // widths.size)
 
 
 def _w1_sorted(xs, ys, grid, p=1):
     """_w1_rows on rows already sorted, over their _quantile_grid."""
-    ix, iy, widths = grid
+    ix, iy, widths, step = grid
     out = np.empty(xs.shape[0])
-    step = max(1, _BLOCK_ELEMS // widths.size)
     for lo in range(0, out.size, step):
         gap = xs[lo:lo + step, ix] - ys[lo:lo + step, iy]
         np.abs(gap, out=gap)
@@ -149,27 +151,22 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
     result short-circuits to wasserstein_1d exactly, independent of the seed.
     """
     A, B = _pair(X, Y)
-    if (
-        not isinstance(n_projections, (int, np.integer))
-        or isinstance(n_projections, bool)
-        or n_projections < 1
-    ):
-        raise InvalidConfig(f"n_projections must be a positive integer, got {n_projections!r}")
+    n_projections = _count(n_projections, "n_projections")
     d = A.shape[1]
     if d == 1:
         return wasserstein_1d(A[:, 0], B[:, 0])
     rng = rng_from_seed(seed, stream=(_SW_STREAM,))
-    dirs = rng.standard_normal((int(n_projections), d))
+    dirs = rng.standard_normal((n_projections, d))
     norms = np.linalg.norm(dirs, axis=1)
     while (norms == 0.0).any():  # probability-zero guard, keeps the op total
         redo = norms == 0.0
         dirs[redo] = rng.standard_normal((int(redo.sum()), d))
         norms = np.linalg.norm(dirs, axis=1)
     dirs /= norms[:, None]
-    # the chunk height is _w1_sorted's own step, so each chunk is scored by
-    # one matrix-vector product, as its rows were in the whole projection
+    # chunks of _w1_sorted's own height, so each is scored by one
+    # matrix-vector product, as its rows were in the whole projection
     grid = _quantile_grid(A.shape[0], B.shape[0])
-    step = max(1, _BLOCK_ELEMS // grid[2].size)
+    step = grid[3]
     rows = []
     for lo in range(0, dirs.shape[0], step):
         xs, ys = dirs[lo:lo + step] @ A.T, dirs[lo:lo + step] @ B.T
@@ -247,10 +244,7 @@ def _mmd_bandwidth(A, B, kernel_bandwidth):
                 "median pairwise distance is 0; pass kernel_bandwidth explicitly"
             )
         return sigma
-    sigma = float(kernel_bandwidth)
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise DegenerateBandwidth(f"kernel bandwidth must be positive, got {kernel_bandwidth!r}")
-    return sigma
+    return _positive_real(kernel_bandwidth, "kernel_bandwidth", DegenerateBandwidth)
 
 
 def mmd(X, Y, kernel_bandwidth=None):

@@ -38,9 +38,11 @@ from .core import (
     _BLOCK_ELEMS,
     AlignmentConfig,
     ItemWeights,
+    _count,
     _exact_median,
     _finite_values,
     _pivot_pairs,
+    _positive_real,
     _sq_dist_blocks,
 )
 from .errors import (
@@ -53,7 +55,7 @@ from .errors import (
     PopalignError,
     UnconvergedPlan,
 )
-from .sampling import _SUM_TOL, multinomial_draw, normalize_weights
+from .sampling import _probabilities, multinomial_draw, normalize_weights
 
 # absorption bounds for the scaling vectors; far inside double range
 _ABSORB_HI = 1e100
@@ -180,28 +182,14 @@ def gibbs_kernel(C, epsilon):
     below ~exp(-745) round to 0, which sinkhorn() detects when a whole
     row/column dies.
     """
-    return _tilted_kernel(_as_cost(C), _positive_epsilon(epsilon))
-
-
-def _positive_epsilon(epsilon):
-    """epsilon as a positive finite float; None, NaN, inf or <= 0 raise NonPositiveEpsilon."""
-    eps = math.nan if epsilon is None else float(epsilon)
-    if not 0 < eps < math.inf:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon!r}")
-    return eps
+    return _tilted_kernel(_as_cost(C), _positive_real(epsilon, "epsilon", NonPositiveEpsilon))
 
 
 def _check_marginal(p, size, name):
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != size:
-        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({size},)")
-    if not np.isfinite(arr).all() or (arr <= 0).any():
-        raise InvalidConfig(
-            f"{name} must be strictly positive and finite; drop zero-mass atoms first"
-        )
-    if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
-        raise InvalidConfig(f"{name} sums to {float(arr.sum())!r}, not 1 within {_SUM_TOL}")
-    return arr
+    """p as a strictly positive probability vector of length size (sampling._probabilities)."""
+    if np.shape(p) != (size,):
+        raise DimensionMismatch(f"{name} has shape {np.shape(p)}, expected ({size},)")
+    return _probabilities(p, name, InvalidConfig, positive=True)
 
 
 @dataclass(frozen=True)
@@ -288,11 +276,9 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
     n, m = C.values.shape
     a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal a")
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "col marginal b")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise InvalidConfig(f"max_iters must be a positive integer, got {max_iters!r}")
-    if not (float(tol) > 0):
-        raise InvalidConfig(f"tol must be positive, got {tol!r}")
-    eps = _positive_epsilon(epsilon)
+    max_iters = _count(max_iters, "max_iters")
+    tol = _positive_real(tol, "tol")
+    eps = _positive_real(epsilon, "epsilon", NonPositiveEpsilon)
 
     f, g = np.zeros(n), np.zeros(m)  # absorbed log row/col potentials
     u, v = np.ones(n), np.ones(m)
@@ -461,7 +447,7 @@ def batched_ot_weights(
         try:
             C_b = cost_matrix(Xv, Yv[lo:hi], config.item_weights)
             if epsilon_absolute is not None:
-                eff = float(epsilon_absolute)
+                eff = _positive_real(epsilon_absolute, "epsilon_absolute", NonPositiveEpsilon)
             elif C_b.median_cost > 0:
                 eff = config.epsilon * C_b.median_cost
             else:

@@ -21,10 +21,10 @@ import time
 
 import numpy as np
 
-from .core import AlignmentConfig, ResponseMatrix, validate_pool
+from .core import AlignmentConfig, ResponseMatrix, _count, _fraction, validate_pool
 from .errors import InvalidConfig, PopalignError, ResponderFailure
 from .io import _config_mapping, canonical_json
-from .kde import _clamped_exp, fit_kde, importance_log_ratios
+from .kde import _LOG_CLAMP, _clamped_exp, fit_kde, importance_log_ratios
 from .metrics import metric_report
 from .ot import batched_ot_weights, resample_ot
 from .parallel import run_pair
@@ -99,21 +99,19 @@ def truncate_by_weight(weights, retain_fraction):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise InvalidConfig(f"weights must be a nonempty 1-d vector, got shape {w.shape}")
-    if not 0 < float(retain_fraction) <= 1:
-        raise InvalidConfig(f"retain_fraction must lie in (0, 1], got {retain_fraction!r}")
-    n_keep = max(1, math.ceil(float(retain_fraction) * w.size))
+    n_keep = max(1, math.ceil(_fraction(retain_fraction, "retain_fraction") * w.size))
     order = np.argsort(-w, kind="stable")
     return np.sort(order[:n_keep])
 
 
-def _weight_summary(log_ratios, log_clamp):
-    w, clamp_count = _clamped_exp(log_ratios, log_clamp)
+def _weight_summary(log_ratios):
+    w, clamp_count = _clamped_exp(log_ratios)
     return w, {
         "min": float(w.min()),
         "median": float(np.median(w)),
         "max": float(w.max()),
         "clamp_count": clamp_count,
-        "log_clamp": float(log_clamp),
+        "log_clamp": _LOG_CLAMP,
     }
 
 
@@ -159,7 +157,7 @@ def report_json(report, include_timings=False):
 
 
 def _maybe_subsample(matrix, cap, seed, stream_word):
-    if cap is None or matrix.n <= cap:
+    if cap is None or matrix.n <= _count(cap, "kde_fit_subsample"):
         return matrix
     rng = rng_from_seed(seed, stream=(_KDE_SUBSAMPLE_STREAM, stream_word))
     rows = np.sort(rng.choice(matrix.n, size=int(cap), replace=False))
@@ -175,7 +173,6 @@ def run_alignment(
     allow_unconverged=False,
     kde_fit_subsample=None,
     epsilon_absolute=None,
-    log_clamp=30.0,
 ):
     """Align the pool to the reference; returns (selected ids, report).
 
@@ -233,7 +230,7 @@ def run_alignment(
             human_model, persona_model, pool_matrix,
             query_in_source=persona_fit is not pool_matrix,
         )
-        is_weights, weight_summary = _weight_summary(log_ratios, float(log_clamp))
+        is_weights, weight_summary = _weight_summary(log_ratios)
 
     with _stage("truncate", timings):
         kept = truncate_by_weight(is_weights, config.retain_fraction)

@@ -15,27 +15,24 @@ import logging
 
 import numpy as np
 
-from .core import PersonaRecord, _finite_values, _value_eq
+from .core import PersonaRecord, _count, _finite_values, _positive_real, _value_eq
 from .errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyNegativePool,
     InvalidConfig,
     KOutOfRange,
-    NonFiniteValue,
     ZeroVector,
 )
-from .rng import derive_seed, rng_from_seed
+from .rng import _integer, derive_seed, rng_from_seed
 
 logger = logging.getLogger(__name__)
 
 
 def _as_vector(v, name="vector"):
-    arr = np.asarray(v, dtype=np.float64).ravel()
+    arr = _finite_values(np.ravel(v), name, ndim=1)
     if arr.size == 0:
         raise DimensionMismatch(f"{name} is empty")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"{name} contains a non-finite entry")
     return arr
 
 
@@ -63,12 +60,11 @@ class EmbeddingIndex:
         entries; every stored vector has unit norm after ingestion.
         """
         ids = tuple(str(i) for i in ids)
-        if len(set(ids)) != len(ids):
-            seen = set()
-            for i in ids:
-                if i in seen:
-                    raise DuplicateId(f"duplicate embedding id {i!r}", id=i)
-                seen.add(i)
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise DuplicateId(f"duplicate embedding id {i!r}", id=i)
+            seen.add(i)
         arr = _finite_values(vectors, "embedding matrix")
         if arr.shape[0] != len(ids):
             raise DimensionMismatch(f"{len(ids)} ids for {arr.shape[0]} vectors")
@@ -127,11 +123,9 @@ def _by_score(scores, rows):
 
 def top_k_retrieve(query, index, k):
     """Top k (id, score) pairs, descending score, ties by ascending id."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise KOutOfRange(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= index.size:
+    k = _count(k, "k", KOutOfRange)
+    if k > index.size:
         raise KOutOfRange(f"k={k} outside [1, {index.size}]")
-    k = int(k)
     scores = _scores(query, index)
     # only rows scoring at least the k-th best can rank in the top k; every
     # row tied with it is kept, so the id tie-break sees the whole tie
@@ -156,9 +150,7 @@ def contrastive_loss(query_emb, positive_emb, negative_embs, temperature=1.0):
 
 def contrastive_loss_from_scores(s_pos, s_negs, temperature=1.0):
     """Same loss evaluated directly on similarity scores."""
-    t = float(temperature)
-    if not np.isfinite(t) or t <= 0:
-        raise InvalidConfig(f"temperature must be positive, got {temperature!r}")
+    t = _positive_real(temperature, "temperature")
     logits = np.asarray([s_pos] + list(s_negs), dtype=np.float64) / t
     peak = logits.max()
     lse = peak + np.log(np.exp(logits - peak).sum())
@@ -222,6 +214,7 @@ def build_training_pairs(
     skipped with a warning each. The per-query draw order depends only on
     (seed, query position), so pair sets are reproducible.
     """
+    n_hard, n_random = _integer(n_hard, "n_hard"), _integer(n_random, "n_random")
     if n_hard < 0 or n_random < 0 or n_hard + n_random < 1:
         raise InvalidConfig("need n_hard, n_random >= 0 with n_hard + n_random >= 1")
     # reject(query_id, candidate_id) -> True means "semantically aligned, drop it"

@@ -25,12 +25,20 @@ _MASK64 = (1 << 64) - 1
 _DERIVE_TAG = 0x9E3779B97F4A7C15
 
 
-def _as_uint64(value, name):
-    if not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an integer, got {type(value).__name__}")
-    if not 0 <= int(value) <= _MASK64:
-        raise InvalidConfig(f"{name} must fit in an unsigned 64-bit word, got {value}")
+def _integer(value, name, error=InvalidConfig):
+    """value as an int, else `error` naming it: the package's one integer
+    rule, an int or np.integer but never a bool (Python counts bools as ints)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_uint64(value, name):
+    """The one seed gate: value as an int in [0, 2^64), else InvalidConfig naming it."""
+    value = _integer(value, name)
+    if not 0 <= value <= _MASK64:
+        raise InvalidConfig(f"{name} must fit in an unsigned 64-bit word, got {value}")
+    return value
 
 
 def philox_bitgen(seed, stream=()):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _count
 from .errors import AllZeroWeights, InvalidConfig, NonFiniteWeight
 from .rng import rng_from_seed
 
@@ -18,6 +19,29 @@ _DRAW_STREAM = 0x6D756C7469  # "multi"
 _SUM_TOL = 1e-12
 
 
+def _probabilities(p, name, error=NonFiniteWeight, positive=False, normalized=True):
+    """p as a new float64 array, by the one gate for probability vectors.
+
+    Used by normalize_weights (normalized=False), SamplingProbabilities and
+    ot's transport marginals (positive=True). A shape other than 1-d
+    nonempty or a sum off 1 by over _SUM_TOL raises InvalidConfig; the first
+    entry not finite and >= 0 (> 0 if positive) raises `error` naming it.
+    """
+    arr = np.array(p, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise InvalidConfig(f"{name} must be a 1-d nonempty vector, got shape {arr.shape}")
+    bad = ~np.isfinite(arr) | ((arr <= 0) if positive else (arr < 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(
+            f"{name} entry {i} is {float(arr[i])!r}; entries must be finite and "
+            + ("positive (drop zero-mass atoms first)" if positive else "nonnegative")
+        )
+    if normalized and abs(float(arr.sum()) - 1.0) > _SUM_TOL:
+        raise InvalidConfig(f"{name} sums to {float(arr.sum())!r}, not 1 within {_SUM_TOL}")
+    return arr
+
+
 @dataclass(frozen=True)
 class SamplingProbabilities:
     """Probability vector: nonnegative entries summing to 1 within 1e-12."""
@@ -25,16 +49,7 @@ class SamplingProbabilities:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidConfig(f"probability vector must be 1-d nonempty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteWeight("probability vector contains a non-finite entry")
-        if (arr < 0).any():
-            raise NonFiniteWeight("probability vector contains a negative entry")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise InvalidConfig(f"probabilities sum to {total!r}, not 1 within {_SUM_TOL}")
+        arr = _probabilities(self.probs, "probability vector")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -49,13 +64,7 @@ def normalize_weights(w):
     Raises NonFiniteWeight on NaN/Inf/negative entries and AllZeroWeights when
     every entry is 0.
     """
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidConfig(f"weights must be a 1-d nonempty vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteWeight("weights contain a non-finite entry")
-    if (arr < 0).any():
-        raise NonFiniteWeight("weights contain a negative entry")
+    arr = _probabilities(w, "weights", normalized=False)
     total = arr.sum()
     if total <= 0:
         raise AllZeroWeights("all weights are zero")
@@ -73,10 +82,8 @@ def multinomial_draw(probs, n, seed):
     """
     if not isinstance(probs, SamplingProbabilities):
         probs = SamplingProbabilities(probs)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidConfig(f"draw count must be a positive integer, got {n!r}")
-
-    u = rng_from_seed(seed, stream=(_DRAW_STREAM,)).random(int(n))
+    n = _count(n, "draw count n")
+    u = rng_from_seed(seed, stream=(_DRAW_STREAM,)).random(n)
     return _inverse_cdf(probs.probs, u)
 
 

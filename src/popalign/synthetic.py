@@ -20,7 +20,7 @@ Presets (pool vs reference):
 
 import numpy as np
 
-from .core import PersonaRecord, ResponseMatrix
+from .core import PersonaRecord, ResponseMatrix, _count
 from .errors import InvalidConfig, ResponderFailure
 from .rng import rng_from_seed
 
@@ -40,8 +40,7 @@ def sample_population(preset, n, d, seed, role="pool"):
         raise InvalidConfig(f"unknown preset {preset!r}; choose from {PRESETS}")
     if role not in _ROLE_TAGS:
         raise InvalidConfig(f"role must be 'pool' or 'reference', got {role!r}")
-    if n < 1 or d < 1:
-        raise InvalidConfig(f"population needs n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _count(n, "n"), _count(d, "d")
     rng = rng_from_seed(seed, stream=(_POP_STREAM, _ROLE_TAGS[role], PRESETS.index(preset)))
 
     if preset == "shifted-gaussian":
