@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .core import _count
 from .errors import BoundViolation, InvalidConfig
 from .kde import fit_kde, importance_weights
 from .metrics import _w1_rows, sliced_wasserstein, wasserstein_1d
@@ -149,7 +150,7 @@ def _stage1_from_pool(pool, fit_ref, n_dagger, bandwidth, retain_fraction,
     """
     pool_fit = pool
     if kde_fit_subsample is not None and pool.n > kde_fit_subsample:
-        pool_fit = pool.take_rows(np.arange(int(kde_fit_subsample)))
+        pool_fit = pool.take_rows(np.arange(kde_fit_subsample))
 
     human_model = fit_kde(fit_ref, bandwidth)
     persona_model = fit_kde(pool_fit, bandwidth)
@@ -191,15 +192,20 @@ def convergence_sweep(
     Divergences recorded against an independent reference draw of size
     reference_size: exact W1 and exact W2 for d=1, sliced Wasserstein always.
     """
+    repetitions = _count(repetitions, "repetitions")
     if repetitions < 3:
         raise InvalidConfig(f"sweep needs >= 3 repetitions, got {repetitions}")
     if not n_grid:
         raise InvalidConfig("n_grid must be nonempty")
+    n_grid = [_count(n, "n_grid entry") for n in n_grid]
+    m, n_dagger, d = _count(m, "m"), _count(n_dagger, "n_dagger"), _count(d, "d")
+    if kde_fit_subsample is not None:
+        kde_fit_subsample = _count(kde_fit_subsample, "kde_fit_subsample")
     cells = [
         {
-            "n": int(n),
-            "m": int(m),
-            "n_dagger": int(n_dagger),
+            "n": n,
+            "m": m,
+            "n_dagger": n_dagger,
             "bandwidth": float(h),
             "epsilon": None,
             "divergences": {"sw": [], **({"w1": [], "w2": []} if d == 1 else {})},
@@ -207,7 +213,7 @@ def convergence_sweep(
         for h in bandwidth_grid
         for n in n_grid
     ]
-    n_max = max(int(n) for n in n_grid)
+    n_max = max(n_grid)
     for rep in range(repetitions):
         rep_base = derive_seed(seed, 0, rep)  # shared draws; cell ordinals start at 1
         master = sample_population(
@@ -251,5 +257,5 @@ def convergence_sweep(
             for k, v in cell["divergences"].items()
         }
     return ConvergenceSweepResult(
-        preset=preset, d=int(d), repetitions=int(repetitions), cells=cells
+        preset=preset, d=d, repetitions=repetitions, cells=cells
     )

@@ -16,7 +16,9 @@ import json
 
 import requests
 
+from .core import _positive_real
 from .errors import ClientProtocolError
+from .rng import _integer
 
 _DEFAULT_TIMEOUT = 10.0
 _DEFAULT_RETRIES = 2
@@ -25,10 +27,10 @@ _DEFAULT_RETRIES = 2
 class _HttpClient:
     def __init__(self, endpoint, timeout=_DEFAULT_TIMEOUT, retries=_DEFAULT_RETRIES):
         self.endpoint = str(endpoint)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
+        self.timeout = _positive_real(timeout, "timeout", ClientProtocolError)
+        self.retries = _integer(retries, "retries", ClientProtocolError)
         if self.retries < 0:
-            raise ClientProtocolError("retries must be nonnegative")
+            raise ClientProtocolError(f"retries must be nonnegative, got {retries!r}")
 
     def _post(self, payload):
         last_exc = None

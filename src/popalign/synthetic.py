@@ -18,9 +18,11 @@ Presets (pool vs reference):
 - heavy-tail: reference N(0, I), pool Student-t with 3 degrees of freedom
 """
 
+import math
+
 import numpy as np
 
-from .core import PersonaRecord, ResponseMatrix, _count
+from .core import PersonaRecord, ResponseMatrix, _count, _real
 from .errors import InvalidConfig, ResponderFailure
 from .rng import rng_from_seed
 
@@ -109,9 +111,11 @@ class TraitResponder:
                 f"{len(self.item_texts)} item texts for d={self.loadings.shape[1]}"
             )
         self._item_index = {text: k for k, text in enumerate(self.item_texts)}
-        self.noise_scale = float(noise_scale)
-        if self.noise_scale < 0:
-            raise InvalidConfig("noise_scale must be nonnegative")
+        self.noise_scale = _real(noise_scale)
+        if not 0 <= self.noise_scale < math.inf:
+            raise InvalidConfig(
+                f"noise_scale must be a nonnegative finite real, got {noise_scale!r}"
+            )
         self.bounds = None if bounds is None else (float(bounds[0]), float(bounds[1]))
 
     def respond(self, persona_narrative, item_text, seed):

@@ -1,9 +1,11 @@
 """One table over every gated argument: each refuses what its kind refuses.
 
 The rules, each checked by one function: a count is an int or np.integer
-of at least 1 and never a bool (rng._integer, core._count); a positive
-real is a finite real above 0 and a fraction a real in (0, 1], never a
-bool or a string (core._real, core._positive_real, core._fraction); a seed
+of at least 1 and never a bool (rng._integer, core._count), and a retry
+count the same from 0; a positive real is a finite real above 0, a
+nonnegative real (a noise scale) a finite real from 0 and a fraction a
+real in (0, 1], never a bool or a string (core._real, core._positive_real,
+core._fraction); a seed
 is an integer in [0, 2^64) (rng._as_uint64); a probability vector is 1-d,
 finite, nonnegative (positive for transport marginals) and sums to 1
 (sampling._probabilities). Every refusal raises the site's own
@@ -19,6 +21,8 @@ import pytest
 from popalign import (
     AlignmentConfig,
     EmbeddingIndex,
+    TraitResponder,
+    convergence_sweep,
     batched_ot_weights,
     SamplingProbabilities,
     build_training_pairs,
@@ -39,7 +43,9 @@ from popalign import (
     truncate_by_weight,
 )
 from popalign import core
+from popalign.clients import HttpFalseNegativeFilter, HttpResponder
 from popalign.errors import (
+    ClientProtocolError,
     DegenerateBandwidth,
     DimensionMismatch,
     InvalidConfig,
@@ -62,6 +68,14 @@ def config(**fields):
     return AlignmentConfig(**{"n_is_candidates": 10, "n_final": 5, "seed": 0, **fields})
 
 
+def sweep(**fields):
+    sizes = {"n_grid": (20,), "m": 20, "n_dagger": 10, "repetitions": 3, "reference_size": 20}
+    return convergence_sweep(**{**sizes, **fields})
+
+
+URL = "http://localhost:1/unused"  # the gates run in the constructors, before any request
+
+
 COUNTS = [
     ("AlignmentConfig.n_is_candidates", InvalidConfig,
      lambda v: AlignmentConfig(n_is_candidates=v, n_final=1, seed=0)),
@@ -82,6 +96,20 @@ COUNTS = [
      lambda v: build_training_pairs(INDEX, QUERIES, n_hard=0, n_random=v)),
     ("run_alignment.kde_fit_subsample", InvalidConfig,
      lambda v: run_alignment(X, Y, PERSONAS, config(), kde_fit_subsample=v)),
+    ("convergence_sweep.repetitions", InvalidConfig, lambda v: sweep(repetitions=v)),
+    ("convergence_sweep.n_grid", InvalidConfig, lambda v: sweep(n_grid=(20, v))),
+    ("convergence_sweep.m", InvalidConfig, lambda v: sweep(m=v)),
+    ("convergence_sweep.n_dagger", InvalidConfig, lambda v: sweep(n_dagger=v)),
+    ("convergence_sweep.d", InvalidConfig, lambda v: sweep(d=v)),
+    ("convergence_sweep.kde_fit_subsample", InvalidConfig,
+     lambda v: sweep(kde_fit_subsample=v)),
+]
+
+# counts from 0
+NONNEGATIVE_COUNTS = [
+    ("HttpResponder.retries", ClientProtocolError, lambda v: HttpResponder(URL, retries=v)),
+    ("HttpFalseNegativeFilter.retries", ClientProtocolError,
+     lambda v: HttpFalseNegativeFilter(URL, retries=v)),
 ]
 
 POSITIVE_REALS = [
@@ -97,6 +125,15 @@ POSITIVE_REALS = [
     ("mmd.kernel_bandwidth", DegenerateBandwidth, lambda v: mmd(X, Y, kernel_bandwidth=v)),
     ("contrastive_loss_from_scores.temperature", InvalidConfig,
      lambda v: contrastive_loss_from_scores(0.5, [0.1], temperature=v)),
+    ("HttpResponder.timeout", ClientProtocolError, lambda v: HttpResponder(URL, timeout=v)),
+    ("HttpFalseNegativeFilter.timeout", ClientProtocolError,
+     lambda v: HttpFalseNegativeFilter(URL, timeout=v)),
+]
+
+# finite reals from 0
+NONNEGATIVE_REALS = [
+    ("TraitResponder.noise_scale", InvalidConfig,
+     lambda v: TraitResponder(np.eye(2), np.zeros(2), ["a", "b"], noise_scale=v)),
 ]
 
 FRACTIONS = [
@@ -126,6 +163,10 @@ CASES = (
        for v in (True, NAN, INF, 0, -1, "3", 2.5)]
     + [(site, error, call, v) for site, error, call in SEEDS
        for v in (True, 2.5, NAN, INF, -1, "3", 1 << 64)]
+    + [(site, error, call, v) for site, error, call in NONNEGATIVE_COUNTS
+       for v in (True, 2.5, NAN, INF, -1, "3")]
+    + [(site, error, call, v) for site, error, call in NONNEGATIVE_REALS
+       for v in (True, NAN, INF, -1, "3", 10**400)]
 )
 
 
@@ -172,6 +213,12 @@ def test_marginal_gate(site, call, a, error):
 def test_weight_and_probability_gate(build, p, error):
     with pytest.raises(error):
         build(p)
+
+
+def test_zero_passes_where_only_nonnegative_is_required():
+    assert HttpResponder(URL, retries=0).retries == 0
+    assert HttpFalseNegativeFilter(URL, retries=np.int64(0), timeout=2).timeout == 2.0
+    assert TraitResponder(np.eye(2), np.zeros(2), ["a", "b"], noise_scale=0).noise_scale == 0.0
 
 
 def test_zero_entries_pass_where_only_nonnegative_is_required():

@@ -67,11 +67,21 @@ def per_projection_sw(X, Y, n_projections, seed):
 
 
 def full_list_median(Z):
-    """Oracle: np.median over the whole list of upper-triangle block distances.
+    """Oracle: np.median over the whole list of pairwise distances.
 
-    The upper block of rows lo:hi holds columns lo:, so its pair (i, j) is
-    strictly upper when j > i in block coordinates.
+    At d = 1 they are the |z_i - z_j|, i < j. Above it they are the sqrt of
+    the upper-triangle block distances: the upper block of rows lo:hi holds
+    columns lo:, so its pair (i, j) is strictly upper when j > i in block
+    coordinates.
     """
+    if Z.shape[1] == 1:
+        i, j = np.triu_indices(Z.shape[0], 1)
+        return float(np.median(np.abs(Z[i, 0] - Z[j, 0])))
+    return block_list_median(Z)
+
+
+def block_list_median(Z):
+    """np.median of the sqrt of every upper-triangle block distance, at any d."""
     upper = np.concatenate([
         d2[np.arange(hi - lo)[:, None] < np.arange(d2.shape[1])[None, :]]
         for lo, hi, d2 in core._sq_dist_blocks(Z)
@@ -666,7 +676,8 @@ class TestMedianHeuristic:
         assert len(passes) == 1
 
     def test_overflowing_norms_rejected(self):
-        # 1e200^2 overflows, and the blocks' expansion would hold inf - inf
+        # 1e200^2 overflows, and the blocks' expansion would hold inf - inf;
+        # the d = 1 sorted pass keeps the same gate
         X = np.array([[1e200], [2e200]])
         with pytest.raises(DegenerateBandwidth):
             mmd(X, np.zeros((3, 1)))
@@ -686,13 +697,53 @@ class TestMedianHeuristic:
         # the whole list of 18M distances, as np.median needs it, is 144 MB
         assert peak <= 32 * 2**20
 
+    @PROPERTY
+    @given(data=st.data())
+    def test_one_dimension_equals_median_of_gaps(self, data):
+        # n = 2 and 3 included; rounding to 0 or 1 digits and repeating values
+        # give duplicate values and ties at the median
+        n, digits = data.draw(st.integers(2, 40)), data.draw(DIGITS)
+        Z = _sample(data.draw, n, 1, digits)
+        repeat = data.draw(st.integers(1, 3))
+        Z = np.repeat(Z, repeat, axis=0)[:n]
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+
+    @pytest.mark.parametrize("name", ["d1", "student_t"])
+    def test_one_dimension_near_block_path(self, name):
+        # the blocks take sqrt of an expanded square, so they may differ in
+        # the last bit, never by more
+        Z = MEDIAN_INPUTS["d1"] if name == "d1" else (
+            np.random.default_rng(42).standard_t(3, size=(3000, 1)))
+        got = metrics._median_pairwise_distance(Z)
+        assert got == pytest.approx(block_list_median(Z), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("cap", [1, 50, 1000])
+    def test_one_dimension_exact_on_a_forced_second_pass(self, cap, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
+        rng = np.random.default_rng(43)
+        Z = np.round(rng.standard_t(3, size=(700, 1)), 4)  # some tied values
+        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert len(passes) >= 2
+
+    def test_one_dimension_all_equal_raises(self):
+        with pytest.raises(DegenerateBandwidth):
+            mmd(np.full((5, 1), 3.0), np.full((4, 1), 3.0))
+
     @staticmethod
     def _count_passes(monkeypatch):
+        # a pass is a sweep over the distance blocks, or at d = 1 one sorted pass
         passes = []
 
         def counting(X, Y=None, w=None, scale=1.0, out=None):
             passes.append(X.shape)
             return core._sq_dist_blocks(X, Y, w, scale, out)
 
+        def counting_sorted(z, a, b):
+            passes.append(z.shape)
+            return sorted_pass(z, a, b)
+
+        sorted_pass = metrics._sorted_pass
         monkeypatch.setattr(metrics, "_sq_dist_blocks", counting)
+        monkeypatch.setattr(metrics, "_sorted_pass", counting_sorted)
         return passes

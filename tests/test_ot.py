@@ -27,6 +27,7 @@ from popalign import (
     gibbs_kernel,
     ot_weights,
     resample_ot,
+    sample_population,
     sinkhorn,
     transport_cost,
 )
@@ -758,6 +759,179 @@ class TestBatchedOtWeights:
         assert all(d["cols"] == 10 and d["rows"] == 20 for d in details)
         assert all(d["converged"] for d in details)
         assert abs(w.sum() - 1.0) <= 1e-9
+
+
+def heavy_tail_batches():
+    """A 1-d transport shaped like the benchmark's tails-1d: 800 candidates against
+    three 250-column batches, both drawn like the heavy-tail preset's reference
+    (which the importance-resampled candidates follow)."""
+    X = sample_population("heavy-tail", 800, 1, 1000, role="reference").values
+    Y = sample_population("heavy-tail", 750, 1, 0, role="reference").values
+    return X, Y, make_config(ot_batch_size=250, sinkhorn_iters=2000, sinkhorn_tol=1e-6)
+
+
+def recording_solves(monkeypatch):
+    """(cost, plan) of every sinkhorn call that batched_ot_weights makes."""
+    solves = []
+    real = ot.sinkhorn
+
+    def recording(C, *args, **kwargs):
+        plan = real(C, *args, **kwargs)
+        solves.append((C, plan))
+        return plan
+
+    monkeypatch.setattr(ot, "sinkhorn", recording)
+    return solves
+
+
+def cold_batches(X, Y, cfg):
+    """Each batch of batched_ot_weights solved from the neutral start."""
+    plans = []
+    for lo in range(0, Y.shape[0], cfg.ot_batch_size):
+        C = cost_matrix(X, Y[lo:lo + cfg.ot_batch_size])
+        plans.append(sinkhorn(
+            C, epsilon=cfg.epsilon * C.median_cost,
+            max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
+        ))
+    return plans
+
+
+class TestWarmStartedBatches:
+    """Each batch after the first starts where the batch before it stopped."""
+
+    def test_single_batch_is_sinkhorn_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        X, Y = rng.normal(size=(30, 5)), rng.normal(size=(80, 5))
+        cfg = make_config(ot_batch_size=200, sinkhorn_iters=2000, sinkhorn_tol=1e-9)
+        C = cost_matrix(X, Y)
+        plan = sinkhorn(C, epsilon=cfg.epsilon * C.median_cost, max_iters=2000, tol=1e-9)
+        np.testing.assert_array_equal(batched_ot_weights(X, Y, cfg), ot_weights(plan))
+
+    def test_later_batches_take_fewer_sweeps_to_the_same_tol(self, monkeypatch):
+        X, Y, cfg = heavy_tail_batches()
+        cold = cold_batches(X, Y, cfg)
+        solves = recording_solves(monkeypatch)
+        w = batched_ot_weights(X, Y, cfg)
+        plans = [plan for _, plan in solves]
+        assert len(plans) == 3
+        assert all(p.converged and p.residual_history[-1] <= cfg.sinkhorn_tol for p in plans)
+        assert plans[0].iterations_run == cold[0].iterations_run
+        for warm, plain in zip(plans[1:], cold[1:]):
+            assert warm.iterations_run < plain.iterations_run
+        # each batch's row marginal is within tol of the uniform target, warm
+        # or cold, so batch-size-weighted means of them differ by at most 2 tol
+        w_cold = np.mean([ot_weights(p) for p in cold], axis=0)
+        assert np.abs(w - w_cold).max() <= 2 * cfg.sinkhorn_tol
+
+    def test_start_carries_scaling_and_relaxation(self, monkeypatch):
+        X, Y, cfg = heavy_tail_batches()
+        solves = recording_solves(monkeypatch)
+        batched_ot_weights(X, Y, cfg)
+        assert not isinstance(solves[0][0], ot._WarmCost)
+        for (_, before), (C, _) in zip(solves, solves[1:]):
+            assert isinstance(C, ot._WarmCost)
+            assert C.omega == before.relaxation
+            ratio = before.epsilon / (cfg.epsilon * C.median_cost)
+            np.testing.assert_allclose(
+                C.log_u, ratio * np.log(before.scaling_u), rtol=1e-15, atol=0
+            )
+
+    def test_plain_exit_starts_the_next_batch_plain(self, monkeypatch):
+        # at a large epsilon every batch converges before _RELAX_START, so
+        # it exits with relaxation 1.0 and the next batch starts plain
+        rng = np.random.default_rng(12)
+        X, Y = rng.normal(size=(60, 2)), rng.normal(size=(90, 2))
+        cfg = make_config(ot_batch_size=30, epsilon=2.0, sinkhorn_tol=1e-6)
+        relaxations = []
+        real = ot._relaxation
+        monkeypatch.setattr(ot, "_relaxation", lambda r: relaxations.append(r) or real(r))
+        solves = recording_solves(monkeypatch)
+        batched_ot_weights(X, Y, cfg)
+        assert all(p.iterations_run < ot._RELAX_START for _, p in solves)
+        assert [p.relaxation for _, p in solves] == [1.0] * 3
+        assert [C.omega for C, _ in solves[1:]] == [1.0, 1.0]
+        assert not relaxations
+
+    @pytest.mark.parametrize("omega", [1.0, 1.5])
+    def test_warm_omega_relaxes_from_the_first_sweep(self, omega, monkeypatch):
+        relaxations = []
+        real = ot._relaxation
+        monkeypatch.setattr(ot, "_relaxation", lambda r: relaxations.append(r) or real(r))
+        C = random_instance(np.random.default_rng(31), 40, 60)
+        eps = 0.05 * C.median_cost
+        cold = sinkhorn(C, epsilon=eps, max_iters=5000, tol=1e-12)
+        assert cold.iterations_run > ot._RELAX_START + ot._RELAX_WINDOW
+        relaxations.clear()
+        # a rough start: the cold solution's potential, perturbed
+        log_u = np.log(cold.scaling_u) + np.random.default_rng(32).normal(0, 0.5, 40)
+        warm = sinkhorn(
+            ot._WarmCost(C.values, C.median_cost, log_u, omega),
+            epsilon=eps, max_iters=5000, tol=1e-12,
+        )
+        assert warm.converged and warm.absorb_count == 0
+        # a plain start sets omega after _RELAX_START sweeps, as a cold one does;
+        # a relaxed one keeps its omega and never estimates another
+        assert len(relaxations) == (1 if omega == 1.0 else 0)
+        if omega != 1.0:
+            assert warm.relaxation == omega
+        np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def _tilted_start(monkeypatch, C, eps, log_u):
+        """The cold and the warm plan, and whether the warm start was tilted."""
+        tilts = []
+        real = ot._c_transforms
+        monkeypatch.setattr(ot, "_c_transforms", lambda *a: tilts.append(1) or real(*a))
+        cold = sinkhorn(C, epsilon=eps, max_iters=20000, tol=1e-12)
+        warm = sinkhorn(
+            ot._WarmCost(C.values, C.median_cost, log_u(np.log(cold.scaling_u)), 1.0),
+            epsilon=eps, max_iters=20000, tol=1e-12,
+        )
+        assert warm.converged
+        np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-10)
+        return bool(tilts)
+
+    @pytest.mark.parametrize("gauge, spread", [(400.0, 0.0), (-400.0, 0.0), (0.0, 2000.0)])
+    def test_start_outside_the_bounds_is_tilted(self, gauge, spread, monkeypatch):
+        # a potential offset past the absorption bounds, or spread so far that
+        # tilting by it alone would kill whole columns of the kernel
+        C = random_instance(np.random.default_rng(33), 30, 40)
+        offsets = gauge + spread * (np.arange(30) % 2 - 0.5)
+        assert self._tilted_start(monkeypatch, C, 0.1 * C.median_cost, lambda lu: lu + offsets)
+
+    @pytest.mark.parametrize("shift, tilted", [(-150.0, True), (0.0, False)])
+    def test_underflowing_half_sweep_is_tilted(self, shift, tilted, monkeypatch):
+        # one far column, whose kernel entries are about e^-650: against a u
+        # near 1e-65, still inside the bounds, its half-sweep product underflows
+        rng = np.random.default_rng(34)
+        X, Y = rng.normal(size=(30, 1)), rng.normal(size=(40, 1))
+        Y[0] = 12.0
+        C = cost_matrix(X, Y)
+        eps = C.values[:, 0].min() / 650
+        got = self._tilted_start(monkeypatch, C, eps, lambda lu: lu - lu.max() + shift)
+        assert got == tilted
+
+    def test_after_an_absorbing_batch(self, monkeypatch):
+        # outlier_instance's far rows: the first batch absorbs
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(120, 3))
+        X[:8] += 4.0
+        Y = rng.normal(size=(270, 3))
+        cfg = make_config(ot_batch_size=90, epsilon=0.02, sinkhorn_iters=5000, sinkhorn_tol=1e-9)
+        solves = recording_solves(monkeypatch)
+        w = batched_ot_weights(X, Y, cfg)
+        assert solves[0][1].absorb_count >= 1
+        assert all(isinstance(C, ot._WarmCost) for C, _ in solves[1:])
+        assert all(p.converged for _, p in solves)
+        w_cold = np.mean([ot_weights(p) for p in cold_batches(X, Y, cfg)], axis=0)
+        assert np.abs(w - w_cold).max() <= 2 * cfg.sinkhorn_tol
+
+    def test_repeat_runs_byte_identical(self):
+        X, Y, cfg = heavy_tail_batches()
+        w1, d1 = batched_ot_weights(X, Y, cfg, return_details=True)
+        w2, d2 = batched_ot_weights(X, Y, cfg, return_details=True)
+        assert w1.tobytes() == w2.tobytes()
+        assert d1 == d2
 
 
 class TestExactOtSmall:
