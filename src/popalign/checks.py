@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import _count
+from .core import _count, _finite_values
 from .errors import BoundViolation, InvalidConfig
 from .kde import fit_kde, importance_weights
 from .metrics import _w1_rows, sliced_wasserstein, wasserstein_1d
@@ -82,13 +82,14 @@ def wasserstein2_1d(x, y):
     """Exact W2 between two 1-d empirical distributions.
 
     Quantile-function form: sqrt of the integral of (F_x^{-1} - F_y^{-1})^2
-    over (0, 1), on the merged quantile grid of metrics' W1 kernel.
+    over (0, 1), on the merged quantile grid of metrics' W1 kernel. A NaN or
+    infinite value on either side raises NonFiniteValue.
     """
-    xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    ys = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    xs = _finite_values(np.ravel(x), "first sample", ndim=1)
+    ys = _finite_values(np.ravel(y), "second sample", ndim=1)
     if xs.size == 0 or ys.size == 0:
         raise InvalidConfig("wasserstein2_1d needs at least one sample on each side")
-    return math.sqrt(_w1_rows(xs, ys, p=2)[0])
+    return math.sqrt(_w1_rows(xs[None], ys[None], p=2)[0])
 
 
 @dataclass(frozen=True)

@@ -19,34 +19,22 @@ builds the grid once and projects, sorts in place and scores one cache-sized
 chunk of directions at a time through `_w1_sorted`, so it holds no
 n_projections x n array.
 
-The MMD bandwidth's median heuristic is an exact selection, not a sort of
-the n(n-1)/2 pairwise distances: it returns np.median's value bit for bit,
-from one pass over the distance blocks when the first bracket holds the
-middle ranks (inputs up to about 11k rows), in about 25 MiB at most for any n.
-See `_median_pairwise_distance`; its selection, `core._exact_median`, also
-gives `ot`'s median cost. At d = 1 the distances are the gaps of the sorted
-sample, so each pass builds no distance block: one searchsorted over the
-sorted sample counts every bracket, and the values inside it are index
-ranges (`_sorted_pass`; the selection idea of Croux & Rousseeuw 1992).
+The MMD bandwidth's median heuristic is core's exact selection
+(`core._median_pairwise_distance`), np.median's value bit for bit.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
 from .core import (
     _BLOCK_ELEMS,
-    _check_sq_norms,
     _count,
-    _exact_median,
     _finite_values,
-    _pivot_pairs,
+    _median_pairwise_distance,
     _positive_real,
-    _scan,
     _sq_dist_blocks,
 )
-from . import core
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
@@ -183,114 +171,6 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
     return float(np.mean(np.concatenate(rows)))
 
 
-def _pair_sample(Z):
-    """The values _median_pairwise_distance selects from, for core._pivot_pairs'
-    seeded pairs i != j (uniform over pairs): distances at d = 1, else squared."""
-    i, j = _pivot_pairs(Z.shape[0], Z.shape[0] - 1)
-    j += j >= i
-    if Z.shape[1] == 1:  # native indices: numpy gathers through int32 ones 4x slower
-        z = Z[:, 0]
-        return np.abs(z[i.astype(np.intp)] - z[j.astype(np.intp)])
-    diff = Z[i] - Z[j]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _upper_distances(Z):
-    """One pass over the squared distances i < j of Z, as parts of its upper blocks."""
-    triangles = {}
-    for lo, hi, d2 in _sq_dist_blocks(Z):
-        k = hi - lo
-        if k not in triangles:
-            triangles[k] = np.triu_indices(k, 1)
-        # the upper block's columns lo:hi hold its own rows' pairs, of which
-        # only the strict upper triangle counts; columns hi: all count
-        yield d2[:, k:]
-        yield d2[:, :k][triangles[k]]
-
-
-def _sorted_pass(z, a, b):
-    """_bracket_pass's result for the differences z[j] - z[i], i < j, of sorted 1-d z.
-
-    Those differences are the sample's pairwise distances |z_i - z_j|, bit
-    for bit. Rounding is monotone, so for each i the j with z[j] - z[i] <= t
-    are the indices below an end, which one searchsorted finds from z[i] + t
-    for all four thresholds at once (< x is <= the double below x); the rare
-    end that the rounding of z[i] + t misplaces is walked to its place. The
-    values inside (a, b) are, row by row, the index range between the ends
-    at a and below b; over _MEDIAN_CAP of them, every k-th is kept.
-    """
-    n = z.size
-    i = np.tile(np.arange(n), 4)
-    t = np.repeat([math.nextafter(a, -math.inf), a, math.nextafter(b, -math.inf), b], n)
-    ends = np.searchsorted(z, z[i] + t, side="right")
-    while True:  # ends that stop short: step over the next run of ties
-        up = ends < n
-        up[up] = z[ends[up]] - z[i[up]] <= t[up]
-        if not up.any():
-            break
-        ends[up] = np.searchsorted(z, z[ends[up]], side="right")
-    while True:  # ends that overshoot
-        down = ends > 0
-        down[down] = z[ends[down] - 1] - z[i[down]] > t[down]
-        if not down.any():
-            break
-        ends[down] = np.searchsorted(z, z[ends[down] - 1], side="left")
-    ends = ends.reshape(4, n)
-    first = np.arange(1, n + 1)  # row i's pairs start at column i + 1
-    counts = tuple(int(c) for c in np.maximum(ends - first, 0).sum(axis=1))
-    lo = np.maximum(ends[1], first)
-    size = np.maximum(ends[2], lo) - lo
-    stop = np.cumsum(size)
-    stride = max(1, -(-int(stop[-1]) // core._MEDIAN_CAP))
-    # keep the values at positions 0, k, 2k, ... of the rows' ranges laid end to end
-    start = stop - size
-    per_row = -(-stop // stride) - -(-start // stride)
-    z_row = np.repeat(z, per_row)
-    j = np.repeat(lo - start, per_row) + np.arange(z_row.size) * stride
-    return counts, z[j] - z_row, stride, 0
-
-
-def _median_pairwise_distance(Z):
-    """Median over all unordered pairs i < j of ||Z_i - Z_j||, exactly as np.median.
-
-    _exact_median selects the middle rank(s), with its first pivots from
-    core._pivot_pairs' seeded pairs. Above d = 1 it counts the squared
-    distances in the upper blocks of core._sq_dist_blocks(Z), the same values
-    the whole list would hold; sqrt is monotone, so the result is
-    bit-identical to np.median of the n(n-1)/2 distances. Each pass is one
-    sweep over the distance blocks, and the first bracket is under
-    _MEDIAN_CAP up to about 11k rows. Memory is one distance block plus the
-    selection's: 10 MiB at 6k rows, 23 MiB at 10k rows with a forced second
-    pass (tracemalloc peaks).
-
-    At d = 1 the distances are differences of the sorted sample, so each pass
-    counts and keeps them from index ranges (_sorted_pass), with no distance
-    block: 4.4-5 ms at 3k Student-t(3) rows, against 21-24 ms for the block
-    sweep (2-core VM, best and median of 40 calls). It is
-    bit-identical to np.median of the |Z_i - Z_j|, which can differ from the
-    blocks' sqrt of an expanded square in the last bit. The blocks' overflow
-    gate is kept, so both paths refuse the same samples.
-    """
-    n = Z.shape[0]
-    total = n * (n - 1) // 2
-    if total == 0:
-        return 0.0
-    sample = _pair_sample(Z)
-    try:
-        if Z.shape[1] == 1:
-            z = np.sort(Z[:, 0])
-            centred = z - z.mean()
-            with np.errstate(over="ignore"):
-                sq = centred * centred
-            _check_sq_norms(sq, sq)
-            middle = _exact_median(lambda a, b: _sorted_pass(z, a, b), total, sample)
-            return float(np.mean(middle))
-        middle = _exact_median(_scan(lambda: _upper_distances(Z)), total, sample)
-    except NonFiniteValue as e:  # the blocks' overflow gate
-        raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
-    return float(np.mean(np.sqrt(middle)))
-
-
 def _kernel_mean(A, B, inv_two_sigma_sq):
     # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2)); for B is
     # A the upper blocks hold each off-diagonal pair once, so it counts twice
@@ -308,7 +188,10 @@ def _kernel_mean(A, B, inv_two_sigma_sq):
 def _mmd_bandwidth(A, B, kernel_bandwidth):
     """kernel_bandwidth if given, else the pooled sample's median pairwise distance."""
     if kernel_bandwidth is None:
-        sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
+        try:
+            sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
+        except NonFiniteValue as e:  # the distance blocks' overflow gate
+            raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
         if sigma <= 0.0:
             raise DegenerateBandwidth(
                 "median pairwise distance is 0; pass kernel_bandwidth explicitly"

@@ -47,15 +47,12 @@ import math
 import numpy as np
 
 from .core import (
-    _BLOCK_ELEMS,
     AlignmentConfig,
     ItemWeights,
+    _array_median,
     _count,
-    _exact_median,
     _finite_values,
-    _pivot_pairs,
     _positive_real,
-    _scan,
     _sq_dist_blocks,
 )
 from .errors import (
@@ -153,29 +150,7 @@ def cost_matrix(X_dagger, Y, omega=None):
     C = np.empty((X.shape[0], Yv.shape[0]))
     for _block in _sq_dist_blocks(X, Yv, w, out=C):
         pass  # each block is its own rows of C
-    return CostMatrix(values=C, median_cost=_median_cost(C))
-
-
-def _median_cost(C):
-    """np.median(C), bit for bit, without the copy of C that np.median sorts.
-
-    core._exact_median reads C in 1 MB chunks of rows, with first pivots
-    at core._pivot_pairs' seeded rows and columns.
-    """
-    if C.size == 0:
-        return float(np.mean(C))  # nan, with np.median's warning
-    V = C.reshape(-1, C.shape[-1]) if C.ndim > 1 else C.reshape(1, -1)
-    i, j = _pivot_pairs(*V.shape)
-    sample = V[i, j]
-    del i, j
-    return float(np.mean(_exact_median(_scan(lambda: _row_chunks(V)), V.size, sample)))
-
-
-def _row_chunks(V):
-    """The 2-d array V in chunks of whole rows, about 1 MB each."""
-    rows = max(1, _BLOCK_ELEMS // V.shape[1])
-    for lo in range(0, V.shape[0], rows):
-        yield V[lo:lo + rows]
+    return CostMatrix(values=C, median_cost=_array_median(C))
 
 
 def _as_cost(C):
@@ -188,7 +163,7 @@ def _as_cost(C):
     _check_instance(arr.shape)
     if isinstance(C, CostMatrix):
         return C
-    return CostMatrix(arr, _median_cost(arr))
+    return CostMatrix(arr, _array_median(arr))
 
 
 def _tilted_kernel(C, eps, f=None, g=None, out=None):

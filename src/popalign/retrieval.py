@@ -279,14 +279,17 @@ def group_subset(query_emb, index, k, reviser, personas, query_text=""):
 
     Retrieves the k nearest seed personas, runs each narrative through the
     injected `reviser(query_text, narrative) -> revised narrative`, and
-    returns fresh PersonaRecords whose `seed_id` links back to the seed. A
-    reviser failure on one seed logs a warning and skips that seed; the batch
-    never aborts.
+    returns fresh PersonaRecords whose `seed_id` links back to the seed.
+    `personas` maps ids to PersonaRecords, or is an iterable of them, such as
+    the list load_personas returns. A reviser failure on one seed logs a
+    warning and skips that seed; the batch never aborts.
     """
+    if not hasattr(personas, "get"):
+        personas = {rec.id: rec for rec in personas}
     hits = top_k_retrieve(query_emb, index, k)
     out = []
     for pos, (seed_id, _score) in enumerate(hits):
-        rec = personas.get(seed_id) if hasattr(personas, "get") else None
+        rec = personas.get(seed_id)
         if rec is None:
             logger.warning("seed persona %r has no narrative record, skipped", seed_id)
             continue

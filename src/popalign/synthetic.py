@@ -91,9 +91,10 @@ class TraitResponder:
     """Deterministic synthetic responder: theta . L_k + bias_k + seeded noise.
 
     Items are identified by their text via `item_texts`; narratives must be
-    trait narratives. `bounds`, when given as (lo, hi), clips responses to the
-    scale; the default leaves them unclipped. noise_scale=0 makes the output
-    the exact loading table, which the collection tests rely on.
+    trait narratives. `bounds`, when given as (lo, hi), two finite reals with
+    lo <= hi, clips responses to the scale; the default leaves them
+    unclipped. noise_scale=0 makes the output the exact loading table, which
+    the collection tests rely on.
     """
 
     def __init__(self, loadings, biases, item_texts, noise_scale=0.0, bounds=None):
@@ -116,7 +117,14 @@ class TraitResponder:
             raise InvalidConfig(
                 f"noise_scale must be a nonnegative finite real, got {noise_scale!r}"
             )
-        self.bounds = None if bounds is None else (float(bounds[0]), float(bounds[1]))
+        self.bounds = None
+        if bounds is not None:
+            pair = [_real(v) for v in bounds] if np.iterable(bounds) else []
+            if len(pair) != 2 or not -math.inf < pair[0] <= pair[1] < math.inf:
+                raise InvalidConfig(
+                    f"bounds must be two finite reals (lo, hi) with lo <= hi, got {bounds!r}"
+                )
+            self.bounds = tuple(pair)
 
     def respond(self, persona_narrative, item_text, seed):
         if item_text not in self._item_index:

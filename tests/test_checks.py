@@ -17,7 +17,7 @@ from popalign import (
     wasserstein_1d,
 )
 from popalign.checks import ConvergenceSweepResult, GapRecord
-from popalign.errors import BoundViolation, InstanceTooLarge, InvalidConfig
+from popalign.errors import BoundViolation, InstanceTooLarge, InvalidConfig, NonFiniteValue
 from popalign.pipeline import truncate_by_weight
 from popalign.rng import derive_seed
 
@@ -141,6 +141,15 @@ class TestWasserstein2:
     def test_empty_rejected(self):
         with pytest.raises(InvalidConfig):
             wasserstein2_1d([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_rejected(self, bad, side):
+        # as wasserstein_1d: a NaN or an infinity is refused, never returned
+        args = [[0.0, 1.0], [0.0, 1.0]]
+        args[side][0] = bad
+        with pytest.raises(NonFiniteValue):
+            wasserstein2_1d(*args)
 
 
 class TestConvergenceSweep:

@@ -637,7 +637,7 @@ class TestMedianHeuristic:
     @pytest.mark.parametrize("name", sorted(MEDIAN_INPUTS))
     def test_equals_full_list_median(self, name):
         Z = MEDIAN_INPUTS[name]
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert core._median_pairwise_distance(Z) == full_list_median(Z)
 
     @pytest.mark.parametrize("block_elems", [1, 7 * 40])
     @pytest.mark.parametrize("name", ["likert_ties", "duplicate_rows", "n3", "heavy_tails"])
@@ -645,7 +645,7 @@ class TestMedianHeuristic:
         monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
         monkeypatch.setattr(core, "_BLOCK_MIN_ROWS", 1)
         Z = MEDIAN_INPUTS[name]
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert core._median_pairwise_distance(Z) == full_list_median(Z)
 
     @pytest.mark.parametrize("cap", [1, 100])
     @pytest.mark.parametrize("name", ["d1", "duplicate_rows", "heavy_tails"])
@@ -654,25 +654,25 @@ class TestMedianHeuristic:
         passes = self._count_passes(monkeypatch)
         monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
         Z = MEDIAN_INPUTS[name]
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert core._median_pairwise_distance(Z) == full_list_median(Z)
         assert len(passes) >= 2
 
     def test_first_bracket_miss_takes_another_pass(self, monkeypatch):
         # a pair sample scaled far below or above the true distances gives a
         # first bracket that misses the middle ranks, so a second pass must
         # find them
-        sample = metrics._pair_sample
+        sample = core._pair_sample
         Z = np.random.default_rng(40).normal(size=(400, 5))
         passes = self._count_passes(monkeypatch)
         for factor in (1e-3, 1e3):
-            monkeypatch.setattr(metrics, "_pair_sample", lambda Z: factor * sample(Z))
+            monkeypatch.setattr(core, "_pair_sample", lambda Z: factor * sample(Z))
             passes.clear()
-            assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+            assert core._median_pairwise_distance(Z) == full_list_median(Z)
             assert len(passes) >= 2
 
     def test_one_pass_at_desk_size(self, monkeypatch):
         passes = self._count_passes(monkeypatch)
-        metrics._median_pairwise_distance(MEDIAN_INPUTS["gaussian_desk_size"])
+        core._median_pairwise_distance(MEDIAN_INPUTS["gaussian_desk_size"])
         assert len(passes) == 1
 
     def test_overflowing_norms_rejected(self):
@@ -684,13 +684,13 @@ class TestMedianHeuristic:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_pairs(self, n):
-        assert metrics._median_pairwise_distance(np.zeros((n, 3))) == 0.0
+        assert core._median_pairwise_distance(np.zeros((n, 3))) == 0.0
 
     def test_memory_bounded(self):
         Z = np.random.default_rng(41).normal(size=(6000, 5))
         tracemalloc.start()
         try:
-            metrics._median_pairwise_distance(Z)
+            core._median_pairwise_distance(Z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -706,7 +706,7 @@ class TestMedianHeuristic:
         Z = _sample(data.draw, n, 1, digits)
         repeat = data.draw(st.integers(1, 3))
         Z = np.repeat(Z, repeat, axis=0)[:n]
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert core._median_pairwise_distance(Z) == full_list_median(Z)
 
     @pytest.mark.parametrize("name", ["d1", "student_t"])
     def test_one_dimension_near_block_path(self, name):
@@ -714,7 +714,7 @@ class TestMedianHeuristic:
         # the last bit, never by more
         Z = MEDIAN_INPUTS["d1"] if name == "d1" else (
             np.random.default_rng(42).standard_t(3, size=(3000, 1)))
-        got = metrics._median_pairwise_distance(Z)
+        got = core._median_pairwise_distance(Z)
         assert got == pytest.approx(block_list_median(Z), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("cap", [1, 50, 1000])
@@ -723,7 +723,7 @@ class TestMedianHeuristic:
         monkeypatch.setattr(core, "_MEDIAN_CAP", cap)
         rng = np.random.default_rng(43)
         Z = np.round(rng.standard_t(3, size=(700, 1)), 4)  # some tied values
-        assert metrics._median_pairwise_distance(Z) == full_list_median(Z)
+        assert core._median_pairwise_distance(Z) == full_list_median(Z)
         assert len(passes) >= 2
 
     def test_one_dimension_all_equal_raises(self):
@@ -737,13 +737,13 @@ class TestMedianHeuristic:
 
         def counting(X, Y=None, w=None, scale=1.0, out=None):
             passes.append(X.shape)
-            return core._sq_dist_blocks(X, Y, w, scale, out)
+            return blocks(X, Y, w, scale, out)
 
         def counting_sorted(z, a, b):
             passes.append(z.shape)
             return sorted_pass(z, a, b)
 
-        sorted_pass = metrics._sorted_pass
-        monkeypatch.setattr(metrics, "_sq_dist_blocks", counting)
-        monkeypatch.setattr(metrics, "_sorted_pass", counting_sorted)
+        blocks, sorted_pass = core._sq_dist_blocks, core._sorted_pass
+        monkeypatch.setattr(core, "_sq_dist_blocks", counting)
+        monkeypatch.setattr(core, "_sorted_pass", counting_sorted)
         return passes

@@ -362,6 +362,16 @@ class TestGroupSubset:
         )
         assert all(rec.narrative.startswith("[teachers] seed narrative") for rec in out)
 
+    def test_persona_list_as_the_mapping(self, caplog):
+        # the list load_personas returns is keyed by record id, in any order
+        idx, personas, rng = self.setup_pool()
+        q = rng.normal(size=4)
+        want = group_subset(q, idx, 4, lambda q, n: n, personas)
+        with caplog.at_level(logging.WARNING, logger="popalign.retrieval"):
+            got = group_subset(q, idx, 4, lambda q, n: n, list(personas.values())[::-1])
+        assert got == want and len(got) == 4
+        assert not caplog.records
+
     def test_failing_reviser_skips_with_warning(self, caplog):
         idx, personas, rng = self.setup_pool()
         q = rng.normal(size=4)

@@ -1,5 +1,7 @@
 """Synthetic population presets and the deterministic trait responder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ class TestTraitResponder:
         r = self.make(bounds=(1.0, 5.0))
         assert r.respond(trait_narrative([9.0, 0.0]), "i0", seed=0) == 5.0
         assert r.respond(trait_narrative([-9.0, 0.0]), "i0", seed=0) == 1.0
+
+    @pytest.mark.parametrize(
+        "bounds", [(5.0, 1.0), (math.nan, 1.0), (0.0, math.inf), (1.0,), (True, 2.0), "ab", 3.0]
+    )
+    def test_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidConfig, match="bounds"):
+            self.make(bounds=bounds)
+
+    @pytest.mark.parametrize("bounds", [(2, 2), np.array([1.0, 5.0]), [np.int64(1), 5.5]])
+    def test_bounds_accepted(self, bounds):
+        assert self.make(bounds=bounds).bounds == (float(bounds[0]), float(bounds[1]))
 
     def test_unknown_item(self):
         r = self.make()
