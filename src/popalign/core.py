@@ -4,12 +4,18 @@ Responses are stored as 64-bit floats regardless of the source scale; all
 downstream math is continuous. Types are immutable after construction and safe
 to share across threads.
 
-`_sq_dist_blocks` is the one squared-distance kernel (KDE, transport cost,
-MMD). Two medians are exact selections through `_exact_median`, never a
-sort of the whole list, and return np.median's value bit for bit: the
-transport cost median (`_array_median`, which scales Stage 2's epsilon) and
-the MMD bandwidth's median heuristic (`_median_pairwise_distance`). The
-latter takes one pass over the distance blocks when the first bracket holds
+One squared-distance kernel serves the KDE, the transport cost and MMD:
+`_sq_dist_operands` prepares the centred, augmented operands and
+`_sq_dist_tile` is the product for one (rows, columns) tile. Two drivers
+walk it: `_sq_dist_blocks` in full-width row strips for cross pairs, and
+`_self_tiles` in square upper-triangle tiles for a sample's own pairs.
+`_floored_exp` is the kernels' one clamp-and-exp.
+
+Two medians are exact selections through `_exact_median`, never a sort of
+the whole list, and return np.median's value bit for bit: the transport
+cost median (`_array_median`, which scales Stage 2's epsilon) and the MMD
+bandwidth's median heuristic (`_median_pairwise_distance`). The latter
+takes one pass over the sample's own tiles when the first bracket holds
 the middle ranks (inputs up to about 11k rows), in about 25 MiB at most for
 any n. At d = 1 the distances are the gaps of the sorted sample: one
 searchsorted over it counts every bracket, and the values inside are index
@@ -30,14 +36,26 @@ from .errors import (
 )
 from .rng import _as_uint64, _integer, rng_from_seed
 
-# cap on elements per squared-distance block: 2^17 float64 is 1 MB, so a
-# block stays in cache through the several passes each caller makes over it
+# cap on elements per cross row strip (_sq_dist_blocks): 2^17 float64 is 1
+# MB, so a strip stays in cache through the several passes each caller
+# makes over it
 _BLOCK_ELEMS = 1 << 17
-# but at least this many rows: each product packs all of its Y columns, so a
-# 2-row block against 50k columns cost 1.7 ns per entry in the product alone
-# (0.5 ns at 21 rows), and criterion 5's 50k self-KDE took 5.6-6.5 s at 2
-# rows per block and 4.3-4.6 s at 8 (2-core VM, OpenBLAS 0.3.31, d=5)
+# but at least this many rows: each product packs all of its Y columns, and
+# against more than 16k columns (a KDE fit on a large subsample, queried at
+# every pool row) the 1 MB cap alone leaves strips of 1 to 7 rows; a 2-row
+# strip against 50k columns cost 1.7 ns per entry in the product alone, a
+# 21-row one 0.5 ns (d=5, 2-core VM, OpenBLAS 0.3.31)
 _BLOCK_MIN_ROWS = 8
+# side of the square tiles that _self_tiles cuts X's own pairs into: a 256
+# x 256 float64 tile is 512 KB, and its product packs only its own 256
+# columns, however many rows X has
+_TILE = 256
+# _floored_exp floors its arguments here: exp(-700) ~ 9.9e-305 is still a
+# normal double, and numpy's exp leaves its fast path below about -708 (0.9
+# ns an element near -700, 16 at -708, 127 at -720; 2-core VM)
+_EXP_FLOOR = -700.0
+# rows and columns of the grid of entries that decides whether a block is floored
+_FLOOR_PROBE = 16
 
 # exact median selection (_exact_median), shared by the MMD bandwidth's
 # median heuristic and the transport cost median
@@ -50,16 +68,15 @@ _MEDIAN_Z = 4.0
 _MEDIAN_CAP = 1 << 20
 
 
-def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
-    """Yield (lo, hi, D) with D[i, j] = scale * sum_k w_k (X[lo + i, k] - Y[c + j, k])^2.
+def _sq_dist_operands(X, Y=None, w=None, scale=1.0):
+    """(A, B, clamp): the augmented operands behind every squared-distance product.
 
-    c = 0, so D covers every column of Y. Without Y, the pairs are X's own:
-    then c = lo and only the upper blocks are yielded, rows lo:hi against
-    columns lo:, and a caller counts each off-diagonal pair once. Rows of X
-    go in blocks of at most _BLOCK_ELEMS entries of a full row of Y, but at
-    least _BLOCK_MIN_ROWS rows. w defaults to all ones; scale is nonzero.
-    With out (shape n_X x n_Y, and only with Y), each block is written to,
-    and yielded as, out[lo:hi].
+    A[r] @ B[c].T is scale * D for D[i, j] = sum_k w_k (X[i, k] - Y[j, k])^2
+    over rows r of X and c of Y (Y = X without Y), and clamp(that, 0) undoes
+    the rounding below 0 (above, for scale < 0). w defaults to all ones;
+    scale is nonzero. This is the one preparation step; _sq_dist_tile is the
+    one product, which _sq_dist_blocks (cross pairs, row strips) and
+    _self_tiles (X's own pairs, square tiles) drive.
 
     Both operands are first centred on the mean of Y, which moves no
     distance, so the expansion ||x||^2 + ||y||^2 - 2 x.y cancels only the
@@ -67,21 +84,13 @@ def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
     ~50) the uncentred expansion lost the dense KDE's 1e-12 agreement with a
     per-row evaluation (4.6e-11 at desk sizes), and at offset 1e3 it was off
     by 3e-8. Where the centred squared norms are large enough that the
-    expansion can overflow (inf - inf = nan), NonFiniteValue is raised
-    before the first block. The operands are then augmented to
+    expansion can overflow (inf - inf = nan), NonFiniteValue is raised here,
+    before any product. The operands are then augmented to
     [x w (-2 scale), scale x2, scale] and [y, 1, y2] (x2, y2 the weighted
-    squared norms), so one matrix product per block gives scale * D with no
-    temporaries and no separate scaling pass; it is clamped in place at 0
-    against rounding. The two augmented operands are distinct arrays even
-    for X's own pairs, so BLAS runs gemm, not the syrk that X @ X.T selects
-    (about 3x slower per entry).
-
-    Blocks are cache-sized because every caller passes over a block several
-    times (exp and sums in the KDE and MMD, counts in the median heuristic),
-    and each pass over a block larger than the cache streams it through main
-    memory. The row partition matters for the last bit: BLAS may round a
-    product row differently in blocks of different heights (a 1-row block
-    runs as a matrix-vector product).
+    squared norms), so one matrix product gives scale * D with no
+    temporaries and no separate scaling pass. The two augmented operands
+    are distinct arrays even for X's own pairs, so BLAS runs gemm, not the
+    syrk that X @ X.T selects (about 3x slower per entry).
     """
     sym = Y is None
     if sym:
@@ -92,13 +101,110 @@ def _sq_dist_blocks(X, Y=None, w=None, scale=1.0, out=None):
     _check_sq_norms(x2, y2)
     A = np.column_stack([Xw * (-2.0 * scale), x2 * scale, np.full(x2.size, float(scale))])
     B = np.column_stack([Yc, np.ones(y2.size), y2])
-    clamp = np.maximum if scale > 0 else np.minimum
-    block = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // max(1, B.shape[0]))
-    for lo in range(0, A.shape[0], block):
-        hi = min(lo + block, A.shape[0])
-        D = np.matmul(A[lo:hi], B[lo if sym else 0:].T, out=None if out is None else out[lo:hi])
-        clamp(D, 0.0, out=D)
-        yield lo, hi, D
+    return A, B, np.maximum if scale > 0 else np.minimum
+
+
+def _sq_dist_tile(ops, rows, cols, out=None):
+    """scale * D for the rows `rows` of X against the rows `cols` of Y (two
+    slices) from _sq_dist_operands' ops, clamped in place at 0 against
+    rounding; written to, and returned as, out if given."""
+    A, B, clamp = ops
+    D = np.matmul(A[rows], B[cols].T, out=out)
+    clamp(D, 0.0, out=D)
+    return D
+
+
+def _stripe(k):
+    """The stripe (0 or 1) of row strip or tile row k: 0, 1, 1, 0, 0, 1, 1, 0, ...
+
+    Tile row k of n holds n - k tiles, so plain alternation would give
+    stripe 0 about n / 2 tiles more; in each run of four rows from a
+    multiple of four, both stripes get the same number of tiles.
+    """
+    return (k ^ (k >> 1)) & 1
+
+
+def _sq_dist_blocks(ops, out=None, stripe=None):
+    """Yield (lo, hi, D): rows lo:hi of X against every row of Y (cross pairs).
+
+    D is _sq_dist_tile's block for those rows. Rows go in strips of at most
+    _BLOCK_ELEMS entries, but at least _BLOCK_MIN_ROWS rows; with stripe (0
+    or 1), only the strips k with _stripe(k) == stripe. With out (shape
+    n_X x n_Y), each strip is written to, and yielded as, out[lo:hi];
+    without it, every strip is written to one buffer, which the next strip
+    overwrites, so a caller is done with (or copies) each strip before it
+    asks for the next (see _self_tiles).
+
+    Strips are cache-sized because every caller passes over a strip
+    several times (exp and sums in the KDE and MMD), and each pass over a
+    block larger than the cache streams it through main memory; the cross
+    KDE's row-max shift needs whole rows. The row partition matters for the
+    last bit: BLAS may round a product row differently in blocks of
+    different heights (a 1-row block runs as a matrix-vector product).
+    """
+    A, B, _ = ops
+    n, m = A.shape[0], B.shape[0]
+    block = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // max(1, m))
+    buf = np.empty(min(block, n) * m) if out is None else None
+    for k, lo in enumerate(range(0, n, block)):
+        if stripe is None or _stripe(k) == stripe:
+            hi = min(lo + block, n)
+            dest = out[lo:hi] if buf is None else buf[:(hi - lo) * m].reshape(hi - lo, m)
+            yield lo, hi, _sq_dist_tile(ops, slice(lo, hi), slice(None), dest)
+
+
+def _self_tiles(ops, stripe=None):
+    """Yield (rows, cols, D) over the upper square tiles of X's own pairs.
+
+    ops are _sq_dist_operands(X, None, ...). rows and cols are slices of at
+    most _TILE rows of X, and D is _sq_dist_tile's block for them. Tile row
+    k holds the rows from k _TILE, against the columns from its own first
+    row to the end; a caller counts each pair i < j once from the tile
+    above the diagonal that holds it, and a diagonal tile (cols == rows)
+    holds both orders of its own pairs. The order is fixed: tile rows
+    ascending, and within one, columns ascending; with stripe (0 or 1),
+    only the tile rows k with _stripe(k) == stripe.
+
+    The one walk over X's own pairs: the self-KDE, MMD's within-sample terms
+    and the median heuristic. Square tiles stay in cache through every pass
+    a caller makes over them, where a full-width row strip of a large X
+    does not. Every tile is written to one buffer, which the next tile
+    overwrites, so a caller is done with (or copies) each tile before it
+    asks for the next: a fresh array for each tile cost a third of the
+    products' time at 6k rows (41 against 28 ms, one BLAS thread, 2-core
+    VM), most of it in page faults on the new memory.
+    """
+    n = ops[0].shape[0]
+    buf = np.empty(min(_TILE, n) ** 2)
+    for k, lo in enumerate(range(0, n, _TILE)):
+        if stripe is None or _stripe(k) == stripe:
+            rows = slice(lo, min(lo + _TILE, n))
+            for c in range(lo, n, _TILE):
+                cols = slice(c, min(c + _TILE, n))
+                h, w = rows.stop - rows.start, cols.stop - cols.start
+                yield rows, cols, _sq_dist_tile(ops, rows, cols, buf[:h * w].reshape(h, w))
+
+
+def _floored_exp(K):
+    """exp(K) in place for a 2-d block K, below _EXP_FLOOR as if at it; returns K.
+
+    The one clamp-and-exp of the distance kernels (the dense KDE and MMD).
+    A floored entry becomes exp(_EXP_FLOOR) < 1e-304 instead of a smaller
+    value or 0; every result that it enters also holds a term of at least
+    e^-600 (a self term 1, a cross row's largest term, or in MMD the
+    diagonal of a within-sample mean), against which fewer than e^100 of
+    either round away, so the floor moves no result's bits and decides only
+    speed. The floor pass costs about 0.5 ns an element and an entry left
+    below it about 130 ns, so K is floored only when one of the entries on
+    a fixed grid of about _FLOOR_PROBE x _FLOOR_PROBE of its positions lies
+    below the floor: a block made mostly of far pairs (a tail query's row)
+    is floored, and one with a few far entries leaves those few to exp's
+    slow path.
+    """
+    probe = K[::max(1, K.shape[0] // _FLOOR_PROBE), ::max(1, K.shape[1] // _FLOOR_PROBE)]
+    if probe.min(initial=0.0) < _EXP_FLOOR:
+        np.maximum(K, _EXP_FLOOR, out=K)
+    return np.exp(K, out=K)
 
 
 def _centred(M, shift, w=None):
@@ -279,24 +385,29 @@ def _pair_sample(Z):
     seeded pairs i != j (uniform over pairs): distances at d = 1, else squared."""
     i, j = _pivot_pairs(Z.shape[0], Z.shape[0] - 1)
     j += j >= i
-    if Z.shape[1] == 1:  # native indices: numpy gathers through int32 ones 4x slower
-        z = Z[:, 0]
-        return np.abs(z[i.astype(np.intp)] - z[j.astype(np.intp)])
-    diff = Z[i] - Z[j]
+    # np.take, not Z[i]: numpy's fancy indexing gathers through int32
+    # indices 1.5-2x slower (3.2k x 5, 2-core VM); the difference is taken
+    # in place, one fresh 2.6 MB array fewer
+    diff = np.take(Z, i, axis=0)
+    diff -= np.take(Z, j, axis=0)
+    if Z.shape[1] == 1:
+        return np.abs(diff[:, 0])
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _upper_distances(Z):
-    """One pass over the squared distances i < j of Z, as parts of its upper blocks."""
+def _upper_distances(ops):
+    """One pass over the squared distances i < j of X, from _self_tiles(ops)."""
     triangles = {}
-    for lo, hi, d2 in _sq_dist_blocks(Z):
-        k = hi - lo
+    for rows, cols, d2 in _self_tiles(ops):
+        if cols != rows:
+            yield d2
+            continue
+        # a diagonal tile holds both orders of its own pairs: only its
+        # strict upper triangle counts, gathered by flat index
+        k = d2.shape[0]
         if k not in triangles:
-            triangles[k] = np.triu_indices(k, 1)
-        # the upper block's columns lo:hi hold its own rows' pairs, of which
-        # only the strict upper triangle counts; columns hi: all count
-        yield d2[:, k:]
-        yield d2[:, :k][triangles[k]]
+            triangles[k] = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool), 1))
+        yield np.take(d2, triangles[k])
 
 
 def _sorted_pass(z, a, b):
@@ -344,18 +455,20 @@ def _sorted_pass(z, a, b):
 def _median_pairwise_distance(Z):
     """Median over all unordered pairs i < j of ||Z_i - Z_j||, exactly as np.median.
 
-    Above d = 1, _exact_median counts the squared distances in the upper
-    blocks of _sq_dist_blocks(Z), the values the whole list would hold;
-    sqrt is monotone, so the result is np.median's bit for bit. Memory is
-    one distance block plus the selection's: 10 MiB at 6k rows, 23 MiB at
-    10k rows with a forced second pass (tracemalloc peaks).
+    Above d = 1, _exact_median counts the squared distances i < j in the
+    upper tiles of _self_tiles (_upper_distances), the values the whole list
+    would hold; sqrt is monotone, so the result is np.median's bit for bit.
+    The operands are prepared once for every pass. Memory is one tile plus
+    the selection's: 6.0 MiB at 6k rows, 7.5 MiB at 10k rows with
+    _MEDIAN_CAP lowered to 2^18, which forces a second pass (tracemalloc
+    peaks).
 
     At d = 1 each pass counts from the sorted sample (_sorted_pass): 4.4-5
     ms at 3k Student-t(3) rows, against 21-24 ms for the block sweep (2-core
     VM, best and median of 40 calls). It is bit-identical to np.median of
-    the |Z_i - Z_j|, which can differ from the blocks' sqrt of an expanded
+    the |Z_i - Z_j|, which can differ from the tiles' sqrt of an expanded
     square in the last bit. Both paths gate on the centred squared norms
-    that _sq_dist_blocks(Z) checks, so they raise NonFiniteValue on the same
+    that _sq_dist_operands(Z) checks, so they raise NonFiniteValue on the same
     samples.
     """
     n = Z.shape[0]
@@ -369,7 +482,8 @@ def _median_pairwise_distance(Z):
         z = np.sort(Z[:, 0])
         middle = _exact_median(lambda a, b: _sorted_pass(z, a, b), total, sample)
         return float(np.mean(middle))
-    middle = _exact_median(lambda a, b: _bracket_pass(_upper_distances(Z), a, b), total, sample)
+    ops = _sq_dist_operands(Z)
+    middle = _exact_median(lambda a, b: _bracket_pass(_upper_distances(ops), a, b), total, sample)
     return float(np.mean(np.sqrt(middle)))
 
 

@@ -16,7 +16,15 @@ import math
 
 import numpy as np
 
-from .core import ResponseMatrix, _finite_values, _positive_real, _sq_dist_blocks
+from .core import (
+    ResponseMatrix,
+    _finite_values,
+    _floored_exp,
+    _positive_real,
+    _self_tiles,
+    _sq_dist_blocks,
+    _sq_dist_operands,
+)
 from .errors import DimensionMismatch, NonPositiveBandwidth
 from .parallel import run_pair
 
@@ -41,6 +49,12 @@ _FGT_MIN_PAIRS = 250_000
 # see _fgt_gauss_sums_1d
 _FGT_ORDER = 24
 _FGT_REACH = 11
+
+# a dense cross strip whose every row holds a kernel term of at least
+# exp(_NEAR_LOG_TERM), a normal double e^100 times exp(core._EXP_FLOOR),
+# is summed without the row-max shift, which took a fifth of the desk
+# human density (28.2 against 22.7 ms, 6000 x 1600, one BLAS thread)
+_NEAR_LOG_TERM = -600.0
 
 # linear-space kernel sums below this are recomputed densely in log space:
 # transform error is absolute (a few ulp of the nearby kernel mass, about
@@ -222,37 +236,133 @@ def _fgt_gauss_sums_1d(sources, queries, h):
 def _dense_kernel_lse(S, Q, bandwidth):
     """log sum_i exp(-||q - s_i||^2 / (2 h^2)) per query row (no normalizer).
 
-    The distance blocks (core._sq_dist_blocks) come already scaled by
-    -1 / (2 h^2), so each needs only an exp and sums in its own buffer.
+    Both stripes of _dense_stripes, run in order on the calling thread.
+    """
+    work, finish = _dense_stripes(S, Q, bandwidth)
+    return finish(work(0), work(1))
+
+
+def _dense_stripes(S, Q, bandwidth):
+    """(work, finish) for _dense_kernel_lse(S, Q, bandwidth) in two stripes.
+
+    work(s) does stripe s's share (s = 0, 1) and returns its accumulator;
+    finish(first, second) takes stripe 0's and stripe 1's and returns the
+    log sums. The stripes write only their own sums or their own rows of a
+    shared output, so they may run on two threads; each one's work is
+    fixed, so the bits do not depend on whether they do. The operands are
+    prepared (and their overflow gate checked) here, on the calling thread.
+    The distance blocks come already scaled by -1 / (2 h^2), so each needs
+    only a clamp-and-exp in place (core._floored_exp) and sums.
 
     At a self-query (Q is S, the pipeline's persona density whenever the fit
-    is not subsampled) only the upper blocks are computed: each block's row
-    sums serve its own rows, and the column sums of its off-diagonal part
-    serve the later rows, so every pair's kernel value is computed once. The
-    sums stay in linear space with no shift, because each row holds its own
-    self term exp(0) = 1 and cannot underflow.
+    is not subsampled) the pairs are walked in core._self_tiles' square
+    upper tiles, and stripe s takes the tile rows that core assigns it. A
+    tile's row sums serve its own rows and, above the diagonal, its column
+    sums serve its columns' rows, so every pair's kernel value is computed
+    once. Each stripe sums into its own vector, and finish adds the two in
+    stripe order. The sums stay in linear space with no shift, because each
+    row holds its own self term exp(0) = 1 and cannot underflow.
 
-    Otherwise each block is shifted in place by its row maximum before the
-    exp, so the nearest source contributes exactly 1 and a row can never
-    underflow to -inf; the shift is added back after the log. That is
-    logsumexp's guarantee without scipy's temporaries; log_density keeps
-    scipy's logsumexp as the independent oracle.
+    Otherwise stripe s takes the row strips of the queries that
+    core._sq_dist_blocks assigns it, and each stripe writes its own rows of
+    one output. A strip with a row whose nearest source lies far (largest
+    term below exp(_NEAR_LOG_TERM)) is shifted in place by its row maxima
+    before the exp, so the nearest source contributes exactly 1 and a row
+    can never underflow to -inf; the shift is added back after the log.
+    Every other strip is summed as it is: each row's largest term is then a
+    normal double that the floored terms cannot move. That is logsumexp's
+    guarantee without scipy's temporaries; log_density keeps scipy's
+    logsumexp as the independent oracle.
     """
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
+    # row and column sums are products with a vector of ones: one
+    # matrix-vector product reads a 256 x 256 tile in about half the time
+    # of numpy's sum along either axis
+    ones = np.ones(S.shape[0])
     if Q is S:
-        sums = np.zeros(S.shape[0])
-        for lo, hi, k in _sq_dist_blocks(S, scale=scale):
-            np.exp(k, out=k)
-            sums[lo:hi] += k.sum(axis=1)
-            sums[hi:] += k[:, hi - lo:].sum(axis=0)
-        return np.log(sums)
+        ops = _sq_dist_operands(S, scale=scale)
+
+        def work(stripe):
+            sums = np.zeros(S.shape[0])
+            for rows, cols, k in _self_tiles(ops, stripe):
+                _floored_exp(k)
+                sums[rows] += k @ ones[cols]
+                if cols != rows:
+                    sums[cols] += ones[rows] @ k
+            return sums
+
+        return work, lambda first, second: np.log(first + second)
+
+    ops = _sq_dist_operands(Q, S, scale=scale)
     out = np.empty(Q.shape[0])
-    for lo, hi, k in _sq_dist_blocks(Q, S, scale=scale):
-        kmax = k.max(axis=1)
-        k -= kmax[:, None]
-        np.exp(k, out=k)
-        out[lo:hi] = np.log(k.sum(axis=1)) + kmax
+
+    def work(stripe):
+        for lo, hi, k in _sq_dist_blocks(ops, stripe=stripe):
+            kmax = k.max(axis=1)
+            if kmax.min() < _NEAR_LOG_TERM:
+                k -= kmax[:, None]
+            else:
+                kmax[:] = 0.0
+            _floored_exp(k)
+            out[lo:hi] = np.log(k @ ones) + kmax
+
+    return work, lambda first, second: out
+
+
+def _uses_fgt(S, Q, bandwidth):
+    """Whether a d=1 evaluation of Q against S takes the fast Gauss transform."""
+    if S.shape[1] != 1 or S.shape[0] * Q.shape[0] < _FGT_MIN_PAIRS:
+        return False
+    span = max(S[:, 0].max(), Q[:, 0].max()) - min(S[:, 0].min(), Q[:, 0].min())
+    return span / bandwidth < 200_000
+
+
+def _fgt_kernel_lse(S, Q, bandwidth, include_query):
+    """_dense_kernel_lse's values through the fast Gauss transform, d=1.
+
+    Queries whose linear kernel sum is small enough that transform error
+    could matter are recomputed densely; under include_query the query's
+    own term 1 swamps that error, so only a sum that it took below zero is.
+    """
+    sums = _fgt_gauss_sums_1d(S[:, 0], Q[:, 0], bandwidth)
+    small = np.flatnonzero(sums < (0.0 if include_query else _FGT_SAFE_SUM))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(sums)
+    if small.size:
+        out[small] = _dense_kernel_lse(S, Q[small], bandwidth)
     return out
+
+
+def _density_stripes(model, X, include_query=False, home=0):
+    """(work, finish) for log_density_many(model, X, include_query) in two stripes.
+
+    As _dense_stripes: work(s) is stripe s's share, and finish(first,
+    second) gives the log densities. The query gate and the operands'
+    preparation run here. The fast Gauss transform is not split: stripe
+    `home` runs all of it, and the other stripe does nothing.
+    """
+    Q = _queries(model, X, ndim=2)
+    S = model.samples.values
+    h = model.bandwidth
+    if _uses_fgt(S, Q, h):
+        def work(stripe):
+            return _fgt_kernel_lse(S, Q, h, include_query) if stripe == home else None
+
+        def lse(first, second):
+            return (first, second)[home]
+    else:
+        work, lse = _dense_stripes(S, Q, h)
+
+    def finish(first, second):
+        out = lse(first, second)
+        if include_query:
+            np.logaddexp(out, 0.0, out=out)
+            out -= model.log_norm_const + math.log((S.shape[0] + 1) / S.shape[0])
+        else:
+            out -= model.log_norm_const
+        return out
+
+    return work, finish
 
 
 def log_density_many(model, X, include_query=False):
@@ -268,29 +378,8 @@ def log_density_many(model, X, include_query=False):
     missed otherwise gets an arbitrarily small density and an arbitrarily
     large importance ratio.
     """
-    Q = _queries(model, X, ndim=2)
-    S = model.samples.values
-    out = None
-    if model.d == 1 and S.shape[0] * Q.shape[0] >= _FGT_MIN_PAIRS:
-        span = max(S[:, 0].max(), Q[:, 0].max()) - min(S[:, 0].min(), Q[:, 0].min())
-        if span / model.bandwidth < 200_000:
-            sums = _fgt_gauss_sums_1d(S[:, 0], Q[:, 0], model.bandwidth)
-            # small sums go dense; under include_query the query's own term 1
-            # swamps the transform's error, so only a sum that error took
-            # below zero does
-            small = np.flatnonzero(sums < (0.0 if include_query else _FGT_SAFE_SUM))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.log(sums)
-            if small.size:
-                out[small] = _dense_kernel_lse(S, Q[small], model.bandwidth)
-    if out is None:
-        out = _dense_kernel_lse(S, Q, model.bandwidth)
-    if include_query:
-        np.logaddexp(out, 0.0, out=out)
-        out -= model.log_norm_const + math.log((S.shape[0] + 1) / S.shape[0])
-    else:
-        out -= model.log_norm_const
-    return out
+    work, finish = _density_stripes(model, X, include_query)
+    return finish(work(0), work(1))
 
 
 def importance_log_ratios(human_model, persona_model, X, query_in_source=False):
@@ -298,20 +387,26 @@ def importance_log_ratios(human_model, persona_model, X, query_in_source=False):
 
     query_in_source=True evaluates the persona (source) model with
     include_query, for the case where it was fit on a subsample of the very
-    pool X ranges over. The two densities are independent and run as one
-    pair (parallel.run_pair), which pins numpy's process-wide OpenBLAS
-    thread count to one while it runs: BLAS calls on other threads run
-    single-threaded meanwhile, and a count they set is undone afterwards.
+    pool X ranges over. Both densities are cut into the same two stripes
+    (_density_stripes), and one pair (parallel.run_pair) runs stripe 0 of
+    the human then the persona density beside stripe 1 of each; at d=1 the
+    two fast Gauss transforms run side by side. The stripes' work is fixed,
+    so the bits do not depend on whether the pair runs on one thread or
+    two. run_pair pins numpy's process-wide OpenBLAS thread count to one
+    while it runs: BLAS calls on other threads run single-threaded
+    meanwhile, and a count they set is undone afterwards.
     """
     if human_model.d != persona_model.d:
         raise DimensionMismatch(
             f"model dimensions differ: {human_model.d} vs {persona_model.d}"
         )
-    human, persona = run_pair(
-        lambda: log_density_many(human_model, X),
-        lambda: log_density_many(persona_model, X, include_query=query_in_source),
+    human_work, human = _density_stripes(human_model, X, home=0)
+    persona_work, persona = _density_stripes(persona_model, X, query_in_source, home=1)
+    first, second = run_pair(
+        lambda: (human_work(0), persona_work(0)),
+        lambda: (human_work(1), persona_work(1)),
     )
-    return human - persona
+    return human(first[0], second[0]) - persona(first[1], second[1])
 
 
 def importance_weights(human_model, persona_model, X, query_in_source=False):

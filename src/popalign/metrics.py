@@ -31,9 +31,12 @@ from .core import (
     _BLOCK_ELEMS,
     _count,
     _finite_values,
+    _floored_exp,
     _median_pairwise_distance,
     _positive_real,
+    _self_tiles,
     _sq_dist_blocks,
+    _sq_dist_operands,
 )
 from .errors import (
     ConstantColumn,
@@ -173,15 +176,16 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
 
 def _kernel_mean(A, B, inv_two_sigma_sq):
     # mean over all |A| x |B| pairs of exp(-||a-b||^2 / (2 sigma^2)); for B is
-    # A the upper blocks hold each off-diagonal pair once, so it counts twice
+    # A the tiles above the diagonal hold each of their pairs once, so they
+    # count twice, and a diagonal tile holds both orders of its own
+    scale = -inv_two_sigma_sq
     total = 0.0
-    sym = B is A
-    for lo, hi, k in _sq_dist_blocks(A, None if sym else B, scale=-inv_two_sigma_sq):
-        np.exp(k, out=k)
-        if sym:
-            total += float(k[:, :hi - lo].sum()) + 2.0 * float(k[:, hi - lo:].sum())
-        else:
-            total += float(k.sum())
+    if B is A:
+        for rows, cols, k in _self_tiles(_sq_dist_operands(A, scale=scale)):
+            total += (1.0 if cols == rows else 2.0) * float(_floored_exp(k).sum())
+    else:
+        for _lo, _hi, k in _sq_dist_blocks(_sq_dist_operands(A, B, scale=scale)):
+            total += float(_floored_exp(k).sum())
     return total / (A.shape[0] * B.shape[0])
 
 
@@ -190,7 +194,7 @@ def _mmd_bandwidth(A, B, kernel_bandwidth):
     if kernel_bandwidth is None:
         try:
             sigma = _median_pairwise_distance(np.concatenate([A, B], axis=0))
-        except NonFiniteValue as e:  # the distance blocks' overflow gate
+        except NonFiniteValue as e:  # the distance operands' overflow gate
             raise DegenerateBandwidth(f"no median pairwise distance: {e}") from e
         if sigma <= 0.0:
             raise DegenerateBandwidth(

@@ -54,6 +54,7 @@ from .core import (
     _finite_values,
     _positive_real,
     _sq_dist_blocks,
+    _sq_dist_operands,
 )
 from .errors import (
     DegenerateCostScale,
@@ -127,9 +128,9 @@ def _check_instance(shape):
 def cost_matrix(X_dagger, Y, omega=None):
     """C_ij = sum_k omega_k (x_ik - y_jk)^2.
 
-    omega defaults to all-ones. Each block of the centred quadratic expansion
-    (core._sq_dist_blocks) is written straight into C; tiny negatives from
-    cancellation are clamped to 0.
+    omega defaults to all-ones. Each row strip of the centred quadratic
+    expansion (core._sq_dist_blocks) is written straight into C; tiny
+    negatives from cancellation are clamped to 0.
     """
     X = _finite_values(X_dagger, "candidate sample")
     Yv = _finite_values(Y, "reference sample")
@@ -148,7 +149,7 @@ def cost_matrix(X_dagger, Y, omega=None):
 
     _check_instance((X.shape[0], Yv.shape[0]))
     C = np.empty((X.shape[0], Yv.shape[0]))
-    for _block in _sq_dist_blocks(X, Yv, w, out=C):
+    for _block in _sq_dist_blocks(_sq_dist_operands(X, Yv, w), out=C):
         pass  # each block is its own rows of C
     return CostMatrix(values=C, median_cost=_array_median(C))
 

@@ -1,10 +1,15 @@
 """Two independent computations on the machine's two cores.
 
-The pipeline has two such pairs: the human and persona densities at every
-pool point (kde.importance_log_ratios), and the metric suite for the uniform
-baseline and for the aligned subset (the pipeline's `metrics` stage).
-run_pair runs each pair on min(2, usable CPUs) threads; numpy releases the
-GIL in its products, exp and sorts, so two threads overlap the pair's work.
+The pipeline has two such pairs. kde.importance_log_ratios cuts the human
+and persona densities at every pool point into two fixed stripes (row
+strips of the cross density, tile rows of the self-density, assigned by
+row index; at d=1 one fast Gauss transform each), and runs stripe 0 of
+both beside stripe 1 of both; each stripe keeps its own sums, added in
+stripe order afterwards. The other pair is the metric suite for the
+uniform baseline and for the aligned subset (the pipeline's `metrics`
+stage). run_pair runs each pair on min(2, usable CPUs) threads; numpy
+releases the GIL in its products, exp and sorts, so two threads overlap
+the pair's work.
 
 While a pair runs, numpy's OpenBLAS is pinned to one thread, for one worker
 as for two: two workers that each start two BLAS threads contend for the

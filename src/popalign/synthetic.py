@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .core import PersonaRecord, ResponseMatrix, _count, _real
-from .errors import InvalidConfig, ResponderFailure
+from .core import PersonaRecord, ResponseMatrix, _count, _finite_values, _real
+from .errors import InvalidConfig, NonFiniteValue, ResponderFailure
 from .rng import rng_from_seed
 
 PRESETS = ("shifted-gaussian", "mixture-skew", "heavy-tail")
@@ -91,7 +91,8 @@ class TraitResponder:
     """Deterministic synthetic responder: theta . L_k + bias_k + seeded noise.
 
     Items are identified by their text via `item_texts`; narratives must be
-    trait narratives. `bounds`, when given as (lo, hi), two finite reals with
+    trait narratives. `loadings` (t x d) and `biases` (d) must be finite.
+    `bounds`, when given as (lo, hi), two finite reals with
     lo <= hi, clips responses to the scale; the default leaves them
     unclipped. noise_scale=0 makes the output the exact loading table, which
     the collection tests rely on.
@@ -106,6 +107,11 @@ class TraitResponder:
             raise InvalidConfig(
                 f"biases shape {self.biases.shape} does not match d={self.loadings.shape[1]}"
             )
+        for values, label in ((self.loadings, "loadings"), (self.biases, "biases")):
+            try:
+                _finite_values(values, label, values.ndim)
+            except NonFiniteValue as e:  # a bad table is a configuration error here
+                raise InvalidConfig(str(e)) from e
         self.item_texts = list(item_texts)
         if len(self.item_texts) != self.loadings.shape[1]:
             raise InvalidConfig(

@@ -304,14 +304,16 @@ class TestPersonaRecord:
 
 class TestSquaredDistanceBlocks:
     """One squared-distance kernel serves KDE, transport cost and MMD; a small
-    element cap (and no row floor) forces several row blocks, a ragged last
-    block, and (cap 1) single-row blocks, each checked against an unblocked
+    element cap (and no row floor) forces several row strips, a ragged last
+    strip, and (cap 1) single-row strips, and the tile side shrinks with it
+    (1, 7 and 11 rows against 40), each checked against an unblocked
     oracle."""
 
     @pytest.fixture(params=[1, 7 * 40, 11 * 40])
     def small_cap(self, request, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ELEMS", request.param)
         monkeypatch.setattr(core, "_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr(core, "_TILE", max(1, request.param // 40))
 
     def test_log_density_many_matches_per_row(self, small_cap):
         rng = np.random.default_rng(40)
@@ -336,21 +338,39 @@ class TestSquaredDistanceBlocks:
         assert sigma == pytest.approx(float(np.median(pdist(np.vstack([X, Y])))), rel=1e-12)
 
     def test_symmetric_blocks_match_cross_blocks_on_a_copy(self, small_cap):
-        # without Y the blocks are X's own upper ones; with a copy, full ones
+        # without Y the tiles are X's own upper ones; with a copy, full strips
         rng = np.random.default_rng(43)
         X = rng.normal(loc=50.0, size=(40, 4))
         w = rng.uniform(0.5, 2.0, size=4)
         for weights, scale in ((None, 1.0), (w, -0.7)):
-            blocks = core._sq_dist_blocks(X, X.copy(), weights, scale)
-            full = np.vstack([D for _lo, _hi, D in blocks])
+            blocks = core._sq_dist_blocks(core._sq_dist_operands(X, X.copy(), weights, scale))
+            full = np.vstack([D.copy() for _lo, _hi, D in blocks])
             sym = np.full_like(full, np.nan)
-            for lo, hi, D in core._sq_dist_blocks(X, None, weights, scale):
-                assert D.shape == (hi - lo, 40 - lo)
-                sym[lo:hi, lo:] = D
-            # the blocks cover the upper triangle (and their own diagonal squares)
+            for rows, cols, D in core._self_tiles(core._sq_dist_operands(X, None, weights, scale)):
+                assert D.shape == (rows.stop - rows.start, cols.stop - cols.start)
+                assert max(D.shape) <= core._TILE and cols.start >= rows.start
+                assert np.isnan(sym[rows, cols]).all()  # each tile once
+                sym[rows, cols] = D
+            # the tiles cover the upper triangle (and their own diagonal squares)
             covered = ~np.isnan(sym)
             assert covered[np.triu_indices(40)].all()
             np.testing.assert_allclose(sym[covered], full[covered], rtol=0, atol=1e-12)
+
+    def test_stripes_split_the_walk(self, small_cap):
+        # the two stripes hold every tile row (or row strip) once, each with
+        # the bits of the whole walk (copied: each block reuses one buffer)
+        X = np.random.default_rng(49).normal(size=(40, 3))
+        self_ops, cross_ops = core._sq_dist_operands(X), core._sq_dist_operands(X, X[::2])
+        for walk, ops in ((core._self_tiles, self_ops), (core._sq_dist_blocks, cross_ops)):
+            whole = {(repr(a), repr(b)): D.copy() for a, b, D in walk(ops)}
+            parts = [
+                {(repr(a), repr(b)): D.copy() for a, b, D in walk(ops, stripe=s)} for s in (0, 1)
+            ]
+            assert not parts[0].keys() & parts[1].keys()
+            assert parts[0].keys() | parts[1].keys() == whole.keys()
+            for part in parts:
+                for key, D in part.items():
+                    assert np.array_equal(D, whole[key])
 
     def test_self_query_kde_matches_cross_path(self, small_cap):
         rng = np.random.default_rng(44)
@@ -368,11 +388,83 @@ class TestSquaredDistanceBlocks:
 
     @pytest.mark.parametrize("n_cols", [100, 50_000])
     def test_block_height(self, n_cols):
-        # 1 MB blocks, but never fewer than _BLOCK_MIN_ROWS rows
+        # 1 MB strips, but never fewer than _BLOCK_MIN_ROWS rows
         X, Y = np.zeros((100, 2)), np.zeros((n_cols, 2))
-        heights = {hi - lo for lo, hi, _D in core._sq_dist_blocks(X, Y)}
+        heights = {hi - lo for lo, hi, _D in core._sq_dist_blocks(core._sq_dist_operands(X, Y))}
         want = max(core._BLOCK_MIN_ROWS, core._BLOCK_ELEMS // n_cols)
         assert max(heights) == min(want, 100)
+
+    @pytest.mark.parametrize("n", [core._TILE - 1, core._TILE, core._TILE + 1, 2 * core._TILE + 1])
+    def test_dense_kde_around_the_tile_side(self, n):
+        # the self-query's last tile row is full, ragged or a single row
+        rng = np.random.default_rng(n)
+        model = fit_kde(rng.normal(size=(n, 4)), 0.5)
+        want = np.array([log_density(model, x) for x in model.samples.values])
+        np.testing.assert_allclose(log_density_many(model, model.samples), want,
+                                   rtol=0, atol=1e-12)
+
+
+class TestFlooredExp:
+    """core._floored_exp: arguments below _EXP_FLOOR take exp's fast path,
+    and every sum they enter keeps its bits."""
+
+    @staticmethod
+    def _unfloored(monkeypatch):
+        monkeypatch.setattr(core, "_EXP_FLOOR", -np.inf)
+
+    def test_floors_then_exponentiates_in_place(self):
+        K = np.array([[0.0, -1.0, -699.0, -708.0, -750.0, -1e300]])
+        out = core._floored_exp(K)
+        assert out is K
+        floor = np.exp(core._EXP_FLOOR)
+        assert 0.0 < floor < 1e-304
+        np.testing.assert_array_equal(
+            K, [[1.0, np.exp(-1.0), np.exp(-699.0), floor, floor, floor]]
+        )
+
+    def test_the_probe_grid_decides(self):
+        # a far entry off the probe grid is left to exp (which gives 0 at
+        # -750); one on the grid floors the whole block
+        off, on = np.full((32, 32), -1.0), np.full((32, 32), -1.0)
+        off[1, 1] = on[1, 1] = -750.0
+        on[0, 0] = -750.0
+        core._floored_exp(off)
+        core._floored_exp(on)
+        assert off[1, 1] == 0.0
+        assert on[0, 0] == on[1, 1] == np.exp(core._EXP_FLOOR)
+        assert off[0, 0] == on[2, 2] == np.exp(-1.0)
+
+    def test_far_queries_keep_their_bits(self, monkeypatch):
+        # most kernel terms of these rows lie below the floor
+        rng = np.random.default_rng(50)
+        model = fit_kde(rng.normal(size=(300, 2)), 0.05)
+        X = np.vstack([rng.normal(size=(100, 2)), rng.normal(size=(20, 2)) * 30.0])
+        floored = log_density_many(model, X)
+        self_floored = log_density_many(model, model.samples)
+        self._unfloored(monkeypatch)
+        assert np.array_equal(floored, log_density_many(model, X))
+        assert np.array_equal(self_floored, log_density_many(model, model.samples))
+
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_heavy_tails_keep_their_bits(self, seed, monkeypatch):
+        # Student-t(1) samples: the d=1 transform's dense tail fallback, a
+        # dense self-query and MMD at a tight bandwidth all meet arguments
+        # far below the floor
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_t(1, size=(2000, 1))
+        ref = rng.standard_t(1, size=(600, 1))
+        human, persona = fit_kde(ref, 0.05), fit_kde(pool[:400], 0.05)
+        runs = []
+        for _ in range(2):
+            runs.append((
+                log_density_many(human, pool),
+                log_density_many(persona, persona.samples),
+                metrics.mmd(pool[:500], ref, kernel_bandwidth=0.02),
+            ))
+            self._unfloored(monkeypatch)
+        (h0, p0, m0), (h1, p1, m1) = runs
+        assert np.array_equal(h0, h1) and np.array_equal(p0, p1)
+        assert m0 == m1
 
 
 OFFSETS = [0.0, 50.0, 1e3]

@@ -110,6 +110,18 @@ class TestLogDensity:
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("rows", ["near", "far", "mixed"])
+    def test_strips_with_and_without_the_shift_match_per_row(self, rows):
+        # a strip is shifted by its row maxima only when one of its rows has
+        # its nearest source far (largest term below exp(_NEAR_LOG_TERM));
+        # h = 0.1 puts that at a distance of about 3.5
+        rng = np.random.default_rng(6)
+        model = fit_kde(rng.normal(size=(200, 3)), 0.1)
+        near, far = rng.normal(size=(30, 3)), 4.0 + rng.normal(size=(30, 3))
+        X = {"near": near, "far": far, "mixed": np.vstack([near, far])}[rows]
+        want = np.array([log_density(model, x) for x in X])
+        np.testing.assert_allclose(log_density_many(model, X), want, rtol=0, atol=1e-11)
+
     def test_dimension_mismatch(self):
         model = fit_kde(np.zeros((2, 3)), 1.0)
         with pytest.raises(DimensionMismatch):

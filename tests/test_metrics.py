@@ -70,9 +70,8 @@ def full_list_median(Z):
     """Oracle: np.median over the whole list of pairwise distances.
 
     At d = 1 they are the |z_i - z_j|, i < j. Above it they are the sqrt of
-    the upper-triangle block distances: the upper block of rows lo:hi holds
-    columns lo:, so its pair (i, j) is strictly upper when j > i in block
-    coordinates.
+    the squared distances in the sample's own upper tiles: a tile's pair
+    (i, j) counts when i < j in the sample's row numbers.
     """
     if Z.shape[1] == 1:
         i, j = np.triu_indices(Z.shape[0], 1)
@@ -81,12 +80,13 @@ def full_list_median(Z):
 
 
 def block_list_median(Z):
-    """np.median of the sqrt of every upper-triangle block distance, at any d."""
-    upper = np.concatenate([
-        d2[np.arange(hi - lo)[:, None] < np.arange(d2.shape[1])[None, :]]
-        for lo, hi, d2 in core._sq_dist_blocks(Z)
-    ])
-    return float(np.median(np.sqrt(upper)))
+    """np.median of the sqrt of every squared distance i < j in the sample's own
+    tiles (the values the selection reads), at any d."""
+    upper = [
+        d2[np.arange(rows.start, rows.stop)[:, None] < np.arange(cols.start, cols.stop)[None, :]]
+        for rows, cols, d2 in core._self_tiles(core._sq_dist_operands(Z))
+    ]
+    return float(np.median(np.sqrt(np.concatenate(upper))))
 
 
 class TestWasserstein1d:
@@ -644,6 +644,7 @@ class TestMedianHeuristic:
     def test_equals_full_list_median_at_small_blocks(self, name, block_elems, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
         monkeypatch.setattr(core, "_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr(core, "_TILE", max(1, block_elems // 40))
         Z = MEDIAN_INPUTS[name]
         assert core._median_pairwise_distance(Z) == full_list_median(Z)
 
@@ -732,18 +733,18 @@ class TestMedianHeuristic:
 
     @staticmethod
     def _count_passes(monkeypatch):
-        # a pass is a sweep over the distance blocks, or at d = 1 one sorted pass
+        # a pass is a walk over the sample's own tiles, or at d = 1 one sorted pass
         passes = []
 
-        def counting(X, Y=None, w=None, scale=1.0, out=None):
-            passes.append(X.shape)
-            return blocks(X, Y, w, scale, out)
+        def counting(ops, stripe=None):
+            passes.append(ops[0].shape)
+            return tiles(ops, stripe)
 
         def counting_sorted(z, a, b):
             passes.append(z.shape)
             return sorted_pass(z, a, b)
 
-        blocks, sorted_pass = core._sq_dist_blocks, core._sorted_pass
-        monkeypatch.setattr(core, "_sq_dist_blocks", counting)
+        tiles, sorted_pass = core._self_tiles, core._sorted_pass
+        monkeypatch.setattr(core, "_self_tiles", counting)
         monkeypatch.setattr(core, "_sorted_pass", counting_sorted)
         return passes

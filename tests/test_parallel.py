@@ -1,9 +1,10 @@
 """parallel.run_pair: two thunks on two threads, with numpy's BLAS pinned.
 
-The pipeline's two pairs (the human and persona densities, the two metric
-reports) run through run_pair; the report must not depend on the worker
-count, errors must surface as in a serial run, and the BLAS thread count
-must be back where it was after every pair, raising or not.
+The pipeline's two pairs (the two stripes of the human and persona
+densities, the two metric reports) run through run_pair; the results must
+not depend on the worker count, errors must surface as in a serial run, and
+the BLAS thread count must be back where it was after every pair, raising
+or not.
 """
 
 import subprocess
@@ -14,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popalign import AlignmentConfig, PersonaRecord, parallel, pipeline, run_alignment
+from popalign import AlignmentConfig, PersonaRecord, core, parallel, pipeline, run_alignment
 from popalign.errors import DegenerateBandwidth, EmptyInput
 from popalign.kde import fit_kde, importance_log_ratios, log_density_many
+from popalign.metrics import metric_report
 from popalign.pipeline import report_json
 from popalign.synthetic import sample_population
 
@@ -233,3 +235,52 @@ class TestPipelinePairs:
         # the pair runs with BLAS pinned to one thread, which may round a
         # distance block's product differently from the plain calls here
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_stripes_give_the_same_bits_with_one_worker_or_two(self, monkeypatch):
+        # dense self tiles (persona fit on X), dense cross strips (a subsample
+        # fit, include_query) and, at d=1, two fast Gauss transforms side by
+        # side; and a pair of metric reports
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(3 * core._TILE + 5, 3))
+        ref = rng.normal(size=(400, 3)) + 0.3
+        human, persona, sub = fit_kde(ref, 0.4), fit_kde(X, 0.4), fit_kde(X[::3], 0.4)
+        x1 = rng.standard_t(3, size=(3000, 1))
+        human1, persona1 = fit_kde(ref[:, :1], 0.2), fit_kde(x1, 0.2)
+        runs = []
+        for n_workers in (1, 2):
+            monkeypatch.setattr(parallel, "_workers", lambda n_workers=n_workers: n_workers)
+            reports = parallel.run_pair(
+                lambda: metric_report(X[:500], ref, seed=1),
+                lambda: metric_report(X[500:], ref, seed=2),
+            )
+            runs.append((
+                importance_log_ratios(human, persona, persona.samples),
+                importance_log_ratios(human, sub, X, query_in_source=True),
+                importance_log_ratios(human1, persona1, persona1.samples),
+                [r.to_record() for r in reports],
+            ))
+        for one, two in zip(*runs[:2]):
+            if isinstance(one, list):
+                assert one == two
+            else:
+                assert np.array_equal(one, two)
+
+    @needs_blas
+    @pytest.mark.parametrize("stripe", [0, 1])
+    def test_blas_restored_after_a_tile_raises(self, workers, stripe, monkeypatch):
+        # the persona self-density's first tile row of one stripe fails
+        before = parallel.blas_threads()
+        tile = core._sq_dist_tile
+
+        def failing(ops, rows, cols, out=None):
+            if cols.stop is not None and rows.start == stripe * core._TILE:
+                raise EmptyInput(f"tile row of stripe {stripe}")
+            return tile(ops, rows, cols, out)
+
+        monkeypatch.setattr(core, "_sq_dist_tile", failing)
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(3 * core._TILE, 3))
+        human, persona = fit_kde(rng.normal(size=(300, 3)), 0.4), fit_kde(X, 0.4)
+        with pytest.raises(EmptyInput, match=f"stripe {stripe}"):
+            importance_log_ratios(human, persona, persona.samples)
+        assert parallel.blas_threads() == before

@@ -141,6 +141,15 @@ class TestTraitResponder:
         with pytest.raises(ResponderFailure):
             r.respond(trait_narrative([1.0, 2.0, 3.0]), "i0", seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["loadings", "biases"])
+    def test_non_finite_table_rejected(self, bad, where):
+        loadings, biases = np.ones((2, 2)), np.zeros(2)
+        (loadings[1] if where == "loadings" else biases)[1] = bad
+        at = "row 1, column 1" if where == "loadings" else "column 1"
+        with pytest.raises(InvalidConfig, match=f"non-finite value in the {where} at {at}"):
+            TraitResponder(loadings, biases, ["a", "b"])
+
     def test_shape_validation(self):
         with pytest.raises(InvalidConfig):
             TraitResponder(np.zeros((2, 3)), np.zeros(2), ["a", "b", "c"])
