@@ -8,7 +8,8 @@ One squared-distance kernel serves the KDE, the transport cost and MMD:
 `_sq_dist_operands` prepares the centred, augmented operands and
 `_sq_dist_tile` is the product for one (rows, columns) tile. Two drivers
 walk it: `_sq_dist_blocks` in full-width row strips for cross pairs, and
-`_self_tiles` in square upper-triangle tiles for a sample's own pairs.
+`_self_tiles` in square upper-triangle tiles for a sample's own pairs
+(`_sq_dist_fill` writes every strip into one matrix).
 `_floored_exp` is the kernels' one clamp-and-exp.
 
 Two medians are exact selections through `_exact_median`, never a sort of
@@ -66,6 +67,9 @@ _MEDIAN_SAMPLE = 1 << 16
 _MEDIAN_Z = 4.0
 # most values a pass keeps inside its bracket: 8 MiB of float64
 _MEDIAN_CAP = 1 << 20
+# entries of Z that _pair_sample gathers at a time for each side of its
+# pairs: 128 KB of float64, reused for every chunk
+_PAIR_CHUNK = 1 << 14
 
 
 def _sq_dist_operands(X, Y=None, w=None, scale=1.0):
@@ -151,6 +155,17 @@ def _sq_dist_blocks(ops, out=None, stripe=None):
             hi = min(lo + block, n)
             dest = out[lo:hi] if buf is None else buf[:(hi - lo) * m].reshape(hi - lo, m)
             yield lo, hi, _sq_dist_tile(ops, slice(lo, hi), slice(None), dest)
+
+
+def _sq_dist_fill(ops, out):
+    """out (n_X x n_Y), every row strip of _sq_dist_blocks(ops) written into it.
+
+    The strips are the same wherever out lies, so a cost matrix that a
+    solve overwrote is regenerated from its operands bit for bit.
+    """
+    for _block in _sq_dist_blocks(ops, out=out):
+        pass  # each block is its own rows of out
+    return out
 
 
 def _self_tiles(ops, stripe=None):
@@ -382,17 +397,32 @@ def _array_median(C):
 
 def _pair_sample(Z):
     """The values _median_pairwise_distance selects from, for _pivot_pairs'
-    seeded pairs i != j (uniform over pairs): distances at d = 1, else squared."""
+    seeded pairs i != j (uniform over pairs): distances at d = 1, else squared.
+
+    The pairs are gathered and differenced in chunks of _PAIR_CHUNK entries
+    over one reused buffer, each row as the whole gather computes it: two
+    fresh 2.6 MB gathers page-faulted on every call (3.2k x 5: 4.7 ms and
+    about 1250 minor faults a call, against 1.5 ms and none; 2-core VM).
+    np.take, not Z[i]: numpy's fancy indexing gathers through int32 indices
+    1.5-2x slower; the indices are in range, so mode="clip" spares take its
+    buffered copy of out.
+    """
     i, j = _pivot_pairs(Z.shape[0], Z.shape[0] - 1)
     j += j >= i
-    # np.take, not Z[i]: numpy's fancy indexing gathers through int32
-    # indices 1.5-2x slower (3.2k x 5, 2-core VM); the difference is taken
-    # in place, one fresh 2.6 MB array fewer
-    diff = np.take(Z, i, axis=0)
-    diff -= np.take(Z, j, axis=0)
-    if Z.shape[1] == 1:
-        return np.abs(diff[:, 0])
-    return np.einsum("ij,ij->i", diff, diff)
+    d = Z.shape[1]
+    rows = min(i.size, max(1, _PAIR_CHUNK // d))
+    sample = np.empty(i.size, dtype=Z.dtype)
+    buf = np.empty((2, rows, d), dtype=Z.dtype)
+    for lo in range(0, i.size, rows):
+        hi = min(lo + rows, i.size)
+        diff, other = buf[0, :hi - lo], buf[1, :hi - lo]
+        np.take(Z, i[lo:hi], axis=0, out=diff, mode="clip")
+        diff -= np.take(Z, j[lo:hi], axis=0, out=other, mode="clip")
+        if d == 1:
+            np.abs(diff[:, 0], out=sample[lo:hi])
+        else:
+            np.einsum("ij,ij->i", diff, diff, out=sample[lo:hi])
+    return sample
 
 
 def _upper_distances(ops):

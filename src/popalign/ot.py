@@ -28,11 +28,17 @@ checked after every sweep from the products it already holds; on the
 benchmark's heavy-tailed 1-d inputs this halves the sweeps per batch.
 
 batched_ot_weights solves Y's column batches one after another against the
-same rows, so each batch after the first starts where the batch before it
-stopped, if that batch converged (_WarmCost): from its row scaling raised
-to eps_{k-1}/eps_k (the row potential eps log u carries over, and each
-batch has its own eps), with v from one half-sweep, and relaxed by its exit
-omega from the first sweep. A start outside the absorption bounds tilts the
+same rows, in one n x m buffer: each batch's cost is written into it, and
+sinkhorn builds that batch's kernel over it, so no second n x m array exists
+while the sweeps run. Where the solve reads the cost again (an absorption, a
+tilted start, a plan's gamma), it is regenerated from the distance operands
+that cost_matrix kept, by the same row strips, so bit for bit.
+
+Each batch after the first starts where the batch before it stopped, if
+that batch converged (_WarmCost): from its row scaling raised to
+eps_{k-1}/eps_k (the row potential eps log u carries over, and each batch
+has its own eps), with v from one half-sweep, and relaxed by its exit omega
+from the first sweep. A start outside the absorption bounds tilts the
 kernel instead, balanced so that no row or column underflows
 (_c_transforms). Only the starting point changes, so the fixed point does
 not move: each batch still runs until both of its marginal residuals are
@@ -40,9 +46,10 @@ within tol. On the benchmark's tails-1d sets this took the sweeps of five
 input sets from 508 / 488 / 509 to 405 / 333 / 432 (seeds 1 / 2 / 7).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import math
+import mmap
 
 import numpy as np
 
@@ -53,7 +60,7 @@ from .core import (
     _count,
     _finite_values,
     _positive_real,
-    _sq_dist_blocks,
+    _sq_dist_fill,
     _sq_dist_operands,
 )
 from .errors import (
@@ -74,10 +81,11 @@ _ABSORB_LO = 1e-100
 
 _EXACT_GUARD = 10_000
 
-# most bytes one transport instance (a batch, or a direct cost_matrix,
-# gibbs_kernel or sinkhorn call) may hold in its two live n x m float64
-# arrays, the cost and the kernel; criterion 5's largest batch (about
-# 5.6k x 5k) needs 0.45 GB
+# most bytes one transport instance (a direct cost_matrix, gibbs_kernel or
+# sinkhorn call, or a batch) may hold in two live n x m float64 arrays, a
+# caller's cost and its kernel; a batch of batched_ot_weights holds one, its
+# kernel built over its cost, so criterion 5's largest batch (about 5.6k x
+# 5k) needs 0.22 GB
 _OT_BATCH_BYTES = 2 << 30
 
 # over-relaxation: the last plain sweep (of 12, 15, 20, 25 and 30, 20 took
@@ -91,10 +99,17 @@ _RELAX_RATIO_CAP = 0.99
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Nonnegative transport costs with the cached exact median entry."""
+    """Nonnegative transport costs with the cached exact median entry.
+
+    A cost that cost_matrix wrote into a caller's buffer (out) carries the
+    distance operands it came from: it is a batch's scratch, whose values
+    sinkhorn overwrites with the kernel, and _cost_values regenerates C from
+    them wherever it is read again. Every other cost is only read.
+    """
 
     values: np.ndarray
     median_cost: float
+    _operands: tuple = field(default=None, kw_only=True, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -125,12 +140,17 @@ def _check_instance(shape):
         )
 
 
-def cost_matrix(X_dagger, Y, omega=None):
+def cost_matrix(X_dagger, Y, omega=None, out=None):
     """C_ij = sum_k omega_k (x_ik - y_jk)^2.
 
     omega defaults to all-ones. Each row strip of the centred quadratic
-    expansion (core._sq_dist_blocks) is written straight into C; tiny
+    expansion (core._sq_dist_fill) is written straight into C; tiny
     negatives from cancellation are clamped to 0.
+
+    With out (a C-contiguous n x m float64 array), C is written into out and
+    the cost is a solve's scratch (batched_ot_weights' one buffer): it keeps
+    its distance operands, sinkhorn builds its kernel over out, and C is
+    regenerated from the operands wherever it is read again.
     """
     X = _finite_values(X_dagger, "candidate sample")
     Yv = _finite_values(Y, "reference sample")
@@ -148,10 +168,38 @@ def cost_matrix(X_dagger, Y, omega=None):
         w = omega.weights
 
     _check_instance((X.shape[0], Yv.shape[0]))
-    C = np.empty((X.shape[0], Yv.shape[0]))
-    for _block in _sq_dist_blocks(_sq_dist_operands(X, Yv, w), out=C):
-        pass  # each block is its own rows of C
-    return CostMatrix(values=C, median_cost=_array_median(C))
+    ops = _sq_dist_operands(X, Yv, w)
+    C = _sq_dist_fill(ops, np.empty((X.shape[0], Yv.shape[0])) if out is None else out)
+    return CostMatrix(C, _array_median(C), _operands=None if out is None else ops)
+
+
+def _cost_values(C, out=None):
+    """The values of CostMatrix C: C.values itself, or for a scratch cost
+    (one that keeps its _operands, whose values a solve overwrites) C written
+    again into out (a fresh array if None) by cost_matrix's row strips, so
+    bit for bit."""
+    if C._operands is None:
+        return C.values
+    return _sq_dist_fill(C._operands, np.empty(C.shape) if out is None else out)
+
+
+def _scratch(size):
+    """A float64 buffer of `size` entries in an anonymous mapping of its own.
+
+    Its pages go back to the system when its last view goes, whatever
+    malloc has made of the heap. From np.empty, a buffer under malloc's
+    raised mmap threshold (32 MiB at most) came from the heap, and a later
+    call's buffer could miss a freed one that smaller allocations had split
+    and left resident: four of fifteen 25 s runs of the benchmark's
+    tails-1d then read 211-212 MB peak RSS, the others 181-183 MB, and 22
+    runs with the mapping all read 182-184 MB (2-core VM).
+    """
+    if size == 0 or not hasattr(mmap, "MAP_PRIVATE"):  # no POSIX mmap
+        return np.empty(size)
+    mapping = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)  # as numpy advises its large arrays
+    return np.frombuffer(mapping, dtype=np.float64)
 
 
 def _as_cost(C):
@@ -168,8 +216,9 @@ def _as_cost(C):
 
 
 def _tilted_kernel(C, eps, f=None, g=None, out=None):
-    """exp(-C/eps + f_i + g_j) (f = g = 0 if omitted) in one n x m buffer, out if given."""
-    out = np.divide(C.values, -eps, out=out)
+    """exp(-C/eps + f_i + g_j) for cost values C (f = g = 0 if omitted) in one
+    n x m buffer, out if given (C itself for a kernel built over its cost)."""
+    out = np.divide(C, -eps, out=out)
     if f is not None:
         out += f[:, None]
         out += g[None, :]
@@ -183,7 +232,10 @@ def gibbs_kernel(C, epsilon):
     below ~exp(-745) round to 0, which sinkhorn() detects when a whole
     row/column dies.
     """
-    return _tilted_kernel(_as_cost(C), _positive_real(epsilon, "epsilon", NonPositiveEpsilon))
+    C = _as_cost(C)
+    eps = _positive_real(epsilon, "epsilon", NonPositiveEpsilon)
+    out = np.empty(C.shape)
+    return _tilted_kernel(_cost_values(C, out), eps, out=out)
 
 
 def _check_marginal(p, size, name):
@@ -199,8 +251,10 @@ class TransportPlan:
 
     row_marginal is u * (Kt v) from the solver's last sweep. The n x m gamma =
     diag(scaling_u) K diag(scaling_v), K = gibbs_kernel(cost, epsilon), is
-    built on first access and cached. The scalings are centered (a constant
-    shifted between log u and log v) to stay well inside double range.
+    built on first access and cached; a batch's cost, whose buffer holds its
+    kernel or a later batch's cost by then, is regenerated for it. The
+    scalings are centered (a constant shifted between log u and log v) to
+    stay well inside double range.
 
     Diagnostics: absorb_count is the number of log-domain absorptions,
     relaxation the over-relaxation factor at exit (1.0 if the solve never
@@ -227,7 +281,8 @@ class TransportPlan:
     def gamma(self):
         with np.errstate(divide="ignore"):
             log_u, log_v = np.log(self.scaling_u), np.log(self.scaling_v)
-        return _tilted_kernel(self.cost, self.epsilon, log_u, log_v)
+        out = np.empty(self.cost.shape)
+        return _tilted_kernel(_cost_values(self.cost, out), self.epsilon, log_u, log_v, out=out)
 
 
 def _relaxation(ratio):
@@ -243,7 +298,10 @@ def _relaxation(ratio):
 def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
     """Solve entropic OT by over-relaxed alternating scalings of one tilted kernel Kt.
 
-    Kt is the only n x m array held; absorptions rebuild it in place.
+    Kt is the only n x m array held; absorptions rebuild it in place. For a
+    batch's scratch cost (cost_matrix's out) Kt is built over the cost itself,
+    and C is regenerated into Kt wherever the solve reads it again: at an
+    absorption and at a tilted start. A caller's cost is never written.
 
     Each sweep sets u <- u_hat (u / u_hat)^(1 - omega) with u_hat = a / (Kt v),
     then v likewise with v_hat = b / (Kt^T u); omega = 1 is plain Sinkhorn.
@@ -290,7 +348,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
 
     f, g = np.zeros(n), np.zeros(m)  # absorbed log row/col potentials
     u, v = np.ones(n), np.ones(m)
-    Kt = _tilted_kernel(C, eps)
+    Kt = _tilted_kernel(C.values, eps, out=None if C._operands is None else C.values)
     warm = isinstance(C, _WarmCost)
     omega = C.omega if warm else 1.0
     # the sweep after which omega is set: a start that relaxes from its first
@@ -305,7 +363,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         with np.errstate(divide="ignore"):
             f = f + np.log(u)
             g = g + np.log(v)
-        _tilted_kernel(C, eps, f, g, out=Kt)
+        _tilted_kernel(_cost_values(C, Kt), eps, f, g, out=Kt)
         u, v = np.ones(n), np.ones(m)
         omega = 1.0
         absorbs += 1
@@ -325,8 +383,8 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         if Ku is not None and (Ku > 0.0).all():
             v = b / Ku  # one half-sweep against the starting u
         else:  # start from the potential, tilted so that no row or column dies
-            f, g = _c_transforms(C, eps, C.log_u, Kt)
-            _tilted_kernel(C, eps, f, g, out=Kt)
+            f, g = _c_transforms(_cost_values(C, Kt), eps, C.log_u, Kt)
+            _tilted_kernel(_cost_values(C, Kt), eps, f, g, out=Kt)
             u = np.ones(n)
     Kv = Kt @ v
     for it in range(1, max_iters + 1):
@@ -388,10 +446,10 @@ def _c_transforms(C, eps, f, out):
     """(f2, g): g the c-transform of the log row potential f, f2 that of g.
 
     Every row and column of exp(-C/eps + f2_i + g_j) then peaks at 1, so
-    none underflows, whatever the spread or offset of f. out (n x m) is
-    scratch.
+    none underflows, whatever the spread or offset of f. C is the cost
+    values, out (n x m) scratch, which may be C itself.
     """
-    M = np.divide(C.values, -eps, out=out)
+    M = np.divide(C, -eps, out=out)
     M += f[:, None]
     g = -M.max(axis=0)
     M += g
@@ -414,12 +472,15 @@ def _raise_on_dead_axis(K, label):
 
 
 def transport_cost(plan, C):
-    """<C, gamma>: the transport cost of the plan under cost matrix C."""
-    vals = _as_cost(C).values
-    if vals.shape != plan.gamma.shape:
-        raise DimensionMismatch(
-            f"cost shape {vals.shape} does not match plan shape {plan.gamma.shape}"
-        )
+    """<C, gamma>: the transport cost of the plan under cost matrix C.
+
+    The shape is checked against the plan's scalings, before gamma is built.
+    """
+    shape = (plan.scaling_u.size, plan.scaling_v.size)
+    if np.shape(C) != shape:
+        raise DimensionMismatch(f"cost shape {np.shape(C)} does not match plan shape {shape}")
+    _check_instance(shape)
+    vals = _cost_values(C) if isinstance(C, CostMatrix) else np.asarray(C, dtype=np.float64)
     return float(np.sum(vals * plan.gamma))
 
 
@@ -461,6 +522,13 @@ def batched_ot_weights(
     proportional to batch sizes, so a single batch reproduces the unbatched
     result exactly and the total still sums to 1.
 
+    The call holds one n x m array: one buffer of n x min(ot_batch_size, m)
+    float64 (_scratch), allocated once, into whose prefix each batch's cost
+    is written (cost_matrix's out) and over which sinkhorn builds that
+    batch's kernel. A buffer for each batch instead left the freed one split
+    by smaller allocations, so each batch mapped new memory (212 MB peak RSS
+    on the benchmark's tails-1d, against 183 MB with one buffer; 2-core VM).
+
     Each batch after the first starts where the batch before it stopped,
     if that batch converged (_WarmCost): from its row scaling u raised to
     eps_{k-1}/eps_k, since the rows and their potential eps log u are the
@@ -483,6 +551,7 @@ def batched_ot_weights(
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
     _check_instance((n, min(bs, m_total)))
+    buf = _scratch(n * min(bs, m_total))
 
     weights = np.zeros(n)
     details = []
@@ -490,8 +559,9 @@ def batched_ot_weights(
     start = None  # (log u, epsilon, relaxation) where the last batch stopped
     for bi, lo in enumerate(range(0, m_total, bs)):
         hi = min(lo + bs, m_total)
+        m_b = hi - lo
         try:
-            C_b = cost_matrix(Xv, Yv[lo:hi], config.item_weights)
+            C_b = cost_matrix(Xv, Yv[lo:hi], config.item_weights, buf[:n * m_b].reshape(n, m_b))
             if epsilon_absolute is not None:
                 eff = _positive_real(epsilon_absolute, "epsilon_absolute", NonPositiveEpsilon)
             elif C_b.median_cost > 0:
@@ -500,10 +570,12 @@ def batched_ot_weights(
                 raise DegenerateCostScale(
                     "batch median cost is 0; pass epsilon_absolute to proceed"
                 )
-            m_b = hi - lo
             if start is not None:
                 log_u, eps_prev, omega = start
-                C_b = _WarmCost(C_b.values, C_b.median_cost, log_u * (eps_prev / eff), omega)
+                C_b = _WarmCost(
+                    C_b.values, C_b.median_cost, log_u * (eps_prev / eff), omega,
+                    _operands=C_b._operands,
+                )
             plan = sinkhorn(
                 C_b,
                 a,
@@ -536,7 +608,7 @@ def batched_ot_weights(
         # next batch a cold start
         warm = plan.converged and np.isfinite(log_u).all()
         start = (log_u, eff, plan.relaxation) if warm else None
-        # the next batch's cost matrix must not meet this one and its kernel
+        # a plan whose gamma was built must not hold it through the next batch
         del C_b, plan
     if return_details:
         return weights, details

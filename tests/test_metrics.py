@@ -671,6 +671,18 @@ class TestMedianHeuristic:
             assert core._median_pairwise_distance(Z) == full_list_median(Z)
             assert len(passes) >= 2
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("n, d", [(2, 1), (3, 5), (3200, 1), (3200, 5), (500, 64)])
+    def test_pair_sample_chunks_match_one_gather(self, n, d, chunk, monkeypatch):
+        # chunked gathers give each pair the bits of the whole-sample gather
+        monkeypatch.setattr(core, "_PAIR_CHUNK", chunk)
+        Z = np.random.default_rng(n + d).standard_t(3, size=(n, d))
+        i, j = core._pivot_pairs(n, n - 1)
+        j += j >= i
+        diff = Z[i] - Z[j]
+        want = np.abs(diff[:, 0]) if d == 1 else np.einsum("ij,ij->i", diff, diff)
+        assert core._pair_sample(Z).tobytes() == want.tobytes()
+
     def test_one_pass_at_desk_size(self, monkeypatch):
         passes = self._count_passes(monkeypatch)
         core._median_pairwise_distance(MEDIAN_INPUTS["gaussian_desk_size"])

@@ -7,6 +7,7 @@ plans must agree to 1e-10, which pins its relaxation and absorption
 bookkeeping to the clean log-domain fixed point.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -594,7 +595,9 @@ class TestPlanConsistency:
 
 
 class TestSinkhornMemory:
-    """sinkhorn + ot_weights hold one n x m array (the tilted kernel)."""
+    """sinkhorn + ot_weights hold one n x m array (the tilted kernel) beside
+    the caller's cost; a batch of batched_ot_weights holds only the one, its
+    kernel built over its cost (TestBatchedOtWeights)."""
 
     @pytest.mark.parametrize("eps_scale", [0.5, 0.02])
     def test_peak_is_one_matrix(self, eps_scale, monkeypatch):
@@ -707,12 +710,15 @@ class TestBatchedOtWeights:
         w = batched_ot_weights(X, Y, make_config(ot_batch_size=10, sinkhorn_iters=4000))
         assert abs(w.sum() - 1.0) <= 1e-9
 
-    def test_batches_hold_two_arrays_at_peak(self):
-        # a batch's cost matrix and kernel are freed before the next batch
-        # builds its cost matrix
-        n, bs = 400, 300
+    def test_batches_hold_one_array_at_peak(self, monkeypatch):
+        # every batch's cost and kernel share one buffer, which the shorter
+        # last batch reuses a prefix of; the median's 1 MiB pivot sample is
+        # small beside it. tracemalloc sees no mapping, so the buffer comes
+        # from np.empty here
+        monkeypatch.setattr(ot, "_scratch", np.empty)
+        n, bs = 1000, 2000
         rng = np.random.default_rng(17)
-        X, Y = rng.normal(size=(n, 5)), rng.normal(size=(3 * bs, 5))
+        X, Y = rng.normal(size=(n, 5)), rng.normal(size=(2 * bs + 500, 5))
         cfg = make_config(ot_batch_size=bs, sinkhorn_iters=50)
         tracemalloc.start()
         try:
@@ -720,7 +726,7 @@ class TestBatchedOtWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n * bs
+        assert peak <= 1.25 * 8 * n * bs
 
     def test_cost_stage_holds_one_array(self, monkeypatch):
         # the exact median reads C in row chunks: no copy of C sits beside it
@@ -745,6 +751,13 @@ class TestBatchedOtWeights:
             tracemalloc.stop()
         assert len(peaks) == 2
         assert max(peaks) <= 1.25 * 8 * n * bs
+
+    @pytest.mark.parametrize("size", [0, 1, 3000])
+    def test_scratch_is_a_writable_float64_buffer(self, size):
+        buf = ot._scratch(size)
+        assert buf.shape == (size,) and buf.dtype == np.float64
+        buf[:] = np.arange(size)
+        np.testing.assert_array_equal(buf, np.arange(size))
 
     def test_criterion_5_sizes_fit_the_budget(self):
         # at most 10k distinct candidates against one 5k-row reference batch
@@ -932,6 +945,131 @@ class TestWarmStartedBatches:
         w2, d2 = batched_ot_weights(X, Y, cfg, return_details=True)
         assert w1.tobytes() == w2.tobytes()
         assert d1 == d2
+
+
+def far_batches(side):
+    """Three batches of 90 columns at epsilon 0.02 that take the rare branches.
+
+    side "rows": outlier_instance's far rows; the first batch absorbs, and
+    both later starts lie outside the absorption bounds, so they are tilted.
+    side "cols": six far columns in the last batch, which absorbs after a
+    warm start.
+    """
+    rng = np.random.default_rng(20 if side == "rows" else 21)
+    X = rng.normal(size=(120, 3))
+    Y = rng.normal(size=(270, 3))
+    if side == "rows":
+        X[:8] += 4.0
+    else:
+        Y[180:186] += 4.0
+    cfg = make_config(ot_batch_size=90, epsilon=0.02, sinkhorn_iters=5000, sinkhorn_tol=1e-9)
+    return X, Y, cfg
+
+
+def public_batches(X, Y, cfg):
+    """batched_ot_weights' weights, details and plans, each batch solved by public
+    cost_matrix and sinkhorn on a cost of its own (a _WarmCost over a copy of it
+    for each later batch, from the plan before it)."""
+    n, m, bs = X.shape[0], Y.shape[0], cfg.ot_batch_size
+    a = np.full(n, 1.0 / n)
+    weights, details, plans, start = np.zeros(n), [], [], None
+    for bi, lo in enumerate(range(0, m, bs)):
+        C = cost_matrix(X, Y[lo:lo + bs])
+        m_b = C.shape[1]
+        eps = cfg.epsilon * C.median_cost
+        if start is not None:
+            log_u, eps_prev, omega = start
+            C = ot._WarmCost(C.values.copy(), C.median_cost, log_u * (eps_prev / eps), omega)
+        plan = sinkhorn(
+            C, a, np.full(m_b, 1.0 / m_b), epsilon=eps,
+            max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
+        )
+        assert plan.converged  # so every later batch starts warm
+        weights += m_b / m * ot_weights(plan)
+        details.append({
+            "batch": bi, "rows": n, "cols": m_b, "effective_epsilon": eps,
+            "iterations": plan.iterations_run, "converged": plan.converged,
+            "row_residual": plan.row_residual, "col_residual": plan.col_residual,
+        })
+        plans.append(plan)
+        start = (np.log(plan.scaling_u), eps, plan.relaxation)
+    return weights, details, plans
+
+
+class TestOneBuffer:
+    """A batch's kernel is built over its cost in the call's one buffer, and
+    C is regenerated from its operands wherever it is read again."""
+
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_rare_branches_match_public_solves(self, side, monkeypatch):
+        X, Y, cfg = far_batches(side)
+        tilts = []
+        real = ot._c_transforms
+        monkeypatch.setattr(ot, "_c_transforms", lambda *a: tilts.append(1) or real(*a))
+        solves = recording_solves(monkeypatch)
+        w, details = batched_ot_weights(X, Y, cfg, return_details=True)
+        absorbs = [p.absorb_count for _, p in solves]
+        assert all(C._operands is not None for C, _ in solves)
+        if side == "rows":
+            assert absorbs[0] >= 1 and len(tilts) == 2
+        else:
+            assert absorbs == [0, 0, absorbs[2]] and absorbs[2] >= 1 and not tilts
+        batch_tilts = len(tilts)
+        tilts.clear()
+        w_ref, details_ref, plans = public_batches(X, Y, cfg)
+        assert len(tilts) == batch_tilts
+        assert w.tobytes() == w_ref.tobytes()
+        assert details == details_ref
+        for (_, got), want in zip(solves, plans, strict=True):
+            for name in ("row_marginal", "scaling_u", "scaling_v", "residual_history"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_batch_plans_rebuild_their_cost(self, monkeypatch):
+        # read after the run, when the buffer holds the last batch's kernel
+        X, Y, cfg = far_batches("rows")
+        solves = recording_solves(monkeypatch)
+        batched_ot_weights(X, Y, cfg)
+        bs = cfg.ot_batch_size
+        for bi, (C, plan) in enumerate(solves):
+            stored = cost_matrix(X, Y[bi * bs:(bi + 1) * bs])
+            rebuilt = dataclasses.replace(plan, cost=stored)
+            assert plan.gamma.tobytes() == rebuilt.gamma.tobytes()
+            assert transport_cost(plan, C) == transport_cost(rebuilt, stored)
+
+    def test_caller_costs_are_never_written(self):
+        C = outlier_instance(np.random.default_rng(24), 120, 90)
+        kept = C.values.copy()
+        eps = 0.02 * C.median_cost
+        plan = sinkhorn(C, epsilon=eps, max_iters=2000, tol=1e-9)
+        assert plan.absorb_count >= 1
+        gibbs_kernel(C, eps)
+        transport_cost(plan, C)
+        # a start past the absorption bounds is tilted over the caller's cost
+        warm = sinkhorn(
+            ot._WarmCost(C.values, C.median_cost, np.log(plan.scaling_u) + 400.0, 1.0),
+            epsilon=eps, max_iters=2000, tol=1e-9,
+        )
+        assert warm.converged
+        sinkhorn(C.values, epsilon=eps, max_iters=2000, tol=1e-9)
+        assert C.values.tobytes() == kept.tobytes()
+
+    def test_transport_cost_checks_shape_before_gamma(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        C = random_instance(rng, 6, 5)
+        plan = sinkhorn(C, epsilon=1.0)
+        kernels, medians = [], []
+        monkeypatch.setattr(ot, "_tilted_kernel", lambda *a, **k: kernels.append(1))
+        for bad in (random_instance(rng, 5, 6), np.zeros((6, 4)), np.zeros(30)):
+            with pytest.raises(DimensionMismatch):
+                transport_cost(plan, bad)
+        assert not kernels and "gamma" not in vars(plan)
+        monkeypatch.undo()
+        want = transport_cost(plan, C)
+        # a plain array is read as it is, with no median pass
+        real = ot._array_median
+        monkeypatch.setattr(ot, "_array_median", lambda *a: medians.append(1) or real(*a))
+        assert transport_cost(plan, C.values) == want
+        assert not medians
 
 
 class TestExactOtSmall:
