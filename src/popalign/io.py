@@ -4,7 +4,10 @@ Every on-disk format is JSON lines (one record per line, explicit header
 records where needed): streamable, diffable, no binary. Floats are serialized
 with shortest round-trip formatting (Python's repr, which json uses), so
 save -> load reproduces every finite double bit-exactly. Non-finite values
-are rejected at write time, never encoded.
+are rejected at write time, never encoded. Memory: savers stream their
+records to the file, and loaders convert vector rows to float64 in chunks
+of about 2**14 values, so a file's numbers never all sit in memory as
+Python floats.
 
 Schemas
 -------
@@ -21,6 +24,7 @@ report:      one JSON document, schema versioned via "report_version".
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -62,10 +66,16 @@ def _float_list(values, lineno, label):
 # the element types json.loads gives a number; bool is a subclass of int, not int
 _NUMBER_TYPES = {int, float}
 
+# values per converted block: a load holds at most one chunk of rows as Python
+# lists of floats (about 32 B a value) beside the float64 blocks
+_CHUNK_VALUES = 2**14
 
-def _check_rows(linenos, rows, label):
-    """Raise as a row-by-row load would at the first bad row; return if none is."""
-    width = len(rows[0]) if rows else 0
+
+def _check_rows(linenos, rows, label, width):
+    """Raise as a row-by-row load would at the first bad row; return if none is.
+
+    `width` is the width of the file's first row, which every row must match.
+    """
     for lineno, vals in zip(linenos, rows):
         _float_list(vals, lineno, label)
         if len(vals) != width:
@@ -74,34 +84,52 @@ def _check_rows(linenos, rows, label):
             )
 
 
+def _append_block(blocks, lists):
+    """Append `lists` to `blocks` as one float64 array; True if every value is finite."""
+    # OverflowError here means an int beyond the float range
+    block = np.array(lists, dtype=np.float64)
+    blocks.append(block)
+    return bool(np.isfinite(block).all())
+
+
 def _float_rows(rows, label):
     """(n, width) float64 array from (line number, list of JSON numbers) pairs.
 
     A line number of None leaves the line out of the error messages.
 
-    Each row gets a C-level type and length check as it arrives, and the whole
-    array one conversion and one finiteness check at the end. Anything amiss
-    (a non-number, a row longer or shorter than the first, a non-finite or
-    unconvertible value, or an error that `rows` itself raises on a later
-    line) sends the rows read so far through `_float_list` in file order, so
-    the first bad line raises exactly as a row-by-row load would.
+    Each row gets a C-level type and length check against the file's first
+    row as it arrives. Every `_CHUNK_VALUES` values or so the chunk of rows
+    becomes one float64 block with one finiteness check, and its lists are
+    dropped; the blocks are joined at the end. Anything amiss (a non-number,
+    a row longer or shorter than the first, a non-finite or unconvertible
+    value, or an error that `rows` itself raises on a later line) sends the
+    current chunk through `_float_list` in file order (rows in earlier blocks
+    are known good), so the first bad line raises exactly as a row-by-row
+    load would.
     """
-    linenos, lists = [], []
+    blocks, linenos, lists = [], [], []
+    width = None
     stop = None
     try:
         for lineno, vals in rows:
+            if width is None:
+                width = len(vals)
+                chunk = max(1, _CHUNK_VALUES // max(width, 1))
             linenos.append(lineno)
             lists.append(vals)
-            if not set(map(type, vals)) <= _NUMBER_TYPES or len(vals) != len(lists[0]):
+            if not set(map(type, vals)) <= _NUMBER_TYPES or len(vals) != width:
                 break
+            if len(lists) == chunk:
+                if not _append_block(blocks, lists):
+                    break
+                linenos, lists = [], []
         else:
-            # OverflowError here means an int beyond the float range
-            arr = np.array(lists, dtype=np.float64)
-            if np.isfinite(arr).all():
-                return arr
+            # an empty file still yields one empty block, for its caller to refuse
+            if (blocks and not lists) or _append_block(blocks, lists):
+                return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     except Exception as exc:  # raised below, unless an earlier row is bad
         stop = exc
-    _check_rows(linenos, lists, label)
+    _check_rows(linenos, lists, label, width)
     raise stop
 
 
@@ -163,11 +191,9 @@ def save_responses(path, matrix, ids=None):
     ids = [str(i) for i in ids]
     if len(ids) != matrix.n:
         raise SchemaError(f"{len(ids)} ids for {matrix.n} rows")
-    records = [{"items": list(matrix.item_ids)}]
-    records.extend(
-        {"id": i, "responses": row.tolist()} for i, row in zip(ids, matrix.values)
-    )
-    dump_jsonl(path, records)
+    header = {"items": list(matrix.item_ids)}
+    rows = ({"id": i, "responses": row.tolist()} for i, row in zip(ids, matrix.values))
+    dump_jsonl(path, itertools.chain([header], rows))
 
 
 def load_response_records(path):
@@ -217,18 +243,19 @@ def load_responses(path):
 
 # ----------------------------------------------------------------- personas
 
+def _persona_record(rec):
+    row = {"id": rec.id, "narrative": rec.narrative}
+    if rec.embedding is not None:
+        row["embedding"] = rec.embedding.tolist()
+    if rec.response_row is not None:
+        row["response_row"] = int(rec.response_row)
+    if rec.seed_id is not None:
+        row["seed_id"] = rec.seed_id
+    return row
+
+
 def save_personas(path, personas):
-    records = []
-    for rec in personas:
-        row = {"id": rec.id, "narrative": rec.narrative}
-        if rec.embedding is not None:
-            row["embedding"] = [float(v) for v in rec.embedding]
-        if rec.response_row is not None:
-            row["response_row"] = int(rec.response_row)
-        if rec.seed_id is not None:
-            row["seed_id"] = rec.seed_id
-        records.append(row)
-    dump_jsonl(path, records)
+    dump_jsonl(path, map(_persona_record, personas))
 
 
 def load_personas(path):
@@ -240,9 +267,8 @@ def load_personas(path):
             raise SchemaError(f"line {lineno}: narrative must be a string", line=lineno)
         emb = record.get("embedding")
         if emb is not None:
-            emb = np.array(_float_list(
-                _require(record, "embedding", list, lineno, "persona"), lineno, "embedding"
-            ))
+            emb = _require(record, "embedding", list, lineno, "persona")
+            emb = _float_rows([(lineno, emb)], "embedding")[0]
         row = record.get("response_row")
         if row is not None and (isinstance(row, bool) or not isinstance(row, int)):
             raise SchemaError(f"line {lineno}: response_row must be an integer", line=lineno)

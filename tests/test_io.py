@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from popalign import io as pio
 from popalign import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix, TrainingPair
 from popalign.errors import NonFiniteValue, ParseError, PopalignError, SchemaError
 from popalign.io import (
@@ -149,6 +151,23 @@ class TestPersonas:
         p.write_text("")
         with pytest.raises(SchemaError):
             load_personas(p)
+
+    @pytest.mark.parametrize("entry, error, fault", [
+        ("true", SchemaError, "non-number"),
+        ('"1.5"', SchemaError, "non-number"),
+        ("NaN", NonFiniteValue, "non-finite value"),
+        ("1" + "0" * 400, NonFiniteValue, "non-finite value"),
+    ], ids=["bool", "string", "nan", "int overflow"])
+    def test_bad_embedding_entry_names_its_line(self, tmp_path, entry, error, fault):
+        p = tmp_path / "p.jsonl"
+        p.write_text(
+            '{"id": "p0", "embedding": [1.0, 2.0]}\n'
+            f'{{"id": "p1", "embedding": [0.5, {entry}]}}\n'
+        )
+        with pytest.raises(error) as exc:
+            load_personas(p)
+        assert str(exc.value) == f"line 2: embedding contains a {fault}"
+        assert _raised_line(exc.value) == 2
 
 
 class TestEmbeddings:
@@ -417,7 +436,8 @@ class TestRowErrors:
     def test_messages_name_the_fault(self, tmp_path):
         p = tmp_path / "f.jsonl"
         for name, fault in (("bool", "non-number"), ("nan", "non-finite"),
-                            ("ragged", "embedding length 3 differs from 2")):
+                            ("ragged", "embedding length 3 differs from 2"),
+                            ("short", "embedding length 1 differs from 2")):
             _write_rows(p, "embeddings", {2: name})
             with pytest.raises(PopalignError, match=fault):
                 load_embedding_records(p)
@@ -463,3 +483,77 @@ class TestSaveBytes:
             for i, row in zip(["x", "y"], vals)
         )
         assert p.read_bytes() == want.encode("utf-8")
+
+    def test_personas_match_per_record_dumps(self, tmp_path):
+        recs = [
+            PersonaRecord(id="p0", narrative="émigré \"quoted\"", embedding=np.array(AWKWARD),
+                          response_row=3, seed_id="s0"),
+            PersonaRecord(id="p1", narrative="", seed_id="s1"),
+            PersonaRecord(id="p2", narrative="x", embedding=np.array(AWKWARD[::-1])),
+        ]
+        p = tmp_path / "p.jsonl"
+        save_personas(p, recs)
+        want = "".join(json.dumps(r, allow_nan=False) + "\n" for r in (
+            {"id": "p0", "narrative": "émigré \"quoted\"", "embedding": AWKWARD,
+             "response_row": 3, "seed_id": "s0"},
+            {"id": "p1", "narrative": "", "seed_id": "s1"},
+            {"id": "p2", "narrative": "x", "embedding": AWKWARD[::-1]},
+        ))
+        assert p.read_bytes() == want.encode("utf-8")
+
+
+class _InChunks:
+    """Rerun the inherited tests with files converted in chunks of 1, 2 and 3
+    rows of WIDTH values, so that each bad row lands at a chunk's first row,
+    its last row and its middle (the base classes run the default chunk)."""
+
+    WIDTH = 2
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3], ids=lambda r: f"chunk{r}")
+    def _chunk_rows(self, request, monkeypatch):
+        monkeypatch.setattr(pio, "_CHUNK_VALUES", request.param * self.WIDTH)
+
+
+class TestRowErrorsInChunks(_InChunks, TestRowErrors):
+    pass
+
+
+class TestResponseRoundTripInChunks(_InChunks):
+    WIDTH = 4
+    test_round_trip_bit_exact = TestResponses.test_round_trip_bit_exact
+
+
+class TestEmbeddingRoundTripInChunks(_InChunks):
+    WIDTH = 3
+    test_round_trip_raw = TestEmbeddings.test_round_trip_raw
+
+
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_save_responses_streams_its_records(self, tmp_path):
+        # building every record first peaks at about 6x the matrix
+        m = ResponseMatrix(np.random.default_rng(0).standard_normal((20000, 16)))
+        ids = [f"r{i}" for i in range(m.n)]
+        peak = _traced_peak(lambda: save_responses(tmp_path / "r.jsonl", m, ids=ids))
+        assert peak < 0.25 * m.values.nbytes
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_load_holds_one_chunk_of_lists(self, tmp_path, kind):
+        # every row held as a list of Python floats peaks at about 5.4x the array
+        vals = np.random.default_rng(1).standard_normal((4000, 64))
+        p = tmp_path / "f.jsonl"
+        if kind == "embeddings":
+            save_embeddings(p, [f"e{i}" for i in range(len(vals))], vals)
+        else:
+            save_responses(p, ResponseMatrix(vals))
+        peak = _traced_peak(lambda: FILE_KINDS[kind][2](p))
+        assert peak < 3 * vals.nbytes
