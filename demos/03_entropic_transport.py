@@ -27,11 +27,11 @@ Y = rng.normal(0, 0.3, (40, 2))
 C = cost_matrix(X, Y)
 
 plan = sinkhorn(C, epsilon=0.08 * C.median_cost, max_iters=2000, tol=1e-9)
-# sweeps after the 20th are over-relaxed with a factor set from the residual's
-# decay so far; 1.0 means the solve stayed plain (or fell back to it)
+# each sweep after the first extrapolates the column scaling from the last
+# few sweeps (Anderson acceleration); a residual that rose, or an absorption,
+# empties that memory and the next sweep is plain
 print("converged:", plan.converged, "after", plan.iterations_run, "sweeps")
-print("over-relaxation factor at exit:", round(plan.relaxation, 3),
-      " absorptions:", plan.absorb_count)
+print("Anderson memory resets:", plan.anderson_resets, " absorptions:", plan.absorb_count)
 print("residuals:", plan.row_residual, plan.col_residual)
 
 # a converged balanced plan returns its row target: the weights are flat by

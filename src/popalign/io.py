@@ -4,10 +4,10 @@ Every on-disk format is JSON lines (one record per line, explicit header
 records where needed): streamable, diffable, no binary. Floats are serialized
 with shortest round-trip formatting (Python's repr, which json uses), so
 save -> load reproduces every finite double bit-exactly. Non-finite values
-are rejected at write time, never encoded. Memory: savers stream their
-records to the file, and loaders convert vector rows to float64 in chunks
-of about 2**14 values, so a file's numbers never all sit in memory as
-Python floats.
+are rejected at write time, never encoded, and a failed save leaves the
+target as it was (dump_jsonl). Memory: savers stream their records to the
+file, and loaders convert vector rows to float64 in chunks of about 2**14
+values, so a file's numbers never all sit in memory as Python floats.
 
 Schemas
 -------
@@ -27,6 +27,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -157,13 +158,25 @@ _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def dump_jsonl(path, records):
-    """Write records one per line; rejects non-finite floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            try:
-                fh.write(_JSONL_ENCODER.encode(record) + "\n")
-            except ValueError as exc:
-                raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+    """Write records one per line; rejects non-finite floats.
+
+    All or nothing: the lines go to a new file beside path, which replaces
+    path only once every record is written. On any error that file is
+    removed, and whatever was at path is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            for record in records:
+                try:
+                    fh.write(_JSONL_ENCODER.encode(record) + "\n")
+                except ValueError as exc:
+                    raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def canonical_json(obj):

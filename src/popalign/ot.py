@@ -16,16 +16,17 @@ tilted kernel exp(-C/eps + f_i + g_j) in place and continues from neutral scalin
 The fixed point is identical to a pure log-domain implementation while each
 sweep stays a pair of matrix-vector products.
 
-Those products are the whole cost of a sweep, so the solver saves sweeps: after
-_RELAX_START plain sweeps it over-relaxes both updates, u <- u_hat
-(u / u_hat)^(1 - omega), with omega = 2 / (1 + sqrt(1 - rho)) set from the
-residual's observed per-sweep decay rho (Lehmann, von Renesse & Sambale 2022,
-"A note on overrelaxation in the Sinkhorn algorithm"; Thibault, Chizat,
-Dossal & Papadakis 2021 give the safeguarded form). The fixed point does not
-move. An absorption, or a residual that has not shrunk over _RELAX_WINDOW
-sweeps, returns the solve to plain sweeps. Both marginal residuals are
-checked after every sweep from the products it already holds; on the
-benchmark's heavy-tailed 1-d inputs this halves the sweeps per batch.
+Those products are the whole cost of a sweep, so the solver saves sweeps. It
+reads one sweep as a fixed-point map of the column log-scaling, x -> T(x) =
+log(b / K^T (a / K e^x)), and extrapolates each new x from the last six
+pairs (x, T(x)) by type-II Anderson acceleration (Walker & Ni 2011,
+"Anderson acceleration for fixed-point iterations"): a regularized least
+squares of at most 5 x 5 per sweep. The fixed point does not move. An
+absorption, or a sweep whose residual |T(x) - x| rose, empties the memory,
+and the next sweep is plain. Both marginal residuals are checked after
+every sweep from the products it already holds. On the benchmark's tails-1d
+inputs (seed 1, five sets) this takes 164 sweeps where over-relaxation took
+405, and the hard instances of the tests from 509-2087 sweeps to 91-200.
 
 batched_ot_weights solves Y's column batches one after another against the
 same rows, in one n x m buffer: each batch's cost is written into it, and
@@ -37,13 +38,12 @@ that cost_matrix kept, by the same row strips, so bit for bit.
 Each batch after the first starts where the batch before it stopped, if
 that batch converged (_WarmCost): from its row scaling raised to
 eps_{k-1}/eps_k (the row potential eps log u carries over, and each batch
-has its own eps), with v from one half-sweep, and relaxed by its exit omega
-from the first sweep. A start outside the absorption bounds tilts the
-kernel instead, balanced so that no row or column underflows
-(_c_transforms). Only the starting point changes, so the fixed point does
-not move: each batch still runs until both of its marginal residuals are
-within tol. On the benchmark's tails-1d sets this took the sweeps of five
-input sets from 508 / 488 / 509 to 405 / 333 / 432 (seeds 1 / 2 / 7).
+has its own eps), with v from one half-sweep; only log u carries over, and
+the acceleration starts with an empty memory. A start outside the absorption
+bounds tilts the kernel instead, balanced so that no row or column
+underflows (_c_transforms). Only the starting point changes, so the fixed
+point does not move: each batch still runs until both of its marginal
+residuals are within tol.
 """
 
 from dataclasses import dataclass, field
@@ -81,20 +81,23 @@ _ABSORB_LO = 1e-100
 
 _EXACT_GUARD = 10_000
 
-# most bytes one transport instance (a direct cost_matrix, gibbs_kernel or
-# sinkhorn call, or a batch) may hold in two live n x m float64 arrays, a
-# caller's cost and its kernel; a batch of batched_ot_weights holds one, its
-# kernel built over its cost, so criterion 5's largest batch (about 5.6k x
-# 5k) needs 0.22 GB
+# most bytes one transport instance may hold in live n x m float64 arrays:
+# two for a caller's own cost (a direct cost_matrix, gibbs_kernel or sinkhorn
+# call), the cost and its kernel; one for a scratch cost (a batch of
+# batched_ot_weights), whose kernel is built over it, so criterion 5's
+# largest batch (about 5.6k x 5k) needs 0.22 GB
 _OT_BATCH_BYTES = 2 << 30
 
-# over-relaxation: the last plain sweep (of 12, 15, 20, 25 and 30, 20 took
-# the fewest sweeps on the benchmark's tails-1d inputs: 508 against 511-556
-# over five input sets), the window of sweeps whose residual ratio sets omega
-# and guards it, and the cap on that ratio
-_RELAX_START = 20
-_RELAX_WINDOW = 10
-_RELAX_RATIO_CAP = 0.99
+# Anderson acceleration of the sweeps: the most differences of (x, T(x))
+# pairs in its least squares, and its Tikhonov weight relative to the
+# current residual's squared length. Weighted so, an extrapolation whose
+# differences have shrunk far below the residual (a stalled memory) fades
+# into the plain sweep. On one of 34 random Student-t instances that plain
+# sweeps solve in 2041, a weight of 1e-10 relative to the differences'
+# Gram trace stalled at a marginal residual of 4e-4 for 5000 sweeps, and
+# 1e-7 relative to the residual took 4775; 1e-5 takes 775
+_ANDERSON_DEPTH = 5
+_ANDERSON_REG = 1e-5
 
 
 @dataclass(frozen=True)
@@ -120,23 +123,25 @@ class CostMatrix:
 class _WarmCost(CostMatrix):
     """A later batch's cost with the start that sinkhorn takes from the batch before it.
 
-    log_u is the start's log row scaling, omega the relaxation of its first
-    sweep (1.0 starts plain, and omega is then set after _RELAX_START sweeps).
+    log_u is the start's log row scaling.
     """
 
     log_u: np.ndarray
-    omega: float
 
 
-def _check_instance(shape):
-    """Raise InstanceTooLarge unless a cost and a kernel of this shape fit _OT_BATCH_BYTES."""
-    live = 2 * 8 * math.prod(shape)
+def _check_instance(shape, arrays=2):
+    """Raise InstanceTooLarge unless `arrays` float64 arrays of this shape fit
+    _OT_BATCH_BYTES: 2 for a cost and its kernel, 1 for a kernel built over
+    its scratch cost."""
+    live = arrays * 8 * math.prod(shape)
     if live > _OT_BATCH_BYTES:
+        held = "two such float64 arrays (cost and kernel)" if arrays == 2 else (
+            "one such float64 array (its kernel, built over its cost)"
+        )
         raise InstanceTooLarge(
-            f"a {' x '.join(map(str, shape))} transport instance holds two such float64 "
-            f"arrays (cost and kernel), {live / 2**30:.1f} GiB, over the "
-            f"{_OT_BATCH_BYTES / 2**30:.0f} GiB budget; solve it in column batches "
-            f"(batched_ot_weights) and lower ot_batch_size"
+            f"a {' x '.join(map(str, shape))} transport instance holds {held}, "
+            f"{live / 2**30:.1f} GiB, over the {_OT_BATCH_BYTES / 2**30:.0f} GiB budget; "
+            f"solve it in column batches (batched_ot_weights) and lower ot_batch_size"
         )
 
 
@@ -167,7 +172,7 @@ def cost_matrix(X_dagger, Y, omega=None, out=None):
             raise DimensionMismatch(f"{omega.d} item weights for dimension {d}")
         w = omega.weights
 
-    _check_instance((X.shape[0], Yv.shape[0]))
+    _check_instance((X.shape[0], Yv.shape[0]), 2 if out is None else 1)
     ops = _sq_dist_operands(X, Yv, w)
     C = _sq_dist_fill(ops, np.empty((X.shape[0], Yv.shape[0])) if out is None else out)
     return CostMatrix(C, _array_median(C), _operands=None if out is None else ops)
@@ -202,14 +207,17 @@ def _scratch(size):
     return np.frombuffer(mapping, dtype=np.float64)
 
 
-def _as_cost(C):
+def _as_cost(C, over_scratch=False):
     """C itself if a CostMatrix, else the array as one with its exact median.
 
     Every caller builds an n x m kernel or plan from it, so the instance
-    budget (_check_instance) is checked first.
+    budget (_check_instance) is checked first: for one kernel beside the
+    cost, or none if over_scratch (sinkhorn, which builds its kernel over a
+    scratch cost's own values) and C is a scratch cost.
     """
+    scratch = isinstance(C, CostMatrix) and C._operands is not None
     arr = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=np.float64)
-    _check_instance(arr.shape)
+    _check_instance(arr.shape, 1 if over_scratch and scratch else 2)
     if isinstance(C, CostMatrix):
         return C
     return CostMatrix(arr, _array_median(arr))
@@ -257,9 +265,9 @@ class TransportPlan:
     stay well inside double range.
 
     Diagnostics: absorb_count is the number of log-domain absorptions,
-    relaxation the over-relaxation factor at exit (1.0 if the solve never
-    relaxed or fell back to plain sweeps), and residual_history the larger
-    of the two marginal residuals after each sweep.
+    anderson_resets the number of times the acceleration's memory was
+    emptied (by an absorption or a rising residual), and residual_history
+    the larger of the two marginal residuals after each sweep.
     """
 
     cost: CostMatrix
@@ -274,7 +282,7 @@ class TransportPlan:
     row_residual: float
     col_residual: float
     absorb_count: int
-    relaxation: float
+    anderson_resets: int
     residual_history: np.ndarray
 
     @cached_property
@@ -285,38 +293,83 @@ class TransportPlan:
         return _tilted_kernel(_cost_values(self.cost, out), self.epsilon, log_u, log_v, out=out)
 
 
-def _relaxation(ratio):
-    """omega = 2 / (1 + sqrt(1 - rho)) from the residual's ratio over _RELAX_WINDOW sweeps.
+def _inside(w):
+    """Whether every entry of the scaling w lies within the absorption bounds (False for NaN)."""
+    return _ABSORB_LO <= w.min() and w.max() <= _ABSORB_HI
 
-    rho is the per-sweep contraction of plain Sinkhorn; the ratio is capped
-    at _RELAX_RATIO_CAP (Lehmann, von Renesse & Sambale 2022).
+
+class _Anderson:
+    """Type-II Anderson mixing for a fixed-point map x -> T(x) on R^m (Walker & Ni 2011).
+
+    Holds the last _ANDERSON_DEPTH + 1 pairs (x, T(x)), oldest first, in the
+    columns of two preallocated m x (_ANDERSON_DEPTH + 1) arrays. With
+    residuals r = T(x) - x and the differences (dR, dT) of consecutive
+    pairs, the next x is T(x_k) - dT gamma, where gamma minimizes
+    |r_k - dR gamma|^2 + lambda |gamma|^2 with lambda = _ANDERSON_REG |r_k|^2.
+    A pair whose residual is longer than the last pair's empties the memory
+    first; resets counts the times a memory holding pairs was emptied.
     """
-    rho = min(_RELAX_RATIO_CAP, ratio) ** (1.0 / _RELAX_WINDOW)
-    return 2.0 / (1.0 + math.sqrt(1.0 - rho))
+
+    def __init__(self, m):
+        self.x = np.empty((m, _ANDERSON_DEPTH + 1), order="F")
+        self.tx = np.empty((m, _ANDERSON_DEPTH + 1), order="F")
+        self.size = self.resets = 0
+        self.last = math.inf  # |r|^2 of the last pair
+
+    def clear(self):
+        self.resets += self.size > 0
+        self.size = 0
+
+    def push(self, x, tx):
+        """Record the pair (x, T(x)); the extrapolated next x, or None while
+        this pair is the memory's only one (or the least squares is singular)."""
+        r = tx - x
+        rr = float(r @ r)
+        if rr > self.last:
+            self.clear()
+        self.last = rr
+        if self.size == self.x.shape[1]:  # full: drop the oldest pair
+            self.x[:, :-1] = self.x[:, 1:]
+            self.tx[:, :-1] = self.tx[:, 1:]
+            self.size -= 1
+        self.x[:, self.size] = x
+        self.tx[:, self.size] = tx
+        self.size += 1
+        if self.size == 1:
+            return None
+        T = self.tx[:, :self.size]
+        dR = np.diff(T - self.x[:, :self.size], axis=1)
+        A = dR.T @ dR
+        A.flat[:: self.size] += _ANDERSON_REG * rr
+        try:
+            gamma = np.linalg.solve(A, dR.T @ r)
+        except np.linalg.LinAlgError:
+            return None
+        return tx - np.diff(T, axis=1) @ gamma
 
 
 def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
-    """Solve entropic OT by over-relaxed alternating scalings of one tilted kernel Kt.
+    """Solve entropic OT by Anderson-accelerated alternating scalings of one tilted kernel Kt.
 
     Kt is the only n x m array held; absorptions rebuild it in place. For a
     batch's scratch cost (cost_matrix's out) Kt is built over the cost itself,
     and C is regenerated into Kt wherever the solve reads it again: at an
     absorption and at a tilted start. A caller's cost is never written.
 
-    Each sweep sets u <- u_hat (u / u_hat)^(1 - omega) with u_hat = a / (Kt v),
-    then v likewise with v_hat = b / (Kt^T u); omega = 1 is plain Sinkhorn.
-    Sweeps up to _RELAX_START are plain; after it omega comes from the
-    residual's decay over the last _RELAX_WINDOW of them (_relaxation).
-    The fixed point does not depend on omega. Relaxation falls back to
-    omega = 1 for the rest of the solve at any absorption, or when the
-    residual has not shrunk over _RELAX_WINDOW relaxed sweeps.
+    Each sweep is the fixed-point map x -> T(x) = log(b / Kt^T (a / Kt e^x))
+    of the column log-scaling x = log v: u <- a / (Kt v), then v_hat <-
+    b / (Kt^T u). Type-II Anderson acceleration (_Anderson) replaces log v_hat
+    by the extrapolation from the last _ANDERSON_DEPTH + 1 pairs (x, T(x)),
+    unless that leaves the absorption bounds; with one pair in the memory
+    (the first sweep, and the sweep after the memory is emptied) the sweep
+    is plain Sinkhorn. An absorption, or a sweep whose residual rose,
+    empties the memory. The fixed point does not depend on the acceleration.
 
     A later batch of batched_ot_weights passes a _WarmCost, which starts
-    from its u with v from one half-sweep (not counted in iterations_run),
-    and relaxes by its omega from the first sweep. If that u lies outside
-    the absorption bounds, or the half-sweep underflows, the kernel is
-    tilted by the start's potential instead (_c_transforms), so the start
-    cannot kill a row or column.
+    from its u with v from one half-sweep (not counted in iterations_run).
+    If that u lies outside the absorption bounds, or the half-sweep
+    underflows, the kernel is tilted by the start's potential instead
+    (_c_transforms), so the start cannot kill a row or column.
 
     Parameters
     ----------
@@ -329,7 +382,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         max_iters sweeps. Both are checked after every sweep from products
         the sweep already holds: the row marginal is u * (Kt v), with the
         next sweep's Kt v, and the column marginal v * (Kt^T u), which is b
-        up to rounding when omega = 1.
+        up to rounding after a plain sweep.
 
     Raises
     ------
@@ -338,7 +391,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         epsilon is too small for this cost scale at double precision. Kt is
         scanned for it only when a product Kt v or Kt^T u has an entry <= 0.
     """
-    C = _as_cost(C)
+    C = _as_cost(C, over_scratch=True)
     n, m = C.values.shape
     a = np.full(n, 1.0 / n) if a is None else _check_marginal(a, n, "row marginal a")
     b = np.full(m, 1.0 / m) if b is None else _check_marginal(b, m, "col marginal b")
@@ -347,26 +400,22 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
     eps = _positive_real(epsilon, "epsilon", NonPositiveEpsilon)
 
     f, g = np.zeros(n), np.zeros(m)  # absorbed log row/col potentials
-    u, v = np.ones(n), np.ones(m)
+    u, v, x = np.ones(n), np.ones(m), np.zeros(m)  # x = log v
     Kt = _tilted_kernel(C.values, eps, out=None if C._operands is None else C.values)
-    warm = isinstance(C, _WarmCost)
-    omega = C.omega if warm else 1.0
-    # the sweep after which omega is set: a start that relaxes from its first
-    # sweep keeps its omega, under the same guard
-    relax_from = 0 if omega != 1.0 else _RELAX_START
+    memory = _Anderson(m)
     absorbs = 0
     history = []
 
     def absorb():
         # afterwards u = v = 1, so Kt v and Kt^T u are Kt's row and column sums
-        nonlocal f, g, u, v, omega, absorbs
+        nonlocal f, g, u, v, x, absorbs
         with np.errstate(divide="ignore"):
             f = f + np.log(u)
             g = g + np.log(v)
         _tilted_kernel(_cost_values(C, Kt), eps, f, g, out=Kt)
-        u, v = np.ones(n), np.ones(m)
-        omega = 1.0
+        u, v, x = np.ones(n), np.ones(m), np.zeros(m)
         absorbs += 1
+        memory.clear()
 
     def rescued(product):
         # product() had an entry <= 0: underflowed scalings, or a dead row/column
@@ -376,44 +425,63 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
             _raise_on_dead_axis(Kt, "tilted kernel" if f.any() or g.any() else "kernel")
         return out
 
-    if warm:
+    if isinstance(C, _WarmCost):
         with np.errstate(over="ignore"):
             u = np.exp(C.log_u)
-        Ku = Kt.T @ u if _ABSORB_LO <= u.min() and u.max() <= _ABSORB_HI else None
+        Ku = Kt.T @ u if _inside(u) else None
         if Ku is not None and (Ku > 0.0).all():
             v = b / Ku  # one half-sweep against the starting u
+            x = np.log(v)
         else:  # start from the potential, tilted so that no row or column dies
             f, g = _c_transforms(_cost_values(C, Kt), eps, C.log_u, Kt)
             _tilted_kernel(_cost_values(C, Kt), eps, f, g, out=Kt)
             u = np.ones(n)
     Kv = Kt @ v
     for it in range(1, max_iters + 1):
+        before = absorbs
         if (Kv <= 0.0).any():
             Kv = rescued(lambda: Kt @ v)
-        u_hat = a / Kv
-        u = u_hat if omega == 1.0 else u_hat * (u / u_hat) ** (1.0 - omega)
+        u = a / Kv
         Ku = Kt.T @ u
         if (Ku <= 0.0).any():
             Ku = rescued(lambda: Kt.T @ u)
-        v_hat = b / Ku
-        v = v_hat if omega == 1.0 else v_hat * (v / v_hat) ** (1.0 - omega)
+        v = b / Ku
+        tx, plain = np.log(v), None
+        inside = _inside(u) and _inside(v)
+        # a sweep that absorbed mixes two tilts, and one that leaves the
+        # bounds absorbs below: neither enters the memory. An extrapolation
+        # is taken only inside the bounds, so it never absorbs
+        if absorbs == before and inside:
+            ext = memory.push(x, tx)
+            if ext is not None:
+                with np.errstate(over="ignore"):
+                    v_ext = np.exp(ext)
+                if _inside(v_ext):
+                    plain, tx, v = (tx, v), ext, v_ext
+        x = tx
         col_res = float(np.abs(v * Ku - b).max())
 
-        if max(u.max(), v.max()) > _ABSORB_HI or min(u.min(), v.min()) < _ABSORB_LO:
+        if not inside:
             absorb()
 
         # the next sweep's Kv, and this sweep's row marginal
         Kv = Kt @ v
         row_marginal = u * Kv
         row_res = float(np.abs(row_marginal - a).max())
+        if plain is not None and (max(row_res, col_res) <= tol or it == max_iters):
+            # a plan is returned from the plain sweep, whose column marginal
+            # is b up to rounding, so that its row marginal sums to 1; if that
+            # plan has not converged, the solve goes on from the extrapolation
+            x_plain, v_plain = plain
+            Kv_plain = Kt @ v_plain
+            rows = u * Kv_plain
+            res = float(np.abs(rows - a).max()), float(np.abs(v_plain * Ku - b).max())
+            if max(res) <= tol or it == max_iters:
+                x, v, Kv, row_marginal, (row_res, col_res) = x_plain, v_plain, Kv_plain, rows, res
+                plain = None
         history.append(max(row_res, col_res))
-        if history[-1] <= tol:
+        if history[-1] <= tol and plain is None:
             break
-        if it == relax_from and not absorbs:
-            omega = _relaxation(history[-1] / history[-1 - _RELAX_WINDOW])
-        elif omega != 1.0 and it - _RELAX_WINDOW > relax_from:
-            if not history[-1] < history[-1 - _RELAX_WINDOW]:
-                omega = 1.0  # the residual has not shrunk over the window
     converged = row_res <= tol and col_res <= tol
 
     with np.errstate(divide="ignore"):
@@ -437,7 +505,7 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         row_residual=row_res,
         col_residual=col_res,
         absorb_count=absorbs,
-        relaxation=omega,
+        anderson_resets=memory.resets,
         residual_history=np.array(history),
     )
 
@@ -532,11 +600,13 @@ def batched_ot_weights(
     Each batch after the first starts where the batch before it stopped,
     if that batch converged (_WarmCost): from its row scaling u raised to
     eps_{k-1}/eps_k, since the rows and their potential eps log u are the
-    same while eps follows each batch's median cost, and from its exit
-    relaxation. The start moves no fixed point: each batch still runs until
-    both of its marginal residuals are within config.sinkhorn_tol. On the
-    benchmark's heavy-tailed 1-d sets it saves a fifth to a third of the
-    sweeps.
+    same while eps follows each batch's median cost. Only log u carries
+    over: the acceleration's memory starts empty in every batch. The start
+    moves no fixed point: each batch still runs until both of its marginal
+    residuals are within config.sinkhorn_tol.
+
+    The budget (_check_instance) is charged for the one buffer, not for a
+    cost and a kernel side by side.
 
     epsilon_absolute bypasses median scaling (needed when a batch's median
     cost is 0, which otherwise raises DegenerateCostScale). With
@@ -550,13 +620,13 @@ def batched_ot_weights(
     n = Xv.shape[0]
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
-    _check_instance((n, min(bs, m_total)))
+    _check_instance((n, min(bs, m_total)), 1)
     buf = _scratch(n * min(bs, m_total))
 
     weights = np.zeros(n)
     details = []
     a = np.full(n, 1.0 / n)
-    start = None  # (log u, epsilon, relaxation) where the last batch stopped
+    start = None  # (log u, epsilon) where the last batch stopped
     for bi, lo in enumerate(range(0, m_total, bs)):
         hi = min(lo + bs, m_total)
         m_b = hi - lo
@@ -571,9 +641,9 @@ def batched_ot_weights(
                     "batch median cost is 0; pass epsilon_absolute to proceed"
                 )
             if start is not None:
-                log_u, eps_prev, omega = start
+                log_u, eps_prev = start
                 C_b = _WarmCost(
-                    C_b.values, C_b.median_cost, log_u * (eps_prev / eff), omega,
+                    C_b.values, C_b.median_cost, log_u * (eps_prev / eff),
                     _operands=C_b._operands,
                 )
             plan = sinkhorn(
@@ -607,7 +677,7 @@ def batched_ot_weights(
         # an unconverged plan, or a scaling that left double range, gives the
         # next batch a cold start
         warm = plan.converged and np.isfinite(log_u).all()
-        start = (log_u, eff, plan.relaxation) if warm else None
+        start = (log_u, eff) if warm else None
         # a plan whose gamma was built must not hold it through the next batch
         del C_b, plan
     if return_details:

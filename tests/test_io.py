@@ -363,6 +363,33 @@ class TestDumpJsonl:
         with pytest.raises(NonFiniteValue):
             dump_jsonl(tmp_path / "x.jsonl", [{"v": float("inf")}])
 
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "e.jsonl"
+        save_embeddings(p, ["a", "b", "c"], np.ones((3, 2)))
+        before = p.read_bytes()
+        v = np.zeros((3, 2))
+        v[2, 0] = np.nan  # the third record: two lines are written first
+        with pytest.raises(NonFiniteValue):
+            save_embeddings(p, ["a", "b", "c"], v)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["e.jsonl"]
+
+    def test_failed_save_of_a_new_file_leaves_nothing(self, tmp_path):
+        def records():
+            yield {"id": "a"}
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            pio.dump_jsonl(tmp_path / "x.jsonl", records())
+        assert not list(tmp_path.iterdir())
+
+    def test_success_replaces_the_file(self, tmp_path):
+        p = tmp_path / "x.jsonl"
+        p.write_text("old\n" * 100)
+        pio.dump_jsonl(str(p), [{"v": 1.5}])
+        assert p.read_text() == '{"v": 1.5}\n'
+        assert [q.name for q in tmp_path.iterdir()] == ["x.jsonl"]
+
 
 # ways one line of an embedding or response file can be bad, with the error a
 # row-by-row load raises for it; `{key}` is the file's vector field
