@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateId,
+    EmptyInput,
     InvalidConfig,
     NonFiniteValue,
 )
@@ -534,6 +535,22 @@ def _finite_values(X, label, ndim=2):
         at = f"row {row}, column {c}" if r else f"column {c}"
         raise NonFiniteValue(f"non-finite value in the {label} at {at}", row=row, col=c)
     return A
+
+
+def _two_samples(X, Y, first="first sample", second="second sample"):
+    """X and Y as two non-empty, finite 2-d samples of one dimension.
+
+    The one gate for a pair of samples (the metrics, the transport cost):
+    _finite_values on each side, then DimensionMismatch for unequal widths
+    and EmptyInput for an empty side, each side named by its label.
+    """
+    A, B = _finite_values(X, first), _finite_values(Y, second)
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(f"sample dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    for M, label in ((A, first), (B, second)):
+        if M.size == 0:
+            raise EmptyInput(f"the {label} is empty (shape {M.shape})")
+    return A, B
 
 
 def _count(value, name, error=InvalidConfig):

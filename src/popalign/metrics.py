@@ -6,9 +6,9 @@ Gaussian kernel, and the mean absolute gap between inter-item Pearson
 correlations. All metrics are pure functions of the two sample sets; the only
 randomness (sliced Wasserstein projections) is seeded and bit-stable.
 
-`_pair` is the suite's one input gate: an empty sample raises EmptyInput and
-a non-finite entry NonFiniteValue with its row and column (core._finite_values,
-which pearson_corr_matrix takes as well).
+`core._two_samples` is the suite's one input gate: an empty sample raises
+EmptyInput and a non-finite entry NonFiniteValue with its row and column
+(core._finite_values, which pearson_corr_matrix takes as well).
 
 One exact 1-d W1 kernel on quantile functions, `_w1_rows`, serves
 wasserstein_1d, amw (all columns at once) and, at exponent p=2,
@@ -38,29 +38,18 @@ from .core import (
     _self_tiles,
     _sq_dist_blocks,
     _sq_dist_operands,
+    _two_samples,
 )
 from .errors import (
     ConstantColumn,
     DegenerateBandwidth,
     DimensionMismatch,
-    EmptyInput,
     InsufficientSamples,
     NonFiniteValue,
 )
 from .rng import rng_from_seed
 
 _SW_STREAM = 0x736C696365  # "slice"
-
-
-def _pair(X, Y):
-    """The suite's one input gate: two non-empty, finite samples of one dimension."""
-    A, B = _finite_values(X, "first sample"), _finite_values(Y, "second sample")
-    if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"sample dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    for M, label in ((A, "first"), (B, "second")):
-        if M.size == 0:
-            raise EmptyInput(f"the {label} sample is empty (shape {M.shape})")
-    return A, B
 
 
 def _w1_rows(P, Q, p=1):
@@ -123,13 +112,13 @@ def wasserstein_1d(x, y):
     the merged support; for equal sizes this is the mean absolute gap
     between sorted order statistics.
     """
-    A, B = _pair(np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1)))
+    A, B = _two_samples(np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1)))
     return float(_w1_rows(A.T, B.T)[0])
 
 
 def amw(X, Y):
     """Mean over items of the exact per-column 1D W1."""
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     return float(np.mean(_w1_rows(A.T, B.T)))
 
 
@@ -147,7 +136,7 @@ def frechet_distance(X, Y):
     Tr((S_X S_Y)^{1/2}) for PSD inputs; eigenvalues are clamped at 0 against
     roundoff and the final value is clamped at 0.
     """
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     if A.shape[0] < 2 or B.shape[0] < 2:
         raise InsufficientSamples("frechet_distance needs at least 2 samples per side")
     mu_a, mu_b = A.mean(axis=0), B.mean(axis=0)
@@ -167,7 +156,7 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
     In d=1 the only directions are +-1 and W1 is reflection invariant, so the
     result short-circuits to wasserstein_1d exactly, independent of the seed.
     """
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     n_projections = _count(n_projections, "n_projections")
     d = A.shape[1]
     if d == 1:
@@ -235,7 +224,7 @@ def mmd(X, Y, kernel_bandwidth=None):
     sample (median heuristic). Note this is SQUARED MMD; mmd_unsquared gives
     the RKHS norm itself.
     """
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     sigma = _mmd_bandwidth(A, B, kernel_bandwidth)
     inv = 1.0 / (2.0 * sigma * sigma)
     val = _kernel_mean(A, A, inv) + _kernel_mean(B, B, inv) - 2.0 * _kernel_mean(A, B, inv)
@@ -285,7 +274,7 @@ def mae_corr(X, Y):
     Requires both correlation matrices fully defined; a constant column in
     either sample raises ConstantColumn naming the column.
     """
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     d = A.shape[1]
     if d < 2:
         raise DimensionMismatch("mae_corr needs at least 2 items")
@@ -334,7 +323,7 @@ class MetricReport:
 
 def metric_report(X, Y, n_projections=512, seed=0, kernel_bandwidth=None):
     """Compute the full suite. mae_corr is None when undefined."""
-    A, B = _pair(X, Y)
+    A, B = _two_samples(X, Y)
     sigma = _mmd_bandwidth(A, B, kernel_bandwidth)
     try:
         mc = mae_corr(A, B) if A.shape[1] >= 2 else None

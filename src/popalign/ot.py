@@ -31,19 +31,19 @@ inputs (seed 1, five sets) this takes 164 sweeps where over-relaxation took
 batched_ot_weights solves Y's column batches one after another against the
 same rows, in one n x m buffer: each batch's cost is written into it, and
 sinkhorn builds that batch's kernel over it, so no second n x m array exists
-while the sweeps run. Where the solve reads the cost again (an absorption, a
-tilted start, a plan's gamma), it is regenerated from the distance operands
-that cost_matrix kept, by the same row strips, so bit for bit.
+while the sweeps run. Where the solve reads the cost again (an absorption or
+a plan's gamma), it is regenerated from the distance operands that
+cost_matrix kept, by the same row strips, so bit for bit.
 
-Each batch after the first starts where the batch before it stopped, if
-that batch converged (_WarmCost): from its row scaling raised to
-eps_{k-1}/eps_k (the row potential eps log u carries over, and each batch
-has its own eps), with v from one half-sweep; only log u carries over, and
-the acceleration starts with an empty memory. A start outside the absorption
-bounds tilts the kernel instead, balanced so that no row or column
-underflows (_c_transforms). Only the starting point changes, so the fixed
-point does not move: each batch still runs until both of its marginal
-residuals are within tol.
+Each batch after the first starts where the batch before it stopped
+(_WarmCost): from its row scaling raised to eps_{k-1}/eps_k (the row
+potential eps log u carries over, and each batch has its own eps), with v
+from one half-sweep; only log u carries over, and the acceleration starts
+with an empty memory. One rule in sinkhorn takes or refuses the start: it is
+taken when its u lies inside the absorption bounds and the half-sweep has no
+zero entry, and a refused start begins exactly as a cold solve does. Only
+the starting point changes, so the fixed point does not move: each batch
+still runs until both of its marginal residuals are within tol.
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +58,15 @@ from .core import (
     ItemWeights,
     _array_median,
     _count,
-    _finite_values,
     _positive_real,
     _sq_dist_fill,
     _sq_dist_operands,
+    _two_samples,
 )
 from .errors import (
     DegenerateCostScale,
     DimensionMismatch,
+    EmptyInput,
     InstanceTooLarge,
     InvalidConfig,
     NonPositiveEpsilon,
@@ -157,12 +158,7 @@ def cost_matrix(X_dagger, Y, omega=None, out=None):
     its distance operands, sinkhorn builds its kernel over out, and C is
     regenerated from the operands wherever it is read again.
     """
-    X = _finite_values(X_dagger, "candidate sample")
-    Yv = _finite_values(Y, "reference sample")
-    if X.shape[1] != Yv.shape[1]:
-        raise DimensionMismatch(
-            f"sample dimensions differ: {X.shape[1]} vs {Yv.shape[1]}"
-        )
+    X, Yv = _two_samples(X_dagger, Y, "candidate sample", "reference sample")
     d = X.shape[1]
     w = None
     if omega is not None:
@@ -210,13 +206,18 @@ def _scratch(size):
 def _as_cost(C, over_scratch=False):
     """C itself if a CostMatrix, else the array as one with its exact median.
 
-    Every caller builds an n x m kernel or plan from it, so the instance
-    budget (_check_instance) is checked first: for one kernel beside the
-    cost, or none if over_scratch (sinkhorn, which builds its kernel over a
-    scratch cost's own values) and C is a scratch cost.
+    The one cost gate: a cost that is not 2-d raises DimensionMismatch, an
+    empty one EmptyInput. Every caller builds an n x m kernel or plan from
+    it, so the instance budget (_check_instance) is checked next: for one
+    kernel beside the cost, or none if over_scratch (sinkhorn, which builds
+    its kernel over a scratch cost's own values) and C is a scratch cost.
     """
     scratch = isinstance(C, CostMatrix) and C._operands is not None
     arr = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"a cost must be 2-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise EmptyInput(f"the cost is empty (shape {arr.shape})")
     _check_instance(arr.shape, 1 if over_scratch and scratch else 2)
     if isinstance(C, CostMatrix):
         return C
@@ -353,8 +354,8 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
 
     Kt is the only n x m array held; absorptions rebuild it in place. For a
     batch's scratch cost (cost_matrix's out) Kt is built over the cost itself,
-    and C is regenerated into Kt wherever the solve reads it again: at an
-    absorption and at a tilted start. A caller's cost is never written.
+    and C is regenerated into Kt wherever the solve reads it again, at an
+    absorption. A caller's cost is never written.
 
     Each sweep is the fixed-point map x -> T(x) = log(b / Kt^T (a / Kt e^x))
     of the column log-scaling x = log v: u <- a / (Kt v), then v_hat <-
@@ -367,9 +368,10 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
 
     A later batch of batched_ot_weights passes a _WarmCost, which starts
     from its u with v from one half-sweep (not counted in iterations_run).
-    If that u lies outside the absorption bounds, or the half-sweep
-    underflows, the kernel is tilted by the start's potential instead
-    (_c_transforms), so the start cannot kill a row or column.
+    The start is taken only when that u lies inside the absorption bounds
+    and the half-sweep Kt^T u is positive in every entry; otherwise the
+    solve starts from u = v = 1, and its plan is sinkhorn's on the plain
+    cost, bit for bit.
 
     Parameters
     ----------
@@ -426,16 +428,14 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         return out
 
     if isinstance(C, _WarmCost):
+        # a refused start leaves u, v, x, f and g as the cold solve has them
         with np.errstate(over="ignore"):
-            u = np.exp(C.log_u)
-        Ku = Kt.T @ u if _inside(u) else None
-        if Ku is not None and (Ku > 0.0).all():
-            v = b / Ku  # one half-sweep against the starting u
-            x = np.log(v)
-        else:  # start from the potential, tilted so that no row or column dies
-            f, g = _c_transforms(_cost_values(C, Kt), eps, C.log_u, Kt)
-            _tilted_kernel(_cost_values(C, Kt), eps, f, g, out=Kt)
-            u = np.ones(n)
+            u_start = np.exp(C.log_u)
+        if _inside(u_start):
+            Ku = Kt.T @ u_start
+            if (Ku > 0.0).all():
+                u, v = u_start, b / Ku  # one half-sweep against the starting u
+                x = np.log(v)
     Kv = Kt @ v
     for it in range(1, max_iters + 1):
         before = absorbs
@@ -508,20 +508,6 @@ def sinkhorn(C, a=None, b=None, epsilon=None, max_iters=250, tol=1e-6):
         anderson_resets=memory.resets,
         residual_history=np.array(history),
     )
-
-
-def _c_transforms(C, eps, f, out):
-    """(f2, g): g the c-transform of the log row potential f, f2 that of g.
-
-    Every row and column of exp(-C/eps + f2_i + g_j) then peaks at 1, so
-    none underflows, whatever the spread or offset of f. C is the cost
-    values, out (n x m) scratch, which may be C itself.
-    """
-    M = np.divide(C, -eps, out=out)
-    M += f[:, None]
-    g = -M.max(axis=0)
-    M += g
-    return f - M.max(axis=1), g
 
 
 def _raise_on_dead_axis(K, label):
@@ -597,30 +583,34 @@ def batched_ot_weights(
     by smaller allocations, so each batch mapped new memory (212 MB peak RSS
     on the benchmark's tails-1d, against 183 MB with one buffer; 2-core VM).
 
-    Each batch after the first starts where the batch before it stopped,
-    if that batch converged (_WarmCost): from its row scaling u raised to
+    Each batch after the first is handed where the batch before it stopped,
+    converged or not (_WarmCost): its row scaling u raised to
     eps_{k-1}/eps_k, since the rows and their potential eps log u are the
     same while eps follows each batch's median cost. Only log u carries
-    over: the acceleration's memory starts empty in every batch. The start
-    moves no fixed point: each batch still runs until both of its marginal
-    residuals are within config.sinkhorn_tol.
+    over: the acceleration's memory starts empty in every batch. sinkhorn
+    alone decides whether to take that start (outside the absorption
+    bounds, or with a zero in its half-sweep, the batch starts cold). The
+    start moves no fixed point: each batch still runs until both of its
+    marginal residuals are within config.sinkhorn_tol.
 
     The budget (_check_instance) is charged for the one buffer, not for a
     cost and a kernel side by side.
 
     epsilon_absolute bypasses median scaling (needed when a batch's median
-    cost is 0, which otherwise raises DegenerateCostScale). With
+    cost is 0, which otherwise raises DegenerateCostScale); it is checked
+    once, before the buffer is mapped. Empty samples raise EmptyInput. With
     return_details=True a list of per-batch convergence records is returned
     alongside the weights.
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("batched_ot_weights needs an AlignmentConfig")
-    Xv = _finite_values(X_dagger, "candidate sample")
-    Yv = _finite_values(Y, "reference sample")
+    Xv, Yv = _two_samples(X_dagger, Y, "candidate sample", "reference sample")
     n = Xv.shape[0]
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
     _check_instance((n, min(bs, m_total)), 1)
+    if epsilon_absolute is not None:
+        epsilon_absolute = _positive_real(epsilon_absolute, "epsilon_absolute", NonPositiveEpsilon)
     buf = _scratch(n * min(bs, m_total))
 
     weights = np.zeros(n)
@@ -633,7 +623,7 @@ def batched_ot_weights(
         try:
             C_b = cost_matrix(Xv, Yv[lo:hi], config.item_weights, buf[:n * m_b].reshape(n, m_b))
             if epsilon_absolute is not None:
-                eff = _positive_real(epsilon_absolute, "epsilon_absolute", NonPositiveEpsilon)
+                eff = epsilon_absolute
             elif C_b.median_cost > 0:
                 eff = config.epsilon * C_b.median_cost
             else:
@@ -673,11 +663,7 @@ def batched_ot_weights(
             }
         )
         with np.errstate(divide="ignore"):
-            log_u = np.log(plan.scaling_u)
-        # an unconverged plan, or a scaling that left double range, gives the
-        # next batch a cold start
-        warm = plan.converged and np.isfinite(log_u).all()
-        start = (log_u, eff) if warm else None
+            start = (np.log(plan.scaling_u), eff)
         # a plan whose gamma was built must not hold it through the next batch
         del C_b, plan
     if return_details:

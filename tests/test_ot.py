@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from popalign import core, ot
+from popalign.checks import entropic_gap
 from popalign import (
     AlignmentConfig,
     CostMatrix,
@@ -35,6 +36,7 @@ from popalign import (
 from popalign.errors import (
     DegenerateCostScale,
     DimensionMismatch,
+    EmptyInput,
     InstanceTooLarge,
     InvalidConfig,
     NonFiniteValue,
@@ -145,6 +147,53 @@ class TestCostMatrix:
         assert (exc.value.row, exc.value.col) == (3, 1)
 
 
+# an empty candidate side, an empty reference side, and width 0 on both,
+# with the side that the error names
+EMPTY_PAIRS = [
+    pytest.param(np.zeros((0, 2)), np.ones((5, 2)), "candidate", id="no-candidates"),
+    pytest.param(np.ones((4, 2)), np.zeros((0, 2)), "reference", id="no-reference"),
+    pytest.param(np.zeros((4, 0)), np.zeros((5, 0)), "candidate", id="width-0"),
+]
+
+
+class TestTwoSampleGate:
+    """cost_matrix and batched_ot_weights refuse an empty sample with EmptyInput."""
+
+    @pytest.mark.parametrize("X, Y, side", EMPTY_PAIRS)
+    def test_cost_matrix(self, X, Y, side):
+        with pytest.raises(EmptyInput, match=f"the {side} sample is empty"):
+            cost_matrix(X, Y)
+
+    @pytest.mark.parametrize("X, Y, side", EMPTY_PAIRS)
+    def test_batched_ot_weights(self, X, Y, side):
+        with pytest.raises(EmptyInput, match=f"the {side} sample is empty"):
+            batched_ot_weights(X, Y, make_config(ot_batch_size=4))
+
+
+class TestCostGate:
+    """Every cost passes one gate (_as_cost): a cost that is not 2-d raises
+    DimensionMismatch, an empty one EmptyInput, before anything is built."""
+
+    SITES = [
+        pytest.param(lambda C: sinkhorn(C, epsilon=1.0), id="sinkhorn"),
+        pytest.param(lambda C: gibbs_kernel(C, 1.0), id="gibbs_kernel"),
+        pytest.param(lambda C: exact_ot_small(C, np.ones(1), np.ones(1)), id="exact_ot_small"),
+        pytest.param(lambda C: entropic_gap(C, epsilon=1.0), id="entropic_gap"),
+    ]
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("cost", [np.ones(5), np.ones((2, 3, 4)), 1.0], ids=["1d", "3d", "0d"])
+    def test_not_two_dimensional(self, site, cost):
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            site(cost)
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty(self, site, shape):
+        with pytest.raises(EmptyInput):
+            site(np.zeros(shape))
+
+
 class TestMedianCost:
     """The exact selection returns np.median's value bit for bit, without a copy of C."""
 
@@ -168,8 +217,11 @@ class TestMedianCost:
 
     def test_plain_array_any_layout(self):
         arr = random_instance(np.random.default_rng(3), 400, 500).values
-        for view in (arr, arr.T, arr[::3, 1::2], arr.reshape(8, 50, 500)):
+        for view in (arr, arr.T, arr[::3, 1::2]):
             assert ot._as_cost(view).median_cost == np.median(view)
+        # a cost is 2-d; the median itself takes any layout
+        view = arr.reshape(8, 50, 500)
+        assert core._array_median(view) == np.median(view)
 
     def test_all_zero_batch_raises(self):
         C = cost_matrix(np.zeros((6, 2)), np.zeros((9, 2)))
@@ -782,6 +834,17 @@ class TestBatchedOtWeights:
             batched_ot_weights(*pair, make_config(ot_batch_size=10))
         assert (exc.value.row, exc.value.col) == (4, 2)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+    def test_epsilon_absolute_checked_before_the_buffer(self, bad, monkeypatch):
+        rng = np.random.default_rng(16)
+        X, Y = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
+        built = []
+        monkeypatch.setattr(ot, "cost_matrix", lambda *a: built.append(a) or cost_matrix(*a))
+        with pytest.raises(NonPositiveEpsilon, match="^epsilon_absolute") as exc:
+            batched_ot_weights(X, Y, make_config(ot_batch_size=20), epsilon_absolute=bad)
+        assert not hasattr(exc.value, "batch")
+        assert not built
+
     def test_memory_budget_names_the_batch_size(self, monkeypatch):
         rng = np.random.default_rng(16)
         X, Y = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
@@ -953,39 +1016,57 @@ class TestWarmStartedBatches:
         np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-10)
 
     @staticmethod
-    def _tilted_start(monkeypatch, C, eps, log_u):
-        """The cold and the warm plan, and whether the warm start was tilted."""
-        tilts = []
-        real = ot._c_transforms
-        monkeypatch.setattr(ot, "_c_transforms", lambda *a: tilts.append(1) or real(*a))
-        cold = sinkhorn(C, epsilon=eps, max_iters=20000, tol=1e-12)
-        warm = sinkhorn(
-            ot._WarmCost(C.values, C.median_cost, log_u(np.log(cold.scaling_u))),
-            epsilon=eps, max_iters=20000, tol=1e-12,
-        )
-        assert warm.converged
-        np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-10)
-        return bool(tilts)
-
-    @pytest.mark.parametrize("gauge, spread", [(400.0, 0.0), (-400.0, 0.0), (0.0, 2000.0)])
-    def test_start_outside_the_bounds_is_tilted(self, gauge, spread, monkeypatch):
-        # a potential offset past the absorption bounds, or spread so far that
-        # tilting by it alone would kill whole columns of the kernel
+    def _offset_start(gauge, spread):
+        # a potential offset past the absorption bounds, or spread past them
         C = random_instance(np.random.default_rng(33), 30, 40)
         offsets = gauge + spread * (np.arange(30) % 2 - 0.5)
-        assert self._tilted_start(monkeypatch, C, 0.1 * C.median_cost, lambda lu: lu + offsets)
+        return C, 0.1 * C.median_cost, lambda lu: lu + offsets
 
-    @pytest.mark.parametrize("shift, tilted", [(-150.0, True), (0.0, False)])
-    def test_underflowing_half_sweep_is_tilted(self, shift, tilted, monkeypatch):
+    @staticmethod
+    def _far_column_start(shift):
         # one far column, whose kernel entries are about e^-650: against a u
         # near 1e-65, still inside the bounds, its half-sweep product underflows
         rng = np.random.default_rng(34)
         X, Y = rng.normal(size=(30, 1)), rng.normal(size=(40, 1))
         Y[0] = 12.0
         C = cost_matrix(X, Y)
-        eps = C.values[:, 0].min() / 650
-        got = self._tilted_start(monkeypatch, C, eps, lambda lu: lu - lu.max() + shift)
-        assert got == tilted
+        return C, C.values[:, 0].min() / 650, lambda lu: lu - lu.max() + shift
+
+    @pytest.mark.parametrize("start, taken", [
+        pytest.param(lambda: TestWarmStartedBatches._offset_start(400.0, 0.0), False,
+                     id="above-the-bounds"),
+        pytest.param(lambda: TestWarmStartedBatches._offset_start(-400.0, 0.0), False,
+                     id="below-the-bounds"),
+        pytest.param(lambda: TestWarmStartedBatches._offset_start(0.0, 2000.0), False,
+                     id="spread-past-the-bounds"),
+        pytest.param(lambda: TestWarmStartedBatches._far_column_start(-150.0), False,
+                     id="underflowing-half-sweep"),
+        pytest.param(lambda: TestWarmStartedBatches._far_column_start(0.0), True,
+                     id="inside-the-bounds"),
+    ])
+    def test_refused_start_is_the_cold_solve(self, start, taken):
+        C, eps, log_u = start()
+        cold = sinkhorn(C, epsilon=eps, max_iters=20000, tol=1e-12)
+        warm = sinkhorn(
+            ot._WarmCost(C.values, C.median_cost, log_u(np.log(cold.scaling_u))),
+            epsilon=eps, max_iters=20000, tol=1e-12,
+        )
+        assert warm.converged
+        if taken:
+            assert warm.iterations_run < cold.iterations_run
+            np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-10)
+            return
+        for name in ("scaling_u", "scaling_v", "row_marginal", "residual_history"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        assert (warm.iterations_run, warm.absorb_count) == (cold.iterations_run, cold.absorb_count)
+
+    def test_unconverged_batch_still_hands_on_its_start(self, monkeypatch):
+        X, Y, cfg = heavy_tail_batches()
+        cfg = make_config(ot_batch_size=cfg.ot_batch_size, sinkhorn_iters=3, sinkhorn_tol=1e-6)
+        solves = recording_solves(monkeypatch)
+        batched_ot_weights(X, Y, cfg, allow_unconverged=True)
+        assert len(solves) == 3 and not any(p.converged for _, p in solves)
+        assert all(isinstance(C, ot._WarmCost) for C, _ in solves[1:])
 
     def test_after_an_absorbing_batch(self, monkeypatch):
         # outlier_instance's far rows: the first batch absorbs
@@ -1036,7 +1117,7 @@ def far_batches(side):
     """Three batches of 90 columns at epsilon 0.02 that take the rare branches.
 
     side "rows": outlier_instance's far rows; the first batch absorbs, and
-    both later starts lie outside the absorption bounds, so they are tilted.
+    both later starts lie outside the absorption bounds, so they are refused.
     side "cols": six far columns in the last batch, which absorbs after a
     warm start.
     """
@@ -1069,7 +1150,6 @@ def public_batches(X, Y, cfg):
             C, a, np.full(m_b, 1.0 / m_b), epsilon=eps,
             max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
         )
-        assert plan.converged  # so every later batch starts warm
         weights += m_b / m * ot_weights(plan)
         details.append({
             "batch": bi, "rows": n, "cols": m_b, "effective_epsilon": eps,
@@ -1088,25 +1168,25 @@ class TestOneBuffer:
     @pytest.mark.parametrize("side", ["rows", "cols"])
     def test_rare_branches_match_public_solves(self, side, monkeypatch):
         X, Y, cfg = far_batches(side)
-        tilts = []
-        real = ot._c_transforms
-        monkeypatch.setattr(ot, "_c_transforms", lambda *a: tilts.append(1) or real(*a))
         solves = recording_solves(monkeypatch)
         w, details = batched_ot_weights(X, Y, cfg, return_details=True)
         absorbs = [p.absorb_count for _, p in solves]
         assert all(C._operands is not None for C, _ in solves)
+        names = ("row_marginal", "scaling_u", "scaling_v", "residual_history")
         if side == "rows":
-            assert absorbs[0] >= 1 and len(tilts) == 2
+            # both later starts are refused: each batch is its cold public solve
+            assert absorbs[0] >= 1
+            for (_, got), want in zip(solves[1:], cold_batches(X, Y, cfg)[1:], strict=True):
+                for name in names:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.iterations_run == want.iterations_run
         else:
-            assert absorbs == [0, 0, absorbs[2]] and absorbs[2] >= 1 and not tilts
-        batch_tilts = len(tilts)
-        tilts.clear()
+            assert absorbs == [0, 0, absorbs[2]] and absorbs[2] >= 1
         w_ref, details_ref, plans = public_batches(X, Y, cfg)
-        assert len(tilts) == batch_tilts
         assert w.tobytes() == w_ref.tobytes()
         assert details == details_ref
         for (_, got), want in zip(solves, plans, strict=True):
-            for name in ("row_marginal", "scaling_u", "scaling_v", "residual_history"):
+            for name in names:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_batch_plans_rebuild_their_cost(self, monkeypatch):
@@ -1129,7 +1209,7 @@ class TestOneBuffer:
         assert plan.absorb_count >= 1
         gibbs_kernel(C, eps)
         transport_cost(plan, C)
-        # a start past the absorption bounds is tilted over the caller's cost
+        # a start past the absorption bounds is refused over the caller's cost
         warm = sinkhorn(
             ot._WarmCost(C.values, C.median_cost, np.log(plan.scaling_u) + 400.0),
             epsilon=eps, max_iters=2000, tol=1e-9,
