@@ -8,19 +8,28 @@ One squared-distance kernel serves the KDE, the transport cost and MMD:
 `_sq_dist_operands` prepares the centred, augmented operands and
 `_sq_dist_tile` is the product for one (rows, columns) tile. Two drivers
 walk it: `_sq_dist_blocks` in full-width row strips for cross pairs, and
-`_self_tiles` in square upper-triangle tiles for a sample's own pairs
-(`_sq_dist_fill` writes every strip into one matrix).
+`_self_tiles` in square upper-triangle tiles for a sample's own pairs.
 `_floored_exp` is the kernels' one clamp-and-exp.
+
+One row partition (`_row_strips`) cuts an n x m array into those strips,
+and `_striped_rows` runs a pass over it as two fixed stripes of strips on
+both cores (parallel.run_pair). A transport batch's three set-up passes
+over its n x m buffer run so: the cost fill (`_sq_dist_fill`, which writes
+every strip into one matrix), the cost median's count pass
+(`_array_median`) and the kernel build (ot._tilted_kernel). A strip's
+entries do not depend on the stripe or thread that computes them.
 
 Two medians are exact selections through `_exact_median`, never a sort of
 the whole list, and return np.median's value bit for bit: the transport
-cost median (`_array_median`, which scales Stage 2's epsilon) and the MMD
-bandwidth's median heuristic (`_median_pairwise_distance`). The latter
-takes one pass over the sample's own tiles when the first bracket holds
-the middle ranks (inputs up to about 11k rows), in about 25 MiB at most for
-any n. At d = 1 the distances are the gaps of the sorted sample: one
-searchsorted over it counts every bracket, and the values inside are index
-ranges (`_sorted_pass`; the selection idea of Croux & Rousseeuw 1992).
+cost median (`_array_median`, which scales Stage 2's epsilon; each count
+pass runs on the two stripes) and the MMD bandwidth's median heuristic
+(`_median_pairwise_distance`; serial, as it runs inside the metrics pair).
+The latter takes one pass over the sample's own tiles when the first
+bracket holds the middle ranks (inputs up to about 11k rows), in about 25
+MiB at most for any n. At d = 1 the distances are the gaps of the sorted
+sample: one searchsorted over it counts every bracket, and the values
+inside are index ranges (`_sorted_pass`; the selection idea of Croux &
+Rousseeuw 1992).
 """
 
 import math
@@ -36,6 +45,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteValue,
 )
+from .parallel import run_pair
 from .rng import _as_uint64, _integer, rng_from_seed
 
 # cap on elements per cross row strip (_sq_dist_blocks): 2^17 float64 is 1
@@ -129,16 +139,45 @@ def _stripe(k):
     return (k ^ (k >> 1)) & 1
 
 
-def _sq_dist_blocks(ops, out=None, stripe=None):
+def _row_strips(n, m, stripe=None):
+    """(lo, hi) of the row strips of an n x m array, in order.
+
+    A strip holds at most _BLOCK_ELEMS entries, but at least _BLOCK_MIN_ROWS
+    rows; with stripe (0 or 1), only the strips k with _stripe(k) == stripe.
+    The one row partition of the cross pairs (_sq_dist_blocks) and of the
+    striped passes over an n x m array (_striped_rows).
+    """
+    block = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // max(1, m))
+    for k, lo in enumerate(range(0, n, block)):
+        if stripe is None or _stripe(k) == stripe:
+            yield lo, min(lo + block, n)
+
+
+def _striped_rows(shape, work):
+    """(work(strips 0), work(strips 1)): one pass over an array of `shape`
+    (n x m) as its two fixed stripes.
+
+    strips s is the list of _row_strips(n, m, s). The two run as one
+    parallel.run_pair, so on both cores; with a single strip (stripe 1
+    empty) both run inline, stripe 0 first. work must write only its own
+    strips' rows and keep its own results, which the caller combines in
+    stripe order. A strip's entries are the same whichever stripe or thread
+    computes them, so an elementwise pass gives the serial pass's bits.
+    """
+    n, m = shape
+    first, second = (list(_row_strips(n, m, s)) for s in (0, 1))
+    if not second:
+        return work(first), work(second)
+    return run_pair(lambda: work(first), lambda: work(second))
+
+
+def _sq_dist_blocks(ops, stripe=None):
     """Yield (lo, hi, D): rows lo:hi of X against every row of Y (cross pairs).
 
-    D is _sq_dist_tile's block for those rows. Rows go in strips of at most
-    _BLOCK_ELEMS entries, but at least _BLOCK_MIN_ROWS rows; with stripe (0
-    or 1), only the strips k with _stripe(k) == stripe. With out (shape
-    n_X x n_Y), each strip is written to, and yielded as, out[lo:hi];
-    without it, every strip is written to one buffer, which the next strip
-    overwrites, so a caller is done with (or copies) each strip before it
-    asks for the next (see _self_tiles).
+    D is _sq_dist_tile's block for those rows, for each of _row_strips (with
+    stripe, of that stripe only). Every strip is written to one buffer,
+    which the next strip overwrites, so a caller is done with (or copies)
+    each strip before it asks for the next (see _self_tiles).
 
     Strips are cache-sized because every caller passes over a strip
     several times (exp and sums in the KDE and MMD), and each pass over a
@@ -149,23 +188,28 @@ def _sq_dist_blocks(ops, out=None, stripe=None):
     """
     A, B, _ = ops
     n, m = A.shape[0], B.shape[0]
-    block = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // max(1, m))
-    buf = np.empty(min(block, n) * m) if out is None else None
-    for k, lo in enumerate(range(0, n, block)):
-        if stripe is None or _stripe(k) == stripe:
-            hi = min(lo + block, n)
-            dest = out[lo:hi] if buf is None else buf[:(hi - lo) * m].reshape(hi - lo, m)
-            yield lo, hi, _sq_dist_tile(ops, slice(lo, hi), slice(None), dest)
+    buf = None
+    for lo, hi in _row_strips(n, m, stripe):
+        if buf is None:  # the first strip is the tallest
+            buf = np.empty((hi - lo) * m)
+        dest = buf[:(hi - lo) * m].reshape(hi - lo, m)
+        yield lo, hi, _sq_dist_tile(ops, slice(lo, hi), slice(None), dest)
 
 
 def _sq_dist_fill(ops, out):
     """out (n_X x n_Y), every row strip of _sq_dist_blocks(ops) written into it.
 
-    The strips are the same wherever out lies, so a cost matrix that a
-    solve overwrote is regenerated from its operands bit for bit.
+    Each strip's product goes straight into its own rows of out, on the two
+    stripes of _striped_rows. The strips are the same wherever out lies and
+    whichever thread fills them, so a cost matrix that a solve overwrote is
+    regenerated from its operands bit for bit.
     """
-    for _block in _sq_dist_blocks(ops, out=out):
-        pass  # each block is its own rows of out
+
+    def fill(strips):
+        for lo, hi in strips:
+            _sq_dist_tile(ops, slice(lo, hi), slice(None), out[lo:hi])
+
+    _striped_rows(out.shape, fill)
     return out
 
 
@@ -307,7 +351,23 @@ def _bracket_pass(parts, a, b):
             kept = [np.concatenate(kept)[::2].copy()]
             size, stride = kept[0].size, 2 * stride
     counts = (lt_a, lt_a + eq_a, le_b - eq_b, le_b)
-    return counts, np.concatenate(kept), stride, unordered
+    return counts, np.concatenate(kept) if kept else np.empty(0), stride, unordered
+
+
+def _merged_passes(first, second):
+    """One _bracket_pass result from those of two passes over disjoint values.
+
+    The counts add. The kept values go in order, first's then second's,
+    each thinned to the larger of the two strides (strides are powers of
+    two), and halved again while they number more than _MEDIAN_CAP: a
+    systematic sample of each pass's inside values, as one pass keeps.
+    """
+    stride = max(first[2], second[2])
+    kept = np.concatenate([part[1][::stride // part[2]] for part in (first, second)])
+    while kept.size > _MEDIAN_CAP:
+        kept, stride = kept[::2].copy(), 2 * stride
+    counts = tuple(x + y for x, y in zip(first[0], second[0]))
+    return counts, kept, stride, first[3] + second[3]
 
 
 def _pivot_pairs(n, m):
@@ -340,8 +400,10 @@ def _exact_median(count_pass, total, sample):
     them. When a middle rank falls outside the bracket, or the bracket holds
     more than _MEDIAN_CAP values, another pass narrows it, with pivots from
     that pass's strided copy of the bracket (or its whole range). Memory is
-    one part, the sample and at most about 2.5 _MEDIAN_CAP kept values. The
-    first bracket holds about _MEDIAN_Z / sqrt(sample size) of the values
+    the sample, and one part and at most about 2.5 _MEDIAN_CAP kept values
+    for each _bracket_pass running at once (two in a striped pass, whose
+    merged result keeps at most _MEDIAN_CAP). The first bracket holds
+    about _MEDIAN_Z / sqrt(sample size) of the values
     (1.6% at 2^16 samples); a further pass draws its pivots from at least
     _MEDIAN_CAP / 2 sampled values, for a bracket about 180 times narrower.
     """
@@ -379,8 +441,11 @@ def _exact_median(count_pass, total, sample):
 def _array_median(C):
     """np.median(C), bit for bit, without the copy of C that np.median sorts.
 
-    The transport cost median: _exact_median reads C in 1 MB chunks of
-    rows, with first pivots at _pivot_pairs' seeded rows and columns.
+    The transport cost median: _exact_median's first pivots are at
+    _pivot_pairs' seeded rows and columns, and each count pass reads C's
+    row strips on the two stripes of _striped_rows (C taken as rows of its
+    last axis), one _bracket_pass each, merged by _merged_passes. The
+    selection is exact for any pivots, so the stripes move no bit.
     """
     if C.size == 0:
         return float(np.mean(C))  # nan, with np.median's warning
@@ -388,12 +453,13 @@ def _array_median(C):
     i, j = _pivot_pairs(*V.shape)
     sample = V[i, j]
     del i, j
-    rows = max(1, _BLOCK_ELEMS // V.shape[1])
-    starts = range(0, V.shape[0], rows)
-    middle = _exact_median(
-        lambda a, b: _bracket_pass((V[lo:lo + rows] for lo in starts), a, b), V.size, sample
-    )
-    return float(np.mean(middle))
+
+    def count_pass(a, b):
+        return _merged_passes(*_striped_rows(
+            V.shape, lambda strips: _bracket_pass((V[lo:hi] for lo, hi in strips), a, b)
+        ))
+
+    return float(np.mean(_exact_median(count_pass, V.size, sample)))
 
 
 def _pair_sample(Z):

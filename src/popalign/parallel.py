@@ -1,15 +1,19 @@
 """Two independent computations on the machine's two cores.
 
-The pipeline has two such pairs. kde.importance_log_ratios cuts the human
-and persona densities at every pool point into two fixed stripes (row
+The pipeline runs three kinds of pair. kde.importance_log_ratios cuts the
+human and persona densities at every pool point into two fixed stripes (row
 strips of the cross density, tile rows of the self-density, assigned by
 row index; at d=1 one fast Gauss transform each), and runs stripe 0 of
 both beside stripe 1 of both; each stripe keeps its own sums, added in
-stripe order afterwards. The other pair is the metric suite for the
-uniform baseline and for the aligned subset (the pipeline's `metrics`
-stage). run_pair runs each pair on min(2, usable CPUs) threads; numpy
-releases the GIL in its products, exp and sorts, so two threads overlap
-the pair's work.
+stripe order afterwards. Each transport batch makes three passes over its
+n x m buffer, each as the same two row stripes (core._striped_rows): the
+cost fill, the exact median's count pass (each stripe counts its own
+values; the counts add) and the kernel build. The last pair is the metric
+suite for the uniform baseline and for the aligned subset (the pipeline's
+`metrics` stage), whose median heuristic stays serial inside it. run_pair
+runs each pair on min(2, usable CPUs) threads; numpy releases the GIL in
+its products, exp, comparisons and sorts, so two threads overlap the
+pair's work.
 
 While a pair runs, numpy's OpenBLAS is pinned to one thread, for one worker
 as for two: two workers that each start two BLAS threads contend for the

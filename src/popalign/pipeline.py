@@ -10,7 +10,10 @@ config) reproduces outputs bit-identically.
 Errors raised inside a stage propagate with their original type, a `stage`
 attribute, and a message prefix naming the stage. Each stage, finished or
 raising, logs one DEBUG event with its name and elapsed seconds to the
-`popalign.pipeline` logger.
+`popalign.pipeline` logger. When more than half of the pool's importance
+log ratios are clamped (is_weights.clamp_count; every one of them at d = 20
+with the default bandwidth), the same logger gives one WARNING naming the
+count, the pool size and the bandwidth; the report does not change.
 """
 
 from contextlib import contextmanager
@@ -186,11 +189,12 @@ def run_alignment(
     pool, in which every point's own kernel is already a source term; a cap
     at or above both sample sizes gives the same report as no cap.
 
-    The importance weights (two stripes of both densities) and the two
-    metric reports each run as a pair on two threads (parallel.run_pair),
-    which pins numpy's process-wide OpenBLAS thread count to one while it
-    runs: BLAS calls on other threads run single-threaded meanwhile, and a
-    count they set is undone afterwards.
+    The importance weights (two stripes of both densities), each transport
+    batch's set-up passes (two row stripes) and the two metric reports each
+    run as a pair on two threads (parallel.run_pair), which pins numpy's
+    process-wide OpenBLAS thread count to one while it runs: BLAS calls on
+    other threads run single-threaded meanwhile, and a count they set is
+    undone afterwards.
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("run_alignment needs an AlignmentConfig")
@@ -232,6 +236,12 @@ def run_alignment(
             query_in_source=persona_fit is not pool_matrix,
         )
         is_weights, weight_summary = _weight_summary(log_ratios)
+        if weight_summary["clamp_count"] > pool_matrix.n / 2:
+            logger.warning(
+                "importance weights: %d of %d pool log ratios clamped at +-%g "
+                "(bandwidth %g); Stage 1 barely reweights the pool",
+                weight_summary["clamp_count"], pool_matrix.n, _LOG_CLAMP, config.bandwidth,
+            )
 
     with _stage("truncate", timings):
         kept = truncate_by_weight(is_weights, config.retain_fraction)

@@ -247,7 +247,14 @@ class TestMedianCost:
             X, Y = np.round(X, 1), np.round(Y, 1)
         C = cost_matrix(X, Y)
         assert C.median_cost == np.median(C.values)
-        assert len(passes) >= 2
+        # each pass runs one _bracket_pass per stripe, both on its bracket
+        assert len(set(passes)) >= 2
+
+    def test_bracket_pass_over_no_values(self):
+        # a one-strip cost leaves its second stripe with no values
+        counts, kept, stride, unordered = core._bracket_pass(iter([]), 0.0, 1.0)
+        assert counts == (0, 0, 0, 0) and (stride, unordered) == (1, 0)
+        assert kept.dtype == np.float64 and kept.shape == (0,)
 
     def test_nan_cost_gives_nan(self):
         assert math.isnan(ot._as_cost([[np.nan]]).median_cost)

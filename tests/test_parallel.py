@@ -1,10 +1,10 @@
 """parallel.run_pair: two thunks on two threads, with numpy's BLAS pinned.
 
-The pipeline's two pairs (the two stripes of the human and persona
-densities, the two metric reports) run through run_pair; the results must
-not depend on the worker count, errors must surface as in a serial run, and
-the BLAS thread count must be back where it was after every pair, raising
-or not.
+The pipeline's pairs (the two stripes of the human and persona densities,
+the two metric reports, and the two row stripes of each transport batch's
+set-up passes) run through run_pair; the results must not depend on the
+worker count, errors must surface as in a serial run, and the BLAS thread
+count must be back where it was after every pair, raising or not.
 """
 
 import subprocess
@@ -15,7 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from popalign import AlignmentConfig, PersonaRecord, core, parallel, pipeline, run_alignment
+from popalign import (
+    AlignmentConfig,
+    PersonaRecord,
+    batched_ot_weights,
+    core,
+    cost_matrix,
+    ot,
+    parallel,
+    pipeline,
+    run_alignment,
+)
 from popalign.errors import DegenerateBandwidth, EmptyInput
 from popalign.kde import fit_kde, importance_log_ratios, log_density_many
 from popalign.metrics import metric_report
@@ -284,3 +294,157 @@ class TestPipelinePairs:
         with pytest.raises(EmptyInput, match=f"stripe {stripe}"):
             importance_log_ratios(human, persona, persona.samples)
         assert parallel.blas_threads() == before
+
+
+def three_ways(compute):
+    """compute() with one worker, with two, and without BLAS controls (plain
+    serial calls, BLAS threads as they are)."""
+    runs = []
+    for name, value in (("_workers", lambda: 1), ("_workers", lambda: 2), ("_controls", ())):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, name, value)
+            runs.append(compute())
+    return runs
+
+
+# (n, m) of one row strip, of five (an odd count) and of six with n > m
+STRIPED_SHAPES = [(40, 30), (655, 1000), (1300, 600)]
+STRIPED_IDS = ["one-strip", "five-strips", "n-above-m"]
+
+
+class TestTransportStripes:
+    """The n x m set-up passes of a transport batch run on two row stripes
+    (core._striped_rows): cost fill, exact-median count and kernel build."""
+
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_walk_covers_every_strip_once(self, n, m):
+        first, second = core._striped_rows((n, m), list)
+        assert sorted(first + second) == list(core._row_strips(n, m))
+        assert first == list(core._row_strips(n, m, 0))
+        assert bool(second) == (len(first) + len(second) > 1)
+
+    @needs_blas
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_two_workers_take_stripe_one_elsewhere_unless_one_strip(self, n, m, monkeypatch):
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        main = threading.get_ident()
+        first, second = core._striped_rows((n, m), lambda strips: threading.get_ident())
+        assert first == main
+        assert (second != main) == ((n, m) != STRIPED_SHAPES[0])
+
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_cost_fill_same_bits(self, n, m):
+        rng = np.random.default_rng(n)
+        X, Y = rng.normal(loc=50.0, size=(n, 3)), rng.normal(loc=50.0, size=(m, 3))
+        w = rng.uniform(0.5, 2.0, size=3)
+
+        def compute():
+            C = cost_matrix(X, Y, w, out=np.empty((n, m)))
+            return C.values.copy(), C.median_cost
+
+        runs = three_ways(compute)
+        # the strips walked one after another, as the serial fill wrote them
+        ops = core._sq_dist_operands(X, Y, w)
+        serial = np.vstack([D.copy() for _lo, _hi, D in core._sq_dist_blocks(ops)])
+        for values, median in runs:
+            assert values.tobytes() == serial.tobytes()
+            assert median == np.median(serial)
+
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_median_with_unequal_stripe_strides(self, n, m, monkeypatch):
+        # stripe 0's strips hold values near the median, stripe 1's are
+        # spread: under a lowered cap, the first pass keeps a strided sample
+        # of stripe 0's inside values and more of stripe 1's, and at least
+        # one more pass follows
+        rng = np.random.default_rng(m)
+        C = rng.uniform(0.0, 1.0, size=(n, m))
+        for lo, hi in core._row_strips(n, m, 0):
+            C[lo:hi] = rng.uniform(0.45, 0.55, size=(hi - lo, m))
+        monkeypatch.setattr(core, "_MEDIAN_CAP", max(4, C.size // 300))
+        passes = []
+        real = core._bracket_pass
+
+        def recording(parts, a, b):
+            result = real(parts, a, b)
+            passes.append(((a, b), result[2]))
+            return result
+
+        def compute():
+            passes.clear()
+            return core._array_median(C), passes[:]
+
+        monkeypatch.setattr(core, "_bracket_pass", recording)
+        runs = three_ways(compute)
+        for _median, seen in runs:
+            assert seen[0][0] == seen[1][0]  # one bracket, one call per stripe
+            assert seen[0][1] != seen[1][1]
+            assert len({bracket for bracket, _ in seen}) >= 2
+        assert runs[0][0] == np.median(C)
+        for median, brackets in runs[1:]:
+            assert median == runs[0][0]
+            assert sorted(brackets) == sorted(runs[0][1])
+
+    @pytest.mark.parametrize("tilt", [False, True], ids=["plain", "tilted"])
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_kernel_same_bits(self, n, m, tilt):
+        rng = np.random.default_rng(n + m)
+        C = rng.uniform(0.0, 4.0, size=(n, m))
+        f, g = (rng.normal(size=n), rng.normal(size=m)) if tilt else (None, None)
+        want = -C / 0.3
+        if tilt:
+            want += f[:, None]
+            want += g[None, :]
+        want = np.exp(want)
+        for K in three_ways(lambda: ot._tilted_kernel(C, 0.3, f, g)):
+            assert K.tobytes() == want.tobytes()
+        def over_its_cost():  # as a batch builds its kernel
+            K = C.copy()
+            return ot._tilted_kernel(K, 0.3, f, g, out=K)
+
+        for K in three_ways(over_its_cost):
+            assert K.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m", STRIPED_SHAPES, ids=STRIPED_IDS)
+    def test_batched_weights_same_bits(self, n, m):
+        # two batches, the second narrower than the first
+        rng = np.random.default_rng(n * m)
+        X, Y = rng.normal(size=(n, 2)), rng.normal(loc=0.3, size=(m + m // 2, 2))
+        config = AlignmentConfig(
+            n_is_candidates=n, n_final=1, seed=0, ot_batch_size=m, sinkhorn_iters=5000
+        )
+        runs = three_ways(lambda: batched_ot_weights(X, Y, config, return_details=True))
+        for weights, details in runs[1:]:
+            assert weights.tobytes() == runs[0][0].tobytes()
+            assert details == runs[0][1]
+        assert [d["cols"] for d in runs[0][1]] == [m, m // 2]
+
+    @needs_blas
+    def test_many_callers_at_once_get_the_serial_bits(self, monkeypatch):
+        # more callers than cores, each filling its own buffer and taking its
+        # median on two stripes, switching threads as often as possible
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        rng = np.random.default_rng(24)
+        X, Y = rng.normal(size=(655, 2)), rng.normal(size=(1000, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "_controls", ())
+            want = cost_matrix(X, Y)
+        seen = []
+
+        def caller():
+            for _ in range(5):
+                C = cost_matrix(X, Y, out=np.empty((655, 1000)))
+                seen.append(C.values.tobytes() == want.values.tobytes()
+                            and C.median_cost == want.median_cost)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert seen == [True] * 20

@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popalign import (
     AlignmentConfig,
@@ -24,6 +26,7 @@ from popalign import (
 from popalign.clients import HttpResponder
 from popalign.core import PersonaRecord, ValidatedPool
 from popalign.errors import InvalidConfig, NumericalCollapse, ResponderFailure
+from popalign import core, pipeline
 from popalign.pipeline import (
     _FINAL_STREAM,
     _STAGE1_STREAM,
@@ -366,3 +369,91 @@ class TestRunAlignment:
         assert "timings" not in doc
         with_t = json.loads(report_json(report, include_timings=True))
         assert set(with_t["timings"]) >= {"validate", "transport", "metrics"}
+
+
+class TestClampWarning:
+    """More than half of the pool's log ratios clamped: one WARNING, same report."""
+
+    def test_every_ratio_clamped_at_d20(self, caplog):
+        pool, ref, personas = small_problem(seed=0, n=300, m=100, d=20)
+        cfg = AlignmentConfig(n_is_candidates=100, n_final=50, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="popalign.pipeline"):
+            _, report = run_alignment(pool, ref, personas, cfg)
+        warnings = [r for r in caplog.records
+                    if r.name == "popalign.pipeline" and r.levelno == logging.WARNING]
+        assert report.is_weights["clamp_count"] == 300
+        assert len(warnings) == 1
+        assert warnings[0].args[:2] == (300, 300)
+        assert warnings[0].args[-1] == cfg.bandwidth
+        assert "300 of 300" in warnings[0].getMessage()
+        assert "bandwidth 0.2" in warnings[0].getMessage()
+        # the warning only reports: a run that drops it writes the same bytes
+        logger = logging.getLogger("popalign.pipeline")
+        logger.disabled = True
+        try:
+            _, quiet = run_alignment(pool, ref, personas, cfg)
+        finally:
+            logger.disabled = False
+        assert report_json(quiet) == report_json(report)
+
+    @pytest.mark.parametrize("clamped, warned", [(100, False), (101, True)])
+    def test_fires_above_half_the_pool(self, clamped, warned, caplog, monkeypatch):
+        real = pipeline._weight_summary
+
+        def summary(log_ratios):
+            w, record = real(log_ratios)
+            return w, dict(record, clamp_count=clamped)
+
+        monkeypatch.setattr(pipeline, "_weight_summary", summary)
+        pool, ref, personas = small_problem(n=200, m=100)
+        cfg = AlignmentConfig(n_is_candidates=100, n_final=20, seed=1)
+        with caplog.at_level(logging.WARNING, logger="popalign.pipeline"):
+            run_alignment(pool, ref, personas, cfg)
+        assert [r.levelno for r in caplog.records if r.name == "popalign.pipeline"] == (
+            [logging.WARNING] if warned else []
+        )
+
+
+# (preset, d) of the scaling property
+SCALED_PRESETS = [("shifted-gaussian", 3), ("mixture-skew", 2), ("heavy-tail", 1)]
+
+
+class TestPowerOfTwoScaling:
+    """Scaling the pool, the reference and the bandwidth by 2^k scales every
+    squared distance, the cost median and eps by 4^k exactly: the same ids
+    and sweeps, amw and sw times 2^k, fd times 4^k, mmd unchanged."""
+
+    @settings(derandomize=True, max_examples=9, deadline=None)
+    @given(
+        preset=st.sampled_from(SCALED_PRESETS),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-2, -1, 1, 2, 5, 10]),
+    )
+    def test_run_alignment_scales_exactly(self, preset, seed, k):
+        # two transport batches, of 1200 and 600 columns, and the first one
+        # cut into at least two row strips
+        name, d = preset
+        pool = sample_population(name, 400, d, seed=seed, role="pool").values
+        ref = sample_population(name, 1800, d, seed=seed, role="reference").values
+        personas = [PersonaRecord(id=f"p{i}", response_row=i) for i in range(400)]
+        s = 2.0 ** k
+        runs = []
+        for scale in (1.0, s):
+            cfg = AlignmentConfig(
+                n_is_candidates=300, n_final=100, seed=seed, bandwidth=0.2 * scale,
+                ot_batch_size=1200,
+            )
+            runs.append(run_alignment(pool * scale, ref * scale, personas, cfg))
+        (ids, report), (scaled_ids, scaled) = runs
+        assert scaled_ids == ids
+        assert [b["iterations"] for b in scaled.sinkhorn_batches] == [
+            b["iterations"] for b in report.sinkhorn_batches
+        ]
+        assert [b["cols"] for b in report.sinkhorn_batches] == [1200, 600]
+        assert len(list(core._row_strips(report.pool_sizes["n_is_dedup"], 1200))) >= 2
+        for key in ("metrics_random_select", "metrics_aligned"):
+            want, got = getattr(report, key), getattr(scaled, key)
+            assert got["amw"] == want["amw"] * s
+            assert got["sw"] == want["sw"] * s
+            assert got["fd"] == want["fd"] * s * s
+            assert got["mmd"] == want["mmd"]
