@@ -32,6 +32,7 @@ inside are index ranges (`_sorted_pass`; the selection idea of Croux &
 Rousseeuw 1992).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -370,16 +371,22 @@ def _merged_passes(first, second):
     return counts, kept, stride, first[3] + second[3]
 
 
+@functools.lru_cache(maxsize=2)
 def _pivot_pairs(n, m):
     """_MEDIAN_SAMPLE seeded index pairs (i, j), i uniform on [0, n), j on [0, m).
 
     The one draw behind _exact_median's first pivots (the transport cost
     median and the MMD bandwidth's median heuristic); int32 indices keep
     the sample's set-up at 1 MiB. The selection is exact for any pivots.
+    The draw depends on (n, m) alone, and a job repeats its shapes (both
+    transport batches, then both metric reports, whose pooled shape a
+    workload's jobs share), so the last two draws are kept, 1 MiB in all,
+    read-only, as every caller shares them.
     """
     rng = rng_from_seed(0, stream=(_MEDIAN_STREAM,))
     i = rng.integers(0, n, _MEDIAN_SAMPLE, dtype=np.int32)
     j = rng.integers(0, m, _MEDIAN_SAMPLE, dtype=np.int32)
+    i.flags.writeable = j.flags.writeable = False
     return i, j
 
 
@@ -475,7 +482,7 @@ def _pair_sample(Z):
     buffered copy of out.
     """
     i, j = _pivot_pairs(Z.shape[0], Z.shape[0] - 1)
-    j += j >= i
+    j = j + (j >= i)
     d = Z.shape[1]
     rows = min(i.size, max(1, _PAIR_CHUNK // d))
     sample = np.empty(i.size, dtype=Z.dtype)

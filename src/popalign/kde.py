@@ -9,9 +9,17 @@ underflow a plain average hits already at moderate dimension. Importance
 weights are the exponentiated log-density ratio target/source with a
 symmetric clamp on the log ratio (_LOG_CLAMP); an unbounded ratio would let a
 single far-out candidate swallow the whole resampling budget.
+
+At d = 1 and scale the kernel sums run through a fast Gauss transform in
+linear space (_fgt_gauss_sums_1d). A row whose sum is too small for the
+transform's absolute error is summed exactly over a window of the sorted
+sources around its query (_window_kernel_lse), never against every source;
+each such evaluation logs one DEBUG event on the `popalign.kde` logger with
+its query count, small-sum rows and window pairs summed.
 """
 
 from dataclasses import dataclass
+import logging
 import math
 
 import numpy as np
@@ -27,6 +35,8 @@ from .core import (
 )
 from .errors import DimensionMismatch, NonPositiveBandwidth
 from .parallel import run_pair
+
+logger = logging.getLogger(__name__)
 
 # the importance log ratio is clamped to [-_LOG_CLAMP, _LOG_CLAMP], so every
 # weight lies in [e^-30, e^30]; the report records it as is_weights.log_clamp
@@ -56,11 +66,22 @@ _FGT_REACH = 11
 # human density (28.2 against 22.7 ms, 6000 x 1600, one BLAS thread)
 _NEAR_LOG_TERM = -600.0
 
-# linear-space kernel sums below this are recomputed densely in log space:
+# linear-space kernel sums below this are recomputed exactly in log space:
 # transform error is absolute (a few ulp of the nearby kernel mass, about
-# 1e-15 relative on sums of order 1), so small sums go through the dense
-# path to keep ~1e-11 relative precision everywhere
+# 1e-15 relative on sums of order 1), so small sums go through the windowed
+# exact sum to keep ~1e-11 relative precision everywhere
 _FGT_SAFE_SUM = 1e-2
+
+# a windowed row sums the sources s with (q - s)^2 <= d0^2 + 2 h^2 L, d0 the
+# nearest source's distance: each term left out weighs under e^-L = 8.8e-27
+# of the row's largest, so together they weigh under 2^-60 of it while the
+# sources number fewer than 9.9e7 (the argument of _FGT_REACH's e^-60.5)
+_WINDOW_LOG_REACH = 60.0
+# pairs a windowed sum walks at a time (128 KiB per array of them): at
+# core._BLOCK_ELEMS pairs a chunk, the benchmark's tails-1d job peaked 2 MB
+# higher in RSS than with dense small-sum rows (the freed chunks stayed
+# resident); at this size it peaks as they did
+_WINDOW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -174,7 +195,7 @@ def _fgt_gauss_sums_1d(sources, queries, h):
     up to 1e3), and a lone source's kernel to 4e-16 absolute: _fgt_boxes
     measures every offset from the exact box centres the translation
     assumes. The error is absolute, a few ulp of the nearby kernel mass,
-    so sums that it could dominate are recomputed densely by the caller.
+    so sums that it could dominate are summed exactly by the caller.
     """
     p, reach = _FGT_ORDER, _FGT_REACH
     s = np.asarray(sources, dtype=np.float64).ravel()
@@ -233,17 +254,9 @@ def _fgt_gauss_sums_1d(sources, queries, h):
     return out
 
 
-def _dense_kernel_lse(S, Q, bandwidth):
-    """log sum_i exp(-||q - s_i||^2 / (2 h^2)) per query row (no normalizer).
-
-    Both stripes of _dense_stripes, run in order on the calling thread.
-    """
-    work, finish = _dense_stripes(S, Q, bandwidth)
-    return finish(work(0), work(1))
-
-
 def _dense_stripes(S, Q, bandwidth):
-    """(work, finish) for _dense_kernel_lse(S, Q, bandwidth) in two stripes.
+    """(work, finish) for log sum_i exp(-||q - s_i||^2 / (2 h^2)) per query
+    row q of Q (no normalizer), in two stripes.
 
     work(s) does stripe s's share (s = 0, 1) and returns its accumulator;
     finish(first, second) takes stripe 0's and stripe 1's and returns the
@@ -317,19 +330,72 @@ def _uses_fgt(S, Q, bandwidth):
     return span / bandwidth < 200_000
 
 
+def _window_kernel_lse(sources, q, bandwidth):
+    """(log sum_i exp(-(q - s_i)^2 / (2 h^2)) per query q, pairs summed), d=1.
+
+    The sources are sorted once. Each query sums exactly, from direct
+    differences, only the window of sources within (q - s)^2 <= d0^2 + 2 h^2
+    _WINDOW_LOG_REACH of it, d0 being its nearest source's distance, shifted
+    by the nearest term as the dense path's row-max shift is: that term
+    contributes exactly 1 (an equidistant pair, 1 each), so a row never
+    underflows to -inf, and the shift is added back after the log. The
+    nearest source is always in its window, however the ends round. The
+    ragged windows are walked as one run of pairs, _WINDOW_CHUNK at a time,
+    so memory stays bounded when many far queries face a dense cluster.
+    """
+    s = np.sort(sources)
+    scale = -1.0 / (2.0 * bandwidth * bandwidth)
+    pos = np.searchsorted(s, q)
+    left, right = np.maximum(pos - 1, 0), np.minimum(pos, s.size - 1)
+    d_left, d_right = (q - s[left]) ** 2, (q - s[right]) ** 2
+    near = np.where(d_right < d_left, right, left)
+    d0 = np.minimum(d_left, d_right)
+    reach = np.sqrt(d0 + 2.0 * bandwidth * bandwidth * _WINDOW_LOG_REACH)
+    lo = np.minimum(np.searchsorted(s, q - reach, side="left"), near)
+    hi = np.maximum(np.searchsorted(s, q + reach, side="right"), near + 1)
+    shift = d0 * scale
+    ends = np.cumsum(hi - lo)
+    total = int(ends[-1])
+    # pair p of row r (ends[r - 1] <= p < ends[r]) is source p + offset[r]
+    offset = hi - ends
+    sums = np.zeros(q.size)
+    for first in range(0, total, _WINDOW_CHUNK):
+        pair = np.arange(first, min(first + _WINDOW_CHUNK, total))
+        row = np.searchsorted(ends, pair, side="right")
+        pair += offset[row]
+        t = np.take(q, row)
+        t -= np.take(s, pair)
+        t *= t
+        t *= scale
+        t -= np.take(shift, row)
+        np.exp(t, out=t)
+        r0 = row[0]
+        row -= r0
+        sums[r0:r0 + row[-1] + 1] += np.bincount(row, weights=t)
+    return np.log(sums) + shift, total
+
+
 def _fgt_kernel_lse(S, Q, bandwidth, include_query):
-    """_dense_kernel_lse's values through the fast Gauss transform, d=1.
+    """log sum_i exp(-(q - s_i)^2 / (2 h^2)) per query row through the fast
+    Gauss transform, d=1.
 
     Queries whose linear kernel sum is small enough that transform error
-    could matter are recomputed densely; under include_query the query's
-    own term 1 swamps that error, so only a sum that it took below zero is.
+    could matter are summed exactly over a window of the sorted sources
+    (_window_kernel_lse); under include_query the query's own term 1
+    swamps that error, so only a sum that it took below zero is. Logs one
+    DEBUG event: queries, sources, small-sum rows and window pairs summed.
     """
     sums = _fgt_gauss_sums_1d(S[:, 0], Q[:, 0], bandwidth)
     small = np.flatnonzero(sums < (0.0 if include_query else _FGT_SAFE_SUM))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(sums)
+    pairs = 0
     if small.size:
-        out[small] = _dense_kernel_lse(S, Q[small], bandwidth)
+        out[small], pairs = _window_kernel_lse(S[:, 0], Q[small, 0], bandwidth)
+    logger.debug(
+        "fgt: %d queries against %d sources, %d small-sum rows, %d window pairs",
+        Q.shape[0], S.shape[0], small.size, pairs,
+    )
     return out
 
 
@@ -371,7 +437,8 @@ def log_density_many(model, X, include_query=False):
     Agrees with per-row log_density to ~1e-12 absolute on a typical response
     scale. d=1 at scale runs through the fast Gauss transform; queries whose
     linear kernel sum is small enough that transform error could matter are
-    recomputed densely, so tail values keep dense-path precision.
+    summed exactly over a window of the sorted sources around them, so tail
+    values keep (or, from direct differences, better) dense-path precision.
     include_query matches log_density: each query is treated as an extra
     fitting sample for its own evaluation. Use it when the fitting set is a
     subsample of the population the queries come from; a query the subsample

@@ -96,15 +96,24 @@ def collect_responses(personas, items, responder, seed):
 def truncate_by_weight(weights, retain_fraction):
     """Indices of the top ceil(retain_fraction * n) entries by weight.
 
-    Ties resolve toward the lower index (stable order); the result is sorted
-    ascending.
+    Ties resolve toward the lower index (stable order) and a NaN weight
+    ranks last; the result is sorted ascending. That is the head of
+    np.argsort(-w, kind="stable"), taken without the sort: one partition
+    finds the n_keep-th key, every entry above it is kept, and the
+    lowest-index entries equal to it fill the rest.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise InvalidConfig(f"weights must be a nonempty 1-d vector, got shape {w.shape}")
     n_keep = max(1, math.ceil(_fraction(retain_fraction, "retain_fraction") * w.size))
-    order = np.argsort(-w, kind="stable")
-    return np.sort(order[:n_keep])
+    key = np.negative(w)
+    cut = np.partition(key, n_keep - 1)[n_keep - 1]
+    if np.isnan(cut):  # partition, like argsort, ranks NaN last
+        keep, ties = ~np.isnan(key), np.isnan(key)
+    else:
+        keep, ties = key < cut, key == cut
+    keep[np.flatnonzero(ties)[:n_keep - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _weight_summary(log_ratios):

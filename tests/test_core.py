@@ -23,6 +23,7 @@ from popalign import (
     log_density,
     metric_report,
     metrics,
+    parallel,
     validate_pool,
 )
 from popalign.kde import log_density_many
@@ -566,6 +567,60 @@ class TestFiniteValues:
     def test_wrong_ndim(self):
         with pytest.raises(DimensionMismatch):
             core._finite_values(np.zeros(3), "sample")
+
+
+class TestPivotPairs:
+    """core._pivot_pairs draws once per (n, m) and hands out read-only arrays."""
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3816, 1000), (3000, 2999)])
+    def test_cached_draw_equals_a_fresh_one(self, n, m):
+        core._pivot_pairs(n, m)
+        cached = core._pivot_pairs(n, m)
+        fresh = core._pivot_pairs.__wrapped__(n, m)
+        for got, want in zip(cached, fresh):
+            assert got.dtype == want.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+        assert core._pivot_pairs(n, m)[0] is cached[0]
+
+    def test_read_only(self):
+        i, j = core._pivot_pairs(50, 49)
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            j += j >= i
+
+    def test_calls_never_mutate_them(self):
+        rng = np.random.default_rng(46)
+        Z1, Z5, C = rng.normal(size=(300, 1)), rng.normal(size=(300, 5)), rng.random((300, 299))
+        before = [a.copy() for a in core._pivot_pairs(300, 299)]
+        core._pair_sample(Z1)
+        core._pair_sample(Z5)
+        core._median_pairwise_distance(Z5)
+        assert core._array_median(C) == np.median(C)
+        for got, want in zip(core._pivot_pairs(300, 299), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_reports_drawing_at_once_give_the_serial_bits(self, monkeypatch):
+        # two metric reports over the same pooled shape, their first draw
+        # made by both threads at once
+        rng = np.random.default_rng(47)
+        X, Y = rng.standard_t(3, size=(900, 1)), rng.standard_t(3, size=(1100, 1))
+        X5, Y5 = rng.normal(size=(700, 5)), rng.normal(size=(600, 5)) + 0.2
+        serial = [metric_report(X, Y, seed=1).to_record(),
+                  metric_report(X5, Y5, seed=2).to_record()]
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        for _ in range(3):
+            core._pivot_pairs.cache_clear()
+            both = parallel.run_pair(
+                lambda: metric_report(X, Y, seed=1).to_record(),
+                lambda: metric_report(X5, Y5, seed=2).to_record(),
+            )
+            assert list(both) == serial
+            core._pivot_pairs.cache_clear()
+            same = parallel.run_pair(
+                lambda: metric_report(X, Y, seed=1).to_record(),
+                lambda: metric_report(X.copy(), Y.copy(), seed=1).to_record(),
+            )
+            assert list(same) == [serial[0], serial[0]]
 
 
 def test_import_loads_no_scipy():

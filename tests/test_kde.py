@@ -5,6 +5,7 @@ average of Gaussian kernels, only on instances small and tame enough that
 underflow cannot occur.
 """
 
+import logging
 import math
 import tracemalloc
 
@@ -474,3 +475,144 @@ class TestTaylorTranslation:
             tracemalloc.stop()
         # a (order + 1) x n gather of the Taylor coefficients alone is 12 MB
         assert peak <= 8 * 2**20
+
+
+def dense_rows(sources, queries, h):
+    """The dense path's log kernel sums (no normalizer): row strips shifted by
+    their row maxima where a row's nearest source lies far."""
+    work, finish = kde._dense_stripes(sources.reshape(-1, 1), queries.reshape(-1, 1), h)
+    return finish(work(0), work(1))
+
+
+def mp_rows(sources, queries, h):
+    """50-digit oracle for log sum_i exp(-(q - s_i)^2 / (2 h^2))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(float(v)) for v in sources]
+        two_h2 = 2 * mpmath.mpf(h) ** 2
+        return np.array([
+            float(mpmath.log(mpmath.fsum(mpmath.exp(-(mpmath.mpf(float(q)) - v) ** 2 / two_h2)
+                                         for v in s)))
+            for q in queries
+        ])
+
+
+def _window_cases():
+    rng = np.random.default_rng(30)
+    s = rng.normal(size=300)
+    beyond = (s, np.array([s.max() + 5.0, s.min() - 40.0, s.max() + 200.0, s.min() - 200.0]), 0.2)
+    # 0 and 3 lie halfway between two sources, whose terms both peak at 1
+    equidistant = (np.array([-1.0, 1.0, 5.0, 9.5]), np.array([0.0, 3.0, -4.0]), 0.1)
+    dup = np.repeat(rng.normal(size=40), 5)
+    duplicated = (dup, np.concatenate([3.0 * rng.normal(size=30), [dup.max() + 7.0]]), 0.05)
+    t = rng.standard_t(3, size=500)
+    h = 0.05
+    far = np.concatenate([t.max() + h * np.geomspace(1.0, 1e3, 12),
+                          t.min() - h * np.geomspace(1.0, 1e3, 12)])
+    return {"beyond": beyond, "equidistant": equidistant, "duplicated": duplicated,
+            "to-1e3-h": (t, far, h)}
+
+
+WINDOW_CASES = _window_cases()
+
+
+class TestWindowedRows:
+    """Small-sum rows summed over a window of the sorted sources."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_matches_dense_rows_and_the_oracle(self, name):
+        s, q, h = WINDOW_CASES[name]
+        got, pairs = kde._window_kernel_lse(s, q, h)
+        want = mp_rows(s, q, h)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # the dense rows carry their expansion's rounding times 1 / (2 h^2),
+        # 2e-11 on the Student-t case; the windowed rows are never worse
+        dense = dense_rows(s, q, h)
+        np.testing.assert_allclose(got, dense, rtol=1e-13, atol=1e-10)
+        assert (np.abs(got - want) <= np.abs(dense - want) + 1e-15 * np.abs(want)).all()
+        assert q.size <= pairs <= q.size * s.size
+
+    def test_equidistant_sources_count_once_each(self):
+        h = 0.1
+        got, pairs = kde._window_kernel_lse(np.array([-1.0, 1.0]), np.array([0.0]), h)
+        assert got[0] == math.log(2.0) - 1.0 / (2.0 * h * h)
+        assert pairs == 2
+
+    def test_window_drops_only_negligible_terms(self):
+        # a source just outside the window of a query whose nearest source is
+        # 1 away: d0^2 + 2 h^2 L < (q - s)^2
+        h, L = 0.1, kde._WINDOW_LOG_REACH
+        edge = math.sqrt(1.0 + 2.0 * h * h * L) + 1e-9
+        got, pairs = kde._window_kernel_lse(np.array([1.0, -edge]), np.array([0.0]), h)
+        assert pairs == 1
+        assert got[0] == -1.0 / (2.0 * h * h)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_split_rows_anywhere(self, chunk, monkeypatch):
+        s, q, h = WINDOW_CASES["to-1e3-h"]
+        whole, pairs = kde._window_kernel_lse(s, q, h)
+        monkeypatch.setattr(kde, "_WINDOW_CHUNK", chunk)
+        got, chunked_pairs = kde._window_kernel_lse(s, q, h)
+        assert chunked_pairs == pairs
+        np.testing.assert_allclose(got, whole, rtol=1e-15, atol=0.0)
+
+    def test_fast_path_takes_windowed_rows(self, monkeypatch):
+        s, q, h = WINDOW_CASES["to-1e3-h"]
+        model = fit_kde(s.reshape(-1, 1), h)
+        X = np.concatenate([s[:100], q]).reshape(-1, 1)
+        monkeypatch.setattr(kde, "_FGT_MIN_PAIRS", 0)
+        got = log_density_many(model, X)
+        np.testing.assert_allclose(
+            got[100:], mp_rows(s, q, h) - model.log_norm_const, rtol=1e-15, atol=0.0
+        )
+
+    def test_memory_of_far_queries_facing_a_cluster(self, caplog):
+        # 10^4 queries 0.1 to 10 beyond a cluster of 10^5 sources: every
+        # FGT sum is small, and the windows hold 1.2e7 pairs (96 MB per
+        # float64 array of them), walked _WINDOW_CHUNK at a time
+        rng = np.random.default_rng(31)
+        h = 0.01
+        model = fit_kde(rng.uniform(0.0, 1.0, size=(100_000, 1)), h)
+        X = (1.0 + h * np.geomspace(10.0, 1e3, 10_000)).reshape(-1, 1)
+        with caplog.at_level(logging.DEBUG, logger="popalign.kde"):
+            tracemalloc.start()
+            try:
+                out = log_density_many(model, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(out).all()
+        (event,) = [r for r in caplog.records if r.name == "popalign.kde"]
+        queries, _, small, pairs = event.args
+        assert queries == small == 10_000
+        assert pairs > 1e7
+        assert peak <= 10 * 2**20
+
+
+class TestFgtEvent:
+    """One DEBUG event per fast Gauss evaluation on the popalign.kde logger."""
+
+    def test_names_queries_small_rows_and_window_pairs(self, caplog, monkeypatch):
+        s, q, h = WINDOW_CASES["to-1e3-h"]
+        model = fit_kde(s.reshape(-1, 1), h)
+        X = np.concatenate([s, q]).reshape(-1, 1)
+        monkeypatch.setattr(kde, "_FGT_MIN_PAIRS", 0)
+        with caplog.at_level(logging.DEBUG, logger="popalign.kde"):
+            log_density_many(model, X)
+            log_density_many(model, s[:50].reshape(-1, 1), include_query=True)
+        events = [r for r in caplog.records if r.name == "popalign.kde"]
+        assert all(r.levelno == logging.DEBUG for r in events)
+        sums = kde._fgt_gauss_sums_1d(s, X[:, 0], h)
+        small = int(np.count_nonzero(sums < kde._FGT_SAFE_SUM))
+        assert 0 < small < X.shape[0]
+        _, pairs = kde._window_kernel_lse(s, X[sums < kde._FGT_SAFE_SUM, 0], h)
+        assert [r.args for r in events] == [(X.shape[0], s.size, small, pairs), (50, s.size, 0, 0)]
+        assert f"{small} small-sum rows" in events[0].getMessage()
+
+    def test_dense_evaluations_log_nothing(self, caplog):
+        rng = np.random.default_rng(32)
+        model = fit_kde(rng.normal(size=(200, 2)), 0.3)
+        with caplog.at_level(logging.DEBUG, logger="popalign.kde"):
+            log_density_many(model, rng.normal(size=(100, 2)))
+            log_density_many(fit_kde(model.samples.values[:, :1], 0.3), np.zeros((10, 1)))
+        assert not [r for r in caplog.records if r.name == "popalign.kde"]

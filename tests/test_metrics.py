@@ -30,7 +30,7 @@ from popalign import (
     sliced_wasserstein,
     wasserstein_1d,
 )
-from popalign import core, metrics
+from popalign import core, kde, metrics
 from popalign.core import ResponseMatrix
 from popalign.rng import rng_from_seed
 from popalign.errors import (
@@ -366,6 +366,92 @@ class TestMmd:
         assert abs(mmd(X, Y) - mmd(Y, X)) <= 1e-12
 
 
+def _fgt_calls(monkeypatch):
+    """The (sources, queries) sizes of every fast Gauss transform metrics runs."""
+    calls = []
+    real = metrics._fgt_gauss_sums_1d
+
+    def spy(sources, queries, h):
+        calls.append((sources.size, queries.size))
+        return real(sources, queries, h)
+
+    monkeypatch.setattr(metrics, "_fgt_gauss_sums_1d", spy)
+    return calls
+
+
+class TestMmdFastGauss:
+    """d=1 kernel means through the KDE's fast Gauss transform."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(
+        tails=st.booleans(),
+        n_a=st.integers(500, 900),
+        n_b=st.integers(500, 1200),
+        offset=st.sampled_from([0.0, 50.0, 1e3]),
+        shift=st.floats(0.0, 2.0),
+        width=st.sampled_from([None, 0.05, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_tiles(self, tails, n_a, n_b, offset, shift, width, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(n):
+            return rng.standard_t(3, size=(n, 1)) if tails else rng.normal(size=(n, 1))
+
+        A, B = offset + draw(n_a), offset + shift + draw(n_b)
+        sigma = metrics._mmd_bandwidth(A, B, width)
+        pairs = [(A, A), (B, B), (A, B)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _fgt_calls(mp)
+            fast = [metrics._kernel_mean(P, Q, sigma) for P, Q in pairs]
+            fast_mmd = mmd(A, B, kernel_bandwidth=sigma)
+            assert len(calls) == 6
+            mp.setattr(kde, "_FGT_MIN_PAIRS", 10**18)
+            tiles = [metrics._kernel_mean(P, Q, sigma) for P, Q in pairs]
+            tiles_mmd = mmd(A, B, kernel_bandwidth=sigma)
+            assert len(calls) == 6
+        np.testing.assert_allclose(fast, tiles, rtol=0.0, atol=1e-14)
+        assert abs(fast_mmd - tiles_mmd) <= 1e-13
+
+    @pytest.mark.parametrize("tails", [False, True])
+    def test_identical_samples_give_zero(self, tails, monkeypatch):
+        rng = np.random.default_rng(48)
+        X = rng.standard_t(3, size=(800, 1)) if tails else rng.normal(size=(800, 1))
+        calls = _fgt_calls(monkeypatch)
+        assert mmd(X, X) == 0.0
+        assert mmd(X, X.copy()) == 0.0
+        assert calls
+
+    def test_one_dimension_at_scale_walks_no_tiles(self, monkeypatch):
+        def no_tiles(*args, **kwargs):
+            raise AssertionError("dense tiles walked")
+
+        monkeypatch.setattr(metrics, "_self_tiles", no_tiles)
+        monkeypatch.setattr(metrics, "_sq_dist_blocks", no_tiles)
+        calls = _fgt_calls(monkeypatch)
+        rng = np.random.default_rng(49)
+        X, Y = rng.standard_t(3, size=(1000, 1)), rng.standard_t(3, size=(2000, 1))
+        report = metric_report(X, Y)
+        assert calls == [(1000, 1000), (2000, 2000), (2000, 1000)]
+        assert report.mmd == mmd(X, Y)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_higher_dimensions_never_take_the_transform(self, d, monkeypatch):
+        def no_fgt(*args, **kwargs):
+            raise AssertionError("fast Gauss transform called")
+
+        monkeypatch.setattr(metrics, "_fgt_gauss_sums_1d", no_fgt)
+        monkeypatch.setattr(kde, "_fgt_gauss_sums_1d", no_fgt)
+        monkeypatch.setattr(kde, "_FGT_MIN_PAIRS", 0)
+        rng = np.random.default_rng(50 + d)
+        X, Y = rng.normal(size=(600, d)), rng.normal(size=(700, d)) + 0.1
+        metric_report(X, Y)
+        model = kde.fit_kde(Y, 0.3)
+        kde.log_density_many(model, X)
+        kde.log_density_many(model, model.samples)
+        kde.importance_log_ratios(kde.fit_kde(X, 0.3), model, Y)
+
+
 class TestPearson:
     def test_duplicate_column(self):
         x = np.random.default_rng(20).normal(size=30)
@@ -678,7 +764,7 @@ class TestMedianHeuristic:
         monkeypatch.setattr(core, "_PAIR_CHUNK", chunk)
         Z = np.random.default_rng(n + d).standard_t(3, size=(n, d))
         i, j = core._pivot_pairs(n, n - 1)
-        j += j >= i
+        j = j + (j >= i)
         diff = Z[i] - Z[j]
         want = np.abs(diff[:, 0]) if d == 1 else np.einsum("ij,ij->i", diff, diff)
         assert core._pair_sample(Z).tobytes() == want.tobytes()

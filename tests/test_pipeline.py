@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,38 @@ class TestTruncateByWeight:
     def test_bad_shape(self):
         with pytest.raises(InvalidConfig):
             truncate_by_weight(np.ones((2, 2)), 0.5)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.exp(-30.0), math.exp(30.0),
+                                 np.inf, -np.inf, np.nan]),
+                st.integers(-3, 3).map(float),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1, max_size=60,
+        ),
+        keep=st.one_of(st.just(1), st.just(-1), st.integers(1, 60)),
+    )
+    def test_matches_the_stable_argsort(self, values, keep):
+        # heavy ties (integer and clamped weights), NaN ranked last, +-inf,
+        # and n_keep of 1 and of n
+        w = np.array(values)
+        fraction = (w.size if keep == -1 else min(keep, w.size)) / w.size
+        n_keep = max(1, math.ceil(fraction * w.size))
+        want = np.sort(np.argsort(-w, kind="stable")[:n_keep])
+        got = truncate_by_weight(w, fraction)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("w", [np.ones(9), np.full(9, np.nan),
+                                   np.exp(np.clip(np.arange(-40.0, 41.0, 8.0), -30, 30))])
+    @pytest.mark.parametrize("n_keep", [1, 4, 9])
+    def test_all_tied_or_clamped(self, w, n_keep):
+        fraction = n_keep / w.size
+        want = np.sort(np.argsort(-w, kind="stable")[:math.ceil(fraction * w.size)])
+        np.testing.assert_array_equal(truncate_by_weight(w, fraction), want)
 
 
 STAGES = ["validate", "kde_fit", "importance_weights", "truncate", "stage1_draw",
