@@ -15,7 +15,7 @@ import sys
 from . import io as pio
 from .checks import convergence_sweep
 from .clients import HttpFalseNegativeFilter, HttpResponder
-from .core import AlignmentConfig
+from .core import AlignmentConfig, PersonaRecord
 from .errors import InvalidConfig, PopalignError, SchemaError
 from .metrics import metric_report
 from .pipeline import collect_responses, report_json, run_alignment
@@ -31,7 +31,7 @@ _ALIGN_FLAG_FIELDS = tuple(
 
 def _write_or_print(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with pio._replacing(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -56,7 +56,7 @@ def _cmd_align(args):
         epsilon_absolute=args.epsilon_absolute,
     )
     pio.dump_jsonl(args.out_selected, ({"id": sid} for sid in selected))
-    with open(args.out_report, "w", encoding="utf-8") as fh:
+    with pio._replacing(args.out_report) as fh:
         fh.write(report_json(report, include_timings=args.include_timings) + "\n")
     print(f"aligned {len(selected)} selections -> {args.out_selected}, {args.out_report}")
     return 0
@@ -153,9 +153,9 @@ def _cmd_simulate(args):
     pool_ids = [f"p{i:06d}" for i in range(pool.n)]
     pio.save_responses(args.out_pool, pool, ids=pool_ids)
     pio.save_responses(args.out_reference, reference, ids=[f"h{i:06d}" for i in range(reference.n)])
-    pio.dump_jsonl(
+    pio.save_personas(
         args.out_personas,
-        ({"id": pid, "narrative": "", "response_row": i} for i, pid in enumerate(pool_ids)),
+        (PersonaRecord(id=pid, response_row=i) for i, pid in enumerate(pool_ids)),
     )
     print(
         f"simulated preset {args.preset}: pool {pool.n}x{pool.d} -> {args.out_pool}, "
@@ -165,14 +165,21 @@ def _cmd_simulate(args):
     return 0
 
 
+def _grid(text, flag, parse):
+    try:
+        return tuple(map(parse, text.split(",")))
+    except ValueError as exc:
+        raise InvalidConfig(f"{flag} takes comma-separated {parse.__name__}s: {exc}") from None
+
+
 def _cmd_sweep(args):
     result = convergence_sweep(
         preset=args.preset,
-        n_grid=tuple(int(s) for s in args.n_grid.split(",")),
+        n_grid=_grid(args.n_grid, "--n-grid", int),
         d=args.d,
         m=args.m,
         n_dagger=args.n_dagger,
-        bandwidth_grid=tuple(float(s) for s in args.bandwidth_grid.split(",")),
+        bandwidth_grid=_grid(args.bandwidth_grid, "--bandwidth-grid", float),
         repetitions=args.reps,
         seed=args.seed,
         kde_fit_subsample=args.kde_fit_subsample,

@@ -5,7 +5,7 @@ records where needed): streamable, diffable, no binary. Floats are serialized
 with shortest round-trip formatting (Python's repr, which json uses), so
 save -> load reproduces every finite double bit-exactly. Non-finite values
 are rejected at write time, never encoded, and a failed save leaves the
-target as it was (dump_jsonl). Memory: savers stream their records to the
+target as it was (_replacing). Memory: savers stream their records to the
 file, and loaders convert vector rows to float64 in chunks of about 2**14
 values, so a file's numbers never all sit in memory as Python floats.
 
@@ -23,6 +23,7 @@ config:      one flat JSON document mirroring AlignmentConfig field names;
 report:      one JSON document, schema versioned via "report_version".
 """
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -157,26 +158,29 @@ def parse_jsonl(path):
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
-def dump_jsonl(path, records):
-    """Write records one per line; rejects non-finite floats.
-
-    All or nothing: the lines go to a new file beside path, which replaces
-    path only once every record is written. On any error that file is
-    removed, and whatever was at path is left as it was.
-    """
+@contextlib.contextmanager
+def _replacing(path):
+    """A new text file beside path that replaces it once the block ends; on
+    any error the new file is removed and path is left as it was."""
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            for record in records:
-                try:
-                    fh.write(_JSONL_ENCODER.encode(record) + "\n")
-                except ValueError as exc:
-                    raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def dump_jsonl(path, records):
+    """Write records one per line, all or nothing; rejects non-finite floats."""
+    with _replacing(path) as fh:
+        for record in records:
+            try:
+                fh.write(_JSONL_ENCODER.encode(record) + "\n")
+            except ValueError as exc:
+                raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
 
 
 def canonical_json(obj):
@@ -392,7 +396,7 @@ def _config_mapping(config):
 
 
 def save_config(path, config):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(canonical_json(_config_mapping(config)) + "\n")
 
 

@@ -15,7 +15,9 @@ linear space (_fgt_gauss_sums_1d). A row whose sum is too small for the
 transform's absolute error is summed exactly over a window of the sorted
 sources around its query (_window_kernel_lse), never against every source;
 each such evaluation logs one DEBUG event on the `popalign.kde` logger with
-its query count, small-sum rows and window pairs summed.
+its query count, small-sum rows and window pairs summed. MMD's kernel means
+(metrics._kernel_mean) are these sums too, so a d=1 MMD at scale logs its
+`fgt:` events as well.
 """
 
 from dataclasses import dataclass
@@ -267,8 +269,8 @@ def _dense_stripes(S, Q, bandwidth):
     The distance blocks come already scaled by -1 / (2 h^2), so each needs
     only a clamp-and-exp in place (core._floored_exp) and sums.
 
-    At a self-query (Q is S, the pipeline's persona density whenever the fit
-    is not subsampled) the pairs are walked in core._self_tiles' square
+    At a self-query (Q is S: an unsubsampled persona density, MMD's
+    within-sample means) the pairs are walked in core._self_tiles' square
     upper tiles, and stripe s takes the tile rows that core assigns it. A
     tile's row sums serve its own rows and, above the diagonal, its column
     sums serve its columns' rows, so every pair's kernel value is computed
@@ -399,25 +401,35 @@ def _fgt_kernel_lse(S, Q, bandwidth, include_query):
     return out
 
 
+def _kernel_lse_stripes(S, Q, bandwidth, include_query=False, home=0):
+    """_dense_stripes, or at d=1 and scale one fast Gauss transform
+    (_fgt_kernel_lse), which stripe `home` runs whole: the one choice of
+    path, for the densities and MMD's kernel means alike."""
+    if not _uses_fgt(S, Q, bandwidth):
+        return _dense_stripes(S, Q, bandwidth)
+
+    def work(stripe):
+        return _fgt_kernel_lse(S, Q, bandwidth, include_query) if stripe == home else None
+
+    return work, lambda first, second: (first, second)[home]
+
+
+def _kernel_lse(S, Q, bandwidth):
+    """_kernel_lse_stripes' log sums, both stripes on the calling thread:
+    never through run_pair, as MMD already runs inside the metrics pair."""
+    work, finish = _kernel_lse_stripes(S, Q, bandwidth)
+    return finish(work(0), work(1))
+
+
 def _density_stripes(model, X, include_query=False, home=0):
     """(work, finish) for log_density_many(model, X, include_query) in two stripes.
 
-    As _dense_stripes: work(s) is stripe s's share, and finish(first,
-    second) gives the log densities. The query gate and the operands'
-    preparation run here. The fast Gauss transform is not split: stripe
-    `home` runs all of it, and the other stripe does nothing.
+    The query gate runs here, the log kernel sums in _kernel_lse_stripes,
+    and finish adds include_query's own term and the normalizer.
     """
     Q = _queries(model, X, ndim=2)
     S = model.samples.values
-    h = model.bandwidth
-    if _uses_fgt(S, Q, h):
-        def work(stripe):
-            return _fgt_kernel_lse(S, Q, h, include_query) if stripe == home else None
-
-        def lse(first, second):
-            return (first, second)[home]
-    else:
-        work, lse = _dense_stripes(S, Q, h)
+    work, lse = _kernel_lse_stripes(S, Q, model.bandwidth, include_query, home)
 
     def finish(first, second):
         out = lse(first, second)

@@ -22,9 +22,8 @@ buffers.
 
 The MMD bandwidth's median heuristic is core's exact selection
 (`core._median_pairwise_distance`), np.median's value bit for bit. MMD's
-kernel means sum core's dense distance tiles, except at d = 1 and scale,
-where each is one fast Gauss transform under the KDE's own dispatch rule
-(`kde._uses_fgt`), exact to about 1e-16 absolute.
+kernel means are the KDE's kernel sums (`kde._kernel_lse`) averaged over
+queries: its dense stripes, or at d = 1 and scale its fast Gauss transform.
 """
 
 from dataclasses import dataclass
@@ -35,12 +34,8 @@ from .core import (
     _BLOCK_ELEMS,
     _count,
     _finite_values,
-    _floored_exp,
     _median_pairwise_distance,
     _positive_real,
-    _self_tiles,
-    _sq_dist_blocks,
-    _sq_dist_operands,
     _two_samples,
 )
 from .errors import (
@@ -50,7 +45,7 @@ from .errors import (
     InsufficientSamples,
     NonFiniteValue,
 )
-from .kde import _fgt_gauss_sums_1d, _uses_fgt
+from .kde import _kernel_lse
 from .rng import rng_from_seed
 
 _SW_STREAM = 0x736C696365  # "slice"
@@ -191,26 +186,10 @@ def sliced_wasserstein(X, Y, n_projections=512, seed=0):
 
 
 def _kernel_mean(A, B, sigma):
-    """Mean over all |A| x |B| pairs of exp(-||a - b||^2 / (2 sigma^2)).
-
-    At d = 1 and kde._uses_fgt's sizes the rows of A are queries of one fast
-    Gauss transform over B, the KDE's own rule and transform: a mean over
-    queries carries only its absolute error, about 1e-16. Otherwise, for B
-    is A the tiles above the diagonal hold each of their pairs once, so they
-    count twice, and a diagonal tile holds both orders of its own.
-    """
-    if _uses_fgt(B, A, sigma):
-        sums = _fgt_gauss_sums_1d(B[:, 0], A[:, 0], sigma)
-        return float(sums.sum()) / (A.shape[0] * B.shape[0])
-    scale = -1.0 / (2.0 * sigma * sigma)
-    total = 0.0
-    if B is A:
-        for rows, cols, k in _self_tiles(_sq_dist_operands(A, scale=scale)):
-            total += (1.0 if cols == rows else 2.0) * float(_floored_exp(k).sum())
-    else:
-        for _lo, _hi, k in _sq_dist_blocks(_sq_dist_operands(A, B, scale=scale)):
-            total += float(_floored_exp(k).sum())
-    return total / (A.shape[0] * B.shape[0])
+    """Mean over all |A| x |B| pairs of exp(-||a - b||^2 / (2 sigma^2)): the
+    KDE's kernel sums of B at the rows of A, averaged (for B is A its self
+    tiles, which compute each pair once)."""
+    return float(np.exp(_kernel_lse(B, A, sigma)).sum()) / (A.shape[0] * B.shape[0])
 
 
 def _mmd_bandwidth(A, B, kernel_bandwidth):
@@ -236,11 +215,8 @@ def mmd(X, Y, kernel_bandwidth=None):
     sample (median heuristic). Note this is SQUARED MMD; mmd_unsquared gives
     the RKHS norm itself.
 
-    At d = 1, each kernel mean over at least kde._FGT_MIN_PAIRS pairs (and
-    a span under the transform's box budget in bandwidths) is one fast
-    Gauss transform, the KDE's; it agrees with the dense tiles to about
-    1e-16 absolute per mean, and mmd(X, X) is still exactly 0. Smaller or
-    higher-dimensional terms sum the dense tiles.
+    Each kernel mean is the KDE's kernel sums averaged over queries (at d = 1
+    and scale one fast Gauss transform), and mmd(X, X) is exactly 0.
     """
     A, B = _two_samples(X, Y)
     sigma = _mmd_bandwidth(A, B, kernel_bandwidth)

@@ -5,11 +5,13 @@ terminal-summary hook below re-prints them at the end of the run so the
 pass/fail status of every criterion is visible in plain `pytest` output.
 """
 
+import errno
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from popalign import io as pio
 from popalign.parallel import blas_threads
 
 ACCEPTANCE_LINES = []
@@ -39,6 +41,40 @@ def blas_threads_unchanged(session_blas_threads):
     yield
     if session_blas_threads is not None:
         assert blas_threads() == session_blas_threads, "the OpenBLAS thread count leaked"
+
+
+class _FullDisk:
+    """A text file whose every write puts down half its text, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Calling the fixture's value with a path makes every file popalign.io
+    creates beside that path fail part-way through its first write, as on a
+    full disk; every other file opens as usual."""
+    real_open = open
+
+    def fail_beside(target):
+        def fake_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh) if "x" in mode and str(file).startswith(str(target)) else fh
+
+        monkeypatch.setattr(pio, "open", fake_open, raising=False)
+
+    return fail_beside
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from popalign import AlignmentConfig, ItemWeights
+from popalign import cli
 from popalign import io as pio
 from popalign.cli import main
 from popalign.synthetic import sample_population
@@ -418,3 +419,86 @@ class TestSweep:
         assert {r["n"] for r in rows} == {60, 120}
         text = capsys.readouterr().out
         assert "n=60" in text and "n=120" in text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-grid", "1000,abc"),
+        ("--n-grid", "60,"),
+        ("--n-grid", "1e3"),
+        ("--bandwidth-grid", "0.2,wide"),
+    ])
+    def test_bad_grid_entry_is_an_error_record(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["sweep", flag, value, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "InvalidConfig"
+        assert flag in record["message"]
+        assert not out.exists()
+
+
+class TestAllOrNothing:
+    """A failed CLI write leaves the previous bytes and no temporary file."""
+
+    OLD = b"previous output\n"
+
+    def outputs(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "result.json"
+        target.write_bytes(self.OLD)
+        return out, target
+
+    def test_metrics_out(self, tmp_path, full_disk):
+        p = tmp_path / "a.jsonl"
+        pio.save_responses(p, np.random.default_rng(0).standard_normal((5, 2)))
+        out, target = self.outputs(tmp_path)
+        full_disk(target)
+        with pytest.raises(OSError):
+            main(["metrics", str(p), str(p), "--out", str(target)])
+        assert target.read_bytes() == self.OLD
+        assert [q.name for q in out.iterdir()] == [target.name]
+
+    def test_retrieve_out(self, tmp_path, full_disk):
+        path = TestRetrieve().setup_index(tmp_path)
+        out, target = self.outputs(tmp_path)
+        full_disk(target)
+        with pytest.raises(OSError):
+            main(["retrieve", "--embeddings", str(path), "--query", "[1.0, 0.0]",
+                  "--k", "2", "--out", str(target)])
+        assert target.read_bytes() == self.OLD
+        assert [q.name for q in out.iterdir()] == [target.name]
+
+    @pytest.mark.parametrize("failure", ["write", "serializer"])
+    def test_align_report(self, failure, tmp_path, full_disk, monkeypatch):
+        files = {name: str(tmp_path / f"{name}.jsonl") for name in ("pool", "ref", "personas")}
+        main(["simulate", "--n", "80", "--m", "40", "--d", "2", "--seed", "0",
+              "--out-pool", files["pool"], "--out-reference", files["ref"],
+              "--out-personas", files["personas"]])
+        out, target = self.outputs(tmp_path)
+        if failure == "write":
+            full_disk(target)
+            raised = OSError
+        else:
+            def report_json(*args, **kwargs):
+                raise RuntimeError("serializer failed")
+
+            monkeypatch.setattr(cli, "report_json", report_json)
+            raised = RuntimeError
+        with pytest.raises(raised):
+            main(["align", "--pool", files["pool"], "--reference", files["ref"],
+                  "--personas", files["personas"], "--seed", "1",
+                  "--n-is-candidates", "40", "--n-final", "10",
+                  "--out-selected", str(out / "selected.jsonl"), "--out-report", str(target)])
+        assert target.read_bytes() == self.OLD
+        assert sorted(q.name for q in out.iterdir()) == sorted([target.name, "selected.jsonl"])
+
+
+def test_simulate_personas_bytes(tmp_path):
+    personas = tmp_path / "personas.jsonl"
+    assert main(["simulate", "--n", "3", "--m", "2", "--d", "1",
+                 "--out-pool", str(tmp_path / "pool.jsonl"),
+                 "--out-reference", str(tmp_path / "ref.jsonl"),
+                 "--out-personas", str(personas)]) == 0
+    assert personas.read_text() == "".join(
+        f'{{"id": "p{i:06d}", "narrative": "", "response_row": {i}}}\n' for i in range(3)
+    )

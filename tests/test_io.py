@@ -391,6 +391,49 @@ class TestDumpJsonl:
         assert [q.name for q in tmp_path.iterdir()] == ["x.jsonl"]
 
 
+# every saver, with arguments that write a small file
+SAVERS = {
+    "dump_jsonl": lambda p: pio.dump_jsonl(p, [{"v": 1.5}, {"v": 2.5}]),
+    "responses": lambda p: save_responses(p, np.ones((3, 2))),
+    "personas": lambda p: save_personas(p, [PersonaRecord(id="a", response_row=0)]),
+    "embeddings": lambda p: save_embeddings(p, ["a", "b"], np.ones((2, 3))),
+    "items": lambda p: save_items(p, ["q1", "q2"]),
+    "pairs": lambda p: save_pairs(p, [TrainingPair("q", "a", ("b",), False)]),
+    "config": lambda p: save_config(p, AlignmentConfig(n_is_candidates=10, n_final=5, seed=1)),
+}
+
+
+class TestAllOrNothing:
+    """A save that fails part-way leaves the previous bytes and no *.tmp file."""
+
+    OLD = b"previous bytes\n"
+
+    def target(self, tmp_path):
+        p = tmp_path / "f.jsonl"
+        p.write_bytes(self.OLD)
+        return p
+
+    @pytest.mark.parametrize("kind", sorted(SAVERS))
+    def test_failed_write_keeps_the_old_file(self, kind, tmp_path, full_disk):
+        p = self.target(tmp_path)
+        full_disk(p)
+        with pytest.raises(OSError):
+            SAVERS[kind](p)
+        assert p.read_bytes() == self.OLD
+        assert [q.name for q in tmp_path.iterdir()] == ["f.jsonl"]
+
+    def test_failed_config_serializer_keeps_the_old_file(self, tmp_path, monkeypatch):
+        def canonical_json(obj):
+            raise NonFiniteValue("serializer failed")
+
+        monkeypatch.setattr(pio, "canonical_json", canonical_json)
+        p = self.target(tmp_path)
+        with pytest.raises(NonFiniteValue):
+            SAVERS["config"](p)
+        assert p.read_bytes() == self.OLD
+        assert [q.name for q in tmp_path.iterdir()] == ["f.jsonl"]
+
+
 # ways one line of an embedding or response file can be bad, with the error a
 # row-by-row load raises for it; `{key}` is the file's vector field
 BAD_ROWS = {

@@ -6,6 +6,7 @@ implementations stand on their own. Property tests run hypothesis with
 derandomize=True, so every run draws the same examples.
 """
 
+import logging
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from popalign import (
     mmd,
     mmd_unsquared,
     pearson_corr_matrix,
+    sample_population,
     sliced_wasserstein,
     wasserstein_1d,
 )
@@ -367,15 +369,15 @@ class TestMmd:
 
 
 def _fgt_calls(monkeypatch):
-    """The (sources, queries) sizes of every fast Gauss transform metrics runs."""
+    """The (sources, queries) sizes of every fast Gauss transform the KDE runs."""
     calls = []
-    real = metrics._fgt_gauss_sums_1d
+    real = kde._fgt_gauss_sums_1d
 
     def spy(sources, queries, h):
         calls.append((sources.size, queries.size))
         return real(sources, queries, h)
 
-    monkeypatch.setattr(metrics, "_fgt_gauss_sums_1d", spy)
+    monkeypatch.setattr(kde, "_fgt_gauss_sums_1d", spy)
     return calls
 
 
@@ -426,8 +428,8 @@ class TestMmdFastGauss:
         def no_tiles(*args, **kwargs):
             raise AssertionError("dense tiles walked")
 
-        monkeypatch.setattr(metrics, "_self_tiles", no_tiles)
-        monkeypatch.setattr(metrics, "_sq_dist_blocks", no_tiles)
+        monkeypatch.setattr(kde, "_self_tiles", no_tiles)
+        monkeypatch.setattr(kde, "_sq_dist_blocks", no_tiles)
         calls = _fgt_calls(monkeypatch)
         rng = np.random.default_rng(49)
         X, Y = rng.standard_t(3, size=(1000, 1)), rng.standard_t(3, size=(2000, 1))
@@ -435,12 +437,29 @@ class TestMmdFastGauss:
         assert calls == [(1000, 1000), (2000, 2000), (2000, 1000)]
         assert report.mmd == mmd(X, Y)
 
+    def test_one_kde_event_per_kernel_mean(self, caplog):
+        # each d=1 kernel mean at transform sizes is one KDE evaluation
+        rng = np.random.default_rng(49)
+        X, Y = rng.standard_t(3, size=(1000, 1)), rng.standard_t(3, size=(2000, 1))
+        with caplog.at_level(logging.DEBUG, logger="popalign.kde"):
+            metric_report(X, Y)
+        events = [r for r in caplog.records if r.name == "popalign.kde"]
+        assert [r.levelno for r in events] == [logging.DEBUG] * 3
+        assert [r.args[:2] for r in events] == [(1000, 1000), (2000, 2000), (1000, 2000)]
+
+    def test_desk_sized_value_holds(self):
+        # 1600 + 1600 rows in d=5, the desk workload's final and reference
+        # sizes; the value the dense tiles summed before the KDE's stripes
+        # served MMD
+        X = sample_population("shifted-gaussian", 1600, 5, seed=7, role="pool").values
+        Y = sample_population("shifted-gaussian", 1600, 5, seed=7, role="reference").values
+        assert abs(mmd(X, Y) - 0.23774057407613713) <= 1e-13
+
     @pytest.mark.parametrize("d", [2, 5])
     def test_higher_dimensions_never_take_the_transform(self, d, monkeypatch):
         def no_fgt(*args, **kwargs):
             raise AssertionError("fast Gauss transform called")
 
-        monkeypatch.setattr(metrics, "_fgt_gauss_sums_1d", no_fgt)
         monkeypatch.setattr(kde, "_fgt_gauss_sums_1d", no_fgt)
         monkeypatch.setattr(kde, "_FGT_MIN_PAIRS", 0)
         rng = np.random.default_rng(50 + d)

@@ -451,6 +451,20 @@ class TestClampWarning:
 SCALED_PRESETS = [("shifted-gaussian", 3), ("mixture-skew", 2), ("heavy-tail", 1)]
 
 
+def scaling_inputs(preset, seed):
+    """(pool, reference, personas) of the metamorphic properties: 400 + 1800 rows."""
+    name, d = preset
+    pool = sample_population(name, 400, d, seed=seed, role="pool").values
+    ref = sample_population(name, 1800, d, seed=seed, role="reference").values
+    return pool, ref, [PersonaRecord(id=f"p{i}", response_row=i) for i in range(400)]
+
+
+def scaling_config(seed, bandwidth=0.2):
+    return AlignmentConfig(
+        n_is_candidates=300, n_final=100, seed=seed, bandwidth=bandwidth, ot_batch_size=1200,
+    )
+
+
 class TestPowerOfTwoScaling:
     """Scaling the pool, the reference and the bandwidth by 2^k scales every
     squared distance, the cost median and eps by 4^k exactly: the same ids
@@ -465,18 +479,12 @@ class TestPowerOfTwoScaling:
     def test_run_alignment_scales_exactly(self, preset, seed, k):
         # two transport batches, of 1200 and 600 columns, and the first one
         # cut into at least two row strips
-        name, d = preset
-        pool = sample_population(name, 400, d, seed=seed, role="pool").values
-        ref = sample_population(name, 1800, d, seed=seed, role="reference").values
-        personas = [PersonaRecord(id=f"p{i}", response_row=i) for i in range(400)]
+        pool, ref, personas = scaling_inputs(preset, seed)
         s = 2.0 ** k
-        runs = []
-        for scale in (1.0, s):
-            cfg = AlignmentConfig(
-                n_is_candidates=300, n_final=100, seed=seed, bandwidth=0.2 * scale,
-                ot_batch_size=1200,
-            )
-            runs.append(run_alignment(pool * scale, ref * scale, personas, cfg))
+        runs = [
+            run_alignment(pool * scale, ref * scale, personas, scaling_config(seed, 0.2 * scale))
+            for scale in (1.0, s)
+        ]
         (ids, report), (scaled_ids, scaled) = runs
         assert scaled_ids == ids
         assert [b["iterations"] for b in scaled.sinkhorn_batches] == [
@@ -490,3 +498,38 @@ class TestPowerOfTwoScaling:
             assert got["sw"] == want["sw"] * s
             assert got["fd"] == want["fd"] * s * s
             assert got["mmd"] == want["mmd"]
+
+
+class TestRepeatAndShift:
+    """On TestPowerOfTwoScaling's inputs: a repeat run gives the same bytes,
+    and a common shift of pool and reference moves no random-select metric
+    beyond rounding (that report does not depend on the selection; the
+    centring of the distance operands rounds, so nothing here is exact)."""
+
+    @settings(derandomize=True, max_examples=9, deadline=None)
+    @given(preset=st.sampled_from(SCALED_PRESETS), seed=st.integers(0, 2**16))
+    def test_repeat_runs_are_byte_identical(self, preset, seed):
+        pool, ref, personas = scaling_inputs(preset, seed)
+        (ids, report), (again_ids, again) = (
+            run_alignment(pool, ref, personas, scaling_config(seed)) for _ in range(2)
+        )
+        assert again_ids == ids
+        assert report_json(again) == report_json(report)
+
+    @settings(derandomize=True, max_examples=9, deadline=None)
+    @given(
+        preset=st.sampled_from(SCALED_PRESETS),
+        seed=st.integers(0, 2**16),
+        shift=st.sampled_from([3.0, 50.0]),
+    )
+    def test_common_shift_keeps_the_random_select_metrics(self, preset, seed, shift):
+        pool, ref, personas = scaling_inputs(preset, seed)
+        want = run_alignment(pool, ref, personas, scaling_config(seed))[1]
+        got = run_alignment(pool + shift, ref + shift, personas, scaling_config(seed))[1]
+        want, got = want.metrics_random_select, got.metrics_random_select
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+            else:
+                assert got[key] == value, key
