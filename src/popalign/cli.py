@@ -46,15 +46,7 @@ def _cmd_align(args):
     pool = pio.load_responses(args.pool)
     reference = pio.load_responses(args.reference)
     personas = pio.load_personas(args.personas)
-    selected, report = run_alignment(
-        pool,
-        reference,
-        personas,
-        config,
-        allow_unconverged=args.allow_unconverged,
-        kde_fit_subsample=args.kde_fit_subsample,
-        epsilon_absolute=args.epsilon_absolute,
-    )
+    selected, report = run_alignment(pool, reference, personas, config)
     pio.dump_jsonl(args.out_selected, ({"id": sid} for sid in selected))
     with pio._replacing(args.out_report) as fh:
         fh.write(report_json(report, include_timings=args.include_timings) + "\n")
@@ -213,9 +205,6 @@ def build_parser():
     for f in dataclasses.fields(AlignmentConfig):
         if f.name in _ALIGN_FLAG_FIELDS and f.name != "seed":
             p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=None)
-    p.add_argument("--epsilon-absolute", type=float, default=None)
-    p.add_argument("--kde-fit-subsample", type=int, default=None)
-    p.add_argument("--allow-unconverged", action="store_true")
     p.add_argument("--include-timings", action="store_true")
     p.set_defaults(func=_cmd_align)
 

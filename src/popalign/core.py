@@ -45,6 +45,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     NonFiniteValue,
+    NonPositiveEpsilon,
 )
 from .parallel import run_pair
 from .rng import _as_uint64, _integer, rng_from_seed
@@ -786,14 +787,16 @@ class ItemWeights:
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """All pipeline knobs.
+    """All pipeline knobs: every setting that changes a run, and nothing else.
 
     epsilon is a multiplier on the median transport cost (effective
-    regularization = epsilon * median cost); see popalign.ot for the
-    absolute-epsilon escape hatch. Defaults follow the published experiment
-    settings: bandwidth 0.20, retain the top 70% by importance weight,
-    epsilon 0.08 of median cost, 250 Sinkhorn iterations, transport batches
-    of 10,000.
+    regularization = epsilon * each batch's median cost); epsilon_absolute,
+    when set, replaces epsilon * median cost in every batch (needed where a
+    batch's median cost is 0). kde_fit_subsample, when set, caps both KDE
+    fitting sets by a seeded subsample of that many rows; None fits on
+    everything. Defaults follow the published experiment settings: bandwidth
+    0.20, retain the top 70% by importance weight, epsilon 0.08 of median
+    cost, 250 Sinkhorn iterations, transport batches of 10,000.
     """
 
     n_is_candidates: int
@@ -806,6 +809,8 @@ class AlignmentConfig:
     sinkhorn_tol: float = 1e-6
     item_weights: ItemWeights = None
     ot_batch_size: int = 10_000
+    kde_fit_subsample: int = None
+    epsilon_absolute: float = None
 
     def __post_init__(self):
         for names, gate in (
@@ -816,6 +821,12 @@ class AlignmentConfig:
         ):
             for name in names:
                 object.__setattr__(self, name, gate(getattr(self, name), name))
+        for name, gate, error in (
+            ("kde_fit_subsample", _count, InvalidConfig),
+            ("epsilon_absolute", _positive_real, NonPositiveEpsilon),
+        ):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, gate(getattr(self, name), name, error))
         if self.n_final > self.n_is_candidates:
             raise InvalidConfig(
                 f"n_final ({self.n_final}) exceeds n_is_candidates ({self.n_is_candidates})"

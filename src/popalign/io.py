@@ -19,7 +19,8 @@ embeddings:  {"id": str, "embedding": [E floats]} per record.
 pairs:       {"query_id": str, "positive_id": str, "negative_ids":
              [strings], "exhausted": bool} per record.
 config:      one flat JSON document mirroring AlignmentConfig field names;
-             item_weights is a list of d floats or absent/null.
+             item_weights is a list of d floats, kde_fit_subsample an int
+             and epsilon_absolute a float, each absent/null when unset.
 report:      one JSON document, schema versioned via "report_version".
 """
 

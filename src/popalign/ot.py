@@ -558,18 +558,25 @@ def transport_cost(plan, C):
     return float(np.sum(vals * plan.gamma))
 
 
-def ot_weights(plan, allow_unconverged=False):
-    """Candidate weights: a copy of plan.row_marginal (gamma is never built).
-
-    Refuses unconverged plans unless the caller explicitly opts in; silently
-    consuming a half-converged plan corrupts the resampling weights.
-    """
-    if not plan.converged and not allow_unconverged:
+def _require_converged(plan, iters, tol):
+    """Raise UnconvergedPlan unless plan converged, naming its sweep budget
+    `iters` and its tolerance `tol`, the two knobs that decide convergence."""
+    if not plan.converged:
         raise UnconvergedPlan(
             f"plan stopped at iteration {plan.iterations_run} with residuals "
-            f"({plan.row_residual:.3e}, {plan.col_residual:.3e}); pass "
-            f"allow_unconverged=True to use it anyway"
+            f"({plan.row_residual:.3e}, {plan.col_residual:.3e}); raise {iters} "
+            f"or {tol}"
         )
+
+
+def ot_weights(plan):
+    """Candidate weights: a copy of plan.row_marginal (gamma is never built).
+
+    An unconverged plan is refused with UnconvergedPlan naming sinkhorn's
+    max_iters and tol: silently consuming a half-converged plan corrupts the
+    resampling weights. Its row marginal stays public as plan.row_marginal.
+    """
+    _require_converged(plan, "max_iters", "tol")
     return plan.row_marginal.copy()
 
 
@@ -578,23 +585,17 @@ def resample_ot(weights, n_final, seed):
     return multinomial_draw(normalize_weights(weights), n_final, seed)
 
 
-def batched_ot_weights(
-    X_dagger,
-    Y,
-    config,
-    *,
-    epsilon_absolute=None,
-    allow_unconverged=False,
-    return_details=False,
-):
-    """Transport weights for X_dagger against Y, solved in column batches.
+def batched_ot_weights(X_dagger, Y, config):
+    """(weights, details): transport weights for X_dagger against Y, solved
+    in column batches, and one convergence record per batch.
 
     Y is split into contiguous batches of at most config.ot_batch_size rows;
     each batch is solved with b uniform over the batch and the full X_dagger
     on the row side, using effective epsilon = config.epsilon * (that batch's
-    median cost). Per-batch row marginals are averaged with weights
-    proportional to batch sizes, so a single batch reproduces the unbatched
-    result exactly and the total still sums to 1.
+    median cost), or config.epsilon_absolute in every batch when it is set.
+    Per-batch row marginals are averaged with weights proportional to batch
+    sizes, so a single batch reproduces the unbatched result exactly and the
+    total still sums to 1.
 
     The call holds one n x m array: one buffer of n x min(ot_batch_size, m)
     float64 (_scratch), allocated once, into whose prefix each batch's cost
@@ -605,24 +606,23 @@ def batched_ot_weights(
     The fill, the median's count passes and the kernel build run on two row
     stripes (core._striped_rows), which add no n x m array.
 
-    Each batch after the first is handed where the batch before it stopped,
-    converged or not (_WarmCost): its row scaling u raised to
-    eps_{k-1}/eps_k, since the rows and their potential eps log u are the
-    same while eps follows each batch's median cost. Only log u carries
-    over: the acceleration's memory starts empty in every batch. sinkhorn
-    alone decides whether to take that start (outside the absorption
-    bounds, or with a zero in its half-sweep, the batch starts cold). The
-    start moves no fixed point: each batch still runs until both of its
-    marginal residuals are within config.sinkhorn_tol.
+    Each batch after the first is handed where the batch before it stopped
+    (_WarmCost): its row scaling u raised to eps_{k-1}/eps_k, since the rows
+    and their potential eps log u are the same while eps follows each
+    batch's median cost. Only log u carries over: the acceleration's memory
+    starts empty in every batch. sinkhorn alone decides whether to take that
+    start (outside the absorption bounds, or with a zero in its half-sweep,
+    the batch starts cold). The start moves no fixed point: each batch still
+    runs until both of its marginal residuals are within config.sinkhorn_tol.
 
     The budget (_check_instance) is charged for the one buffer, not for a
     cost and a kernel side by side.
 
-    epsilon_absolute bypasses median scaling (needed when a batch's median
-    cost is 0, which otherwise raises DegenerateCostScale); it is checked
-    once, before the buffer is mapped. Empty samples raise EmptyInput. With
-    return_details=True a list of per-batch convergence records is returned
-    alongside the weights.
+    A batch whose median cost is 0 raises DegenerateCostScale unless
+    config.epsilon_absolute is set. A batch that does not converge within
+    config.sinkhorn_iters sweeps raises UnconvergedPlan naming
+    sinkhorn_iters and sinkhorn_tol. Either error, like every PopalignError
+    of a batch, carries its index as `batch`. Empty samples raise EmptyInput.
     """
     if not isinstance(config, AlignmentConfig):
         raise InvalidConfig("batched_ot_weights needs an AlignmentConfig")
@@ -631,8 +631,6 @@ def batched_ot_weights(
     m_total = Yv.shape[0]
     bs = config.ot_batch_size
     _check_instance((n, min(bs, m_total)), 1)
-    if epsilon_absolute is not None:
-        epsilon_absolute = _positive_real(epsilon_absolute, "epsilon_absolute", NonPositiveEpsilon)
     buf = _scratch(n * min(bs, m_total))
 
     weights = np.zeros(n)
@@ -644,14 +642,12 @@ def batched_ot_weights(
         m_b = hi - lo
         try:
             C_b = cost_matrix(Xv, Yv[lo:hi], config.item_weights, buf[:n * m_b].reshape(n, m_b))
-            if epsilon_absolute is not None:
-                eff = epsilon_absolute
+            if config.epsilon_absolute is not None:
+                eff = config.epsilon_absolute
             elif C_b.median_cost > 0:
                 eff = config.epsilon * C_b.median_cost
             else:
-                raise DegenerateCostScale(
-                    "batch median cost is 0; pass epsilon_absolute to proceed"
-                )
+                raise DegenerateCostScale("batch median cost is 0; set epsilon_absolute to proceed")
             if start is not None:
                 log_u, eps_prev = start
                 C_b = _WarmCost(
@@ -666,12 +662,12 @@ def batched_ot_weights(
                 max_iters=config.sinkhorn_iters,
                 tol=config.sinkhorn_tol,
             )
-            w_b = ot_weights(plan, allow_unconverged=allow_unconverged)
+            _require_converged(plan, "sinkhorn_iters", "sinkhorn_tol")
         except PopalignError as e:
             e.batch = bi
             e.args = (f"batch {bi} (columns {lo}:{hi}): {e.args[0]}",) + e.args[1:]
             raise
-        weights += (hi - lo) / m_total * w_b
+        weights += (hi - lo) / m_total * plan.row_marginal
         details.append(
             {
                 "batch": bi,
@@ -688,9 +684,7 @@ def batched_ot_weights(
             start = (np.log(plan.scaling_u), eff)
         # a plan whose gamma was built must not hold it through the next batch
         del C_b, plan
-    if return_details:
-        return weights, details
-    return weights
+    return weights, details
 
 
 def exact_ot_small(C, a, b):

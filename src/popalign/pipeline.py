@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .core import AlignmentConfig, ResponseMatrix, _count, _fraction, validate_pool
+from .core import AlignmentConfig, ResponseMatrix, _fraction, validate_pool
 from .errors import InvalidConfig, PopalignError, ResponderFailure
 from .io import _config_mapping, canonical_json
 from .kde import _LOG_CLAMP, _clamped_exp, fit_kde, importance_log_ratios
@@ -34,7 +34,7 @@ from .parallel import run_pair
 from .rng import derive_seed, rng_from_seed
 from .sampling import multinomial_draw, normalize_weights
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 logger = logging.getLogger(__name__)
 
@@ -168,35 +168,31 @@ def report_json(report, include_timings=False):
     return canonical_json(report.to_dict(include_timings=include_timings))
 
 
-def _maybe_subsample(matrix, cap, seed, stream_word):
-    if cap is None or matrix.n <= _count(cap, "kde_fit_subsample"):
+def _maybe_subsample(matrix, config, stream_word):
+    cap = config.kde_fit_subsample
+    if cap is None or matrix.n <= cap:
         return matrix
-    rng = rng_from_seed(seed, stream=(_KDE_SUBSAMPLE_STREAM, stream_word))
-    rows = np.sort(rng.choice(matrix.n, size=int(cap), replace=False))
+    rng = rng_from_seed(config.seed, stream=(_KDE_SUBSAMPLE_STREAM, stream_word))
+    rows = np.sort(rng.choice(matrix.n, size=cap, replace=False))
     return matrix.take_rows(rows)
 
 
-def run_alignment(
-    pool_responses,
-    reference,
-    personas,
-    config,
-    *,
-    allow_unconverged=False,
-    kde_fit_subsample=None,
-    epsilon_absolute=None,
-):
+def run_alignment(pool_responses, reference, personas, config):
     """Align the pool to the reference; returns (selected ids, report).
 
     The returned list holds n_final persona ids in draw order (a multiset,
-    duplicates expected). kde_fit_subsample caps both KDE fitting sets by a
-    seeded subsample for very large pools; the default fits on everything.
-    The persona density is evaluated self-inclusively (each pool point counts
+    duplicates expected). Every setting comes from config, and report.config
+    records every field of it, so config_from_mapping(report.config) reruns
+    the same report. config.kde_fit_subsample caps both KDE fitting sets by
+    a seeded subsample for very large pools; None fits on everything. The
+    persona density is evaluated self-inclusively (each pool point counts
     toward its own estimate, keeping importance ratios bounded at pool points
     the subsample missed) only when a subsample was actually taken, that is
     when the cap is below the pool size. A cap at or above it fits the whole
     pool, in which every point's own kernel is already a source term; a cap
-    at or above both sample sizes gives the same report as no cap.
+    at or above both sample sizes gives the same selection and numbers as no
+    cap. A transport batch that does not converge within
+    config.sinkhorn_iters sweeps raises UnconvergedPlan.
 
     The importance weights (two stripes of both densities), each transport
     batch's set-up passes (two row stripes) and the two metric reports each
@@ -231,10 +227,8 @@ def run_alignment(
             )
 
     with _stage("kde_fit", timings):
-        human_model = fit_kde(
-            _maybe_subsample(reference, kde_fit_subsample, config.seed, 1), config.bandwidth
-        )
-        persona_fit = _maybe_subsample(pool_matrix, kde_fit_subsample, config.seed, 2)
+        human_model = fit_kde(_maybe_subsample(reference, config, 1), config.bandwidth)
+        persona_fit = _maybe_subsample(pool_matrix, config, 2)
         persona_model = fit_kde(persona_fit, config.bandwidth)
 
     with _stage("importance_weights", timings):
@@ -267,14 +261,7 @@ def run_alignment(
         X_dagger = pool_matrix.take_rows(distinct_rows)
 
     with _stage("transport", timings):
-        ot_w, batch_details = batched_ot_weights(
-            X_dagger,
-            reference,
-            config,
-            epsilon_absolute=epsilon_absolute,
-            allow_unconverged=allow_unconverged,
-            return_details=True,
-        )
+        ot_w, batch_details = batched_ot_weights(X_dagger, reference, config)
 
     with _stage("final_draw", timings):
         final_draw = resample_ot(ot_w, config.n_final, derive_seed(config.seed, _FINAL_STREAM))

@@ -465,6 +465,8 @@ def test_criterion_8_file_schema_round_trips(tmp_path):
                 np.abs(_random_floats(rng, int(rng.integers(1, 6)))) + 1e-6
             ),
             ot_batch_size=int(rng.integers(1, 10**5)),
+            kde_fit_subsample=None if rng.random() < 0.5 else int(rng.integers(1, 10**6)),
+            epsilon_absolute=None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-6, 2)),
         )
         path = tmp_path / "config.json"
         save_config(path, cfg)
@@ -474,7 +476,8 @@ def test_criterion_8_file_schema_round_trips(tmp_path):
         same = path.read_bytes() == first
         for field in ("n_is_candidates", "n_final", "seed", "bandwidth",
                       "retain_fraction", "epsilon", "sinkhorn_iters",
-                      "sinkhorn_tol", "ot_batch_size"):
+                      "sinkhorn_tol", "ot_batch_size", "kde_fit_subsample",
+                      "epsilon_absolute"):
             same = same and getattr(got, field) == getattr(cfg, field)
         if cfg.item_weights is None:
             same = same and got.item_weights is None

@@ -26,6 +26,8 @@ NON_DEFAULT = {
     "sinkhorn_tol": 1e-5,
     "item_weights": ItemWeights(np.array([1.0, 2.0])),
     "ot_batch_size": 64,
+    "kde_fit_subsample": 64,
+    "epsilon_absolute": 0.5,
 }
 BASE_CONFIG = AlignmentConfig(n_is_candidates=100, n_final=40, seed=1)
 
@@ -97,7 +99,7 @@ class TestSimulateAlignMetrics:
         selected = read_jsonl(files["selected"])
         assert len(selected) == 120
         doc = json.loads(open(report).read())
-        assert doc["report_version"] == 1
+        assert doc["report_version"] == 2
         assert doc["pool_sizes"] == {
             "n_pool": 600, "m_reference": 400, "n_retained": 420,
             "n_is_raw": 300, "n_is_dedup": doc["pool_sizes"]["n_is_dedup"],
@@ -163,6 +165,32 @@ class TestSimulateAlignMetrics:
         assert doc["config"]["n_final"] == 25  # flag wins
         assert doc["config"]["seed"] == 9      # file value kept
         assert len(read_jsonl(tmp_path / "s.jsonl")) == 25
+
+    def test_unconverged_batch_exits_2_naming_the_stage(self, tmp_path, capsys):
+        pool, ref, personas = (tmp_path / f for f in ("pool.jsonl", "ref.jsonl", "p.jsonl"))
+        main(["simulate", "--n", "200", "--m", "100", "--d", "2", "--seed", "1",
+              "--out-pool", str(pool), "--out-reference", str(ref),
+              "--out-personas", str(personas)])
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main([
+            "align", "--pool", str(pool), "--reference", str(ref),
+            "--personas", str(personas), "--seed", "0",
+            "--n-is-candidates", "100", "--n-final", "40", "--sinkhorn-iters", "1",
+            "--out-selected", str(tmp_path / "s.jsonl"), "--out-report", str(report),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["stage"]) == ("UnconvergedPlan", "transport")
+        assert "sinkhorn_iters" in err["message"]
+        assert not report.exists()
+
+    def test_allow_unconverged_is_a_usage_error(self):
+        # an unconverged plan is always refused; no flag lets it through
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "--pool", "p.jsonl", "--reference", "r.jsonl",
+                  "--personas", "x.jsonl", "--allow-unconverged"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AlignmentConfig)])

@@ -12,6 +12,7 @@ finite, nonnegative (positive for transport marginals) and sums to 1
 PopalignError subclass, never a bare TypeError.
 """
 
+import dataclasses
 import math
 import re
 
@@ -23,7 +24,6 @@ from popalign import (
     EmbeddingIndex,
     TraitResponder,
     convergence_sweep,
-    batched_ot_weights,
     SamplingProbabilities,
     build_training_pairs,
     contrastive_loss_from_scores,
@@ -33,9 +33,7 @@ from popalign import (
     mmd,
     multinomial_draw,
     normalize_weights,
-    make_trait_personas,
     rng_from_seed,
-    run_alignment,
     sample_population,
     sinkhorn,
     sliced_wasserstein,
@@ -53,6 +51,7 @@ from popalign.errors import (
     NonFiniteWeight,
     NonPositiveBandwidth,
     NonPositiveEpsilon,
+    PopalignError,
 )
 from popalign.ot import exact_ot_small
 
@@ -61,7 +60,6 @@ X = np.random.default_rng(1).normal(size=(30, 2))
 Y = np.random.default_rng(2).normal(size=(20, 2))
 INDEX = EmbeddingIndex.build(["a", "b", "c"], np.eye(3))
 QUERIES = [("q", np.array([1.0, 0.2, 0.0]), "a")]
-PERSONAS = make_trait_personas(np.zeros((30, 1)))
 
 
 def config(**fields):
@@ -82,6 +80,8 @@ COUNTS = [
     ("AlignmentConfig.n_final", InvalidConfig, lambda v: config(n_final=v)),
     ("AlignmentConfig.sinkhorn_iters", InvalidConfig, lambda v: config(sinkhorn_iters=v)),
     ("AlignmentConfig.ot_batch_size", InvalidConfig, lambda v: config(ot_batch_size=v)),
+    ("AlignmentConfig.kde_fit_subsample", InvalidConfig,
+     lambda v: config(kde_fit_subsample=v)),
     ("sinkhorn.max_iters", InvalidConfig, lambda v: sinkhorn(C, epsilon=0.1, max_iters=v)),
     ("sliced_wasserstein.n_projections", InvalidConfig,
      lambda v: sliced_wasserstein(X, Y, n_projections=v)),
@@ -94,8 +94,6 @@ COUNTS = [
      lambda v: build_training_pairs(INDEX, QUERIES, n_hard=v, n_random=0)),
     ("build_training_pairs.n_random", InvalidConfig,
      lambda v: build_training_pairs(INDEX, QUERIES, n_hard=0, n_random=v)),
-    ("run_alignment.kde_fit_subsample", InvalidConfig,
-     lambda v: run_alignment(X, Y, PERSONAS, config(), kde_fit_subsample=v)),
     ("convergence_sweep.repetitions", InvalidConfig, lambda v: sweep(repetitions=v)),
     ("convergence_sweep.n_grid", InvalidConfig, lambda v: sweep(n_grid=(20, v))),
     ("convergence_sweep.m", InvalidConfig, lambda v: sweep(m=v)),
@@ -116,12 +114,13 @@ POSITIVE_REALS = [
     ("AlignmentConfig.bandwidth", InvalidConfig, lambda v: config(bandwidth=v)),
     ("AlignmentConfig.epsilon", InvalidConfig, lambda v: config(epsilon=v)),
     ("AlignmentConfig.sinkhorn_tol", InvalidConfig, lambda v: config(sinkhorn_tol=v)),
+    # refused before any transport buffer exists
+    ("AlignmentConfig.epsilon_absolute", NonPositiveEpsilon,
+     lambda v: config(epsilon_absolute=v)),
     ("fit_kde.bandwidth", NonPositiveBandwidth, lambda v: fit_kde(X, v)),
     ("gibbs_kernel.epsilon", NonPositiveEpsilon, lambda v: gibbs_kernel(C, v)),
     ("sinkhorn.epsilon", NonPositiveEpsilon, lambda v: sinkhorn(C, epsilon=v)),
     ("sinkhorn.tol", InvalidConfig, lambda v: sinkhorn(C, epsilon=0.1, tol=v)),
-    ("batched_ot_weights.epsilon_absolute", NonPositiveEpsilon,
-     lambda v: batched_ot_weights(X, Y, config(), epsilon_absolute=v)),
     ("mmd.kernel_bandwidth", DegenerateBandwidth, lambda v: mmd(X, Y, kernel_bandwidth=v)),
     ("contrastive_loss_from_scores.temperature", InvalidConfig,
      lambda v: contrastive_loss_from_scores(0.5, [0.1], temperature=v)),
@@ -168,6 +167,23 @@ CASES = (
     + [(site, error, call, v) for site, error, call in NONNEGATIVE_REALS
        for v in (True, NAN, INF, -1, "3", 10**400)]
 )
+
+
+# every config field but item_weights (an ItemWeights or None) is in the
+# table above; True is refused by every kind, so a new field cannot go ungated
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(AlignmentConfig) if f.name != "item_weights"]
+
+
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+def test_every_config_field_refuses_a_bool(name):
+    with pytest.raises(PopalignError, match=rf"\b{name}\b"):
+        config(**{name: True})
+
+
+def test_optional_config_fields_accept_none():
+    cfg = config(kde_fit_subsample=None, epsilon_absolute=None)
+    assert (cfg.kde_fit_subsample, cfg.epsilon_absolute) == (None, None)
+    assert config() == cfg
 
 
 @pytest.mark.parametrize(
@@ -238,3 +254,6 @@ def test_gates_return_plain_python_numbers():
         assert got == want and type(got) is type(want)
     cfg = config(n_final=np.int32(4), bandwidth=np.float64(0.3), seed=np.uint64(2**63))
     assert (type(cfg.n_final), type(cfg.bandwidth), cfg.seed) == (int, float, 2**63)
+    cfg = config(kde_fit_subsample=np.int64(64), epsilon_absolute=np.float32(0.5))
+    assert (cfg.kde_fit_subsample, cfg.epsilon_absolute) == (64, 0.5)
+    assert (type(cfg.kde_fit_subsample), type(cfg.epsilon_absolute)) == (int, float)

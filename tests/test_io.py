@@ -276,6 +276,15 @@ class TestConfig:
         assert back.bandwidth == 0.5
         assert back.n_final == 5
 
+    def test_file_without_the_optional_fields_loads(self, tmp_path):
+        # a config file written before kde_fit_subsample and epsilon_absolute
+        # were fields: both take their default, None
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"n_is_candidates": 10, "n_final": 5, "seed": 0}))
+        back = load_config(p)
+        assert (back.kde_fit_subsample, back.epsilon_absolute) == (None, None)
+        assert back == AlignmentConfig(n_is_candidates=10, n_final=5, seed=0)
+
     def test_none_override_ignored(self, tmp_path):
         cfg = AlignmentConfig(n_is_candidates=10, n_final=5, seed=3)
         p = tmp_path / "c.json"

@@ -412,7 +412,7 @@ class TestTransportStripes:
         config = AlignmentConfig(
             n_is_candidates=n, n_final=1, seed=0, ot_batch_size=m, sinkhorn_iters=5000
         )
-        runs = three_ways(lambda: batched_ot_weights(X, Y, config, return_details=True))
+        runs = three_ways(lambda: batched_ot_weights(X, Y, config))
         for weights, details in runs[1:]:
             assert weights.tobytes() == runs[0][0].tobytes()
             assert details == runs[0][1]

@@ -1,5 +1,6 @@
 """Response collection, weight truncation, and the end-to-end alignment run."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -26,8 +27,9 @@ from popalign import (
 )
 from popalign.clients import HttpResponder
 from popalign.core import PersonaRecord, ValidatedPool
-from popalign.errors import InvalidConfig, NumericalCollapse, ResponderFailure
+from popalign.errors import InvalidConfig, NumericalCollapse, ResponderFailure, UnconvergedPlan
 from popalign import core, pipeline
+from popalign import io as pio
 from popalign.pipeline import (
     _FINAL_STREAM,
     _STAGE1_STREAM,
@@ -279,7 +281,7 @@ class TestRunAlignment:
         draw = multinomial_draw(probs, cfg.n_is_candidates,
                                 derive_seed(cfg.seed, _STAGE1_STREAM))
         distinct = np.unique(kept[draw])
-        ot_w = batched_ot_weights(pool.take_rows(distinct), ref, cfg)
+        ot_w, _ = batched_ot_weights(pool.take_rows(distinct), ref, cfg)
         final = resample_ot(ot_w, cfg.n_final, derive_seed(cfg.seed, _FINAL_STREAM))
         manual_ids = [f"p{r}" for r in distinct[final]]
         assert manual_ids == ids
@@ -336,10 +338,10 @@ class TestRunAlignment:
 
     def test_transport_errors_tagged_with_stage_and_batch(self, caplog):
         pool, ref, personas = small_problem(n=100, m=60)
-        cfg = AlignmentConfig(n_is_candidates=60, n_final=10, seed=0)
+        cfg = AlignmentConfig(n_is_candidates=60, n_final=10, seed=0, epsilon_absolute=1e-4)
         with caplog.at_level(logging.DEBUG, logger="popalign.pipeline"):
             with pytest.raises(NumericalCollapse) as exc:
-                run_alignment(pool, ref, personas, cfg, epsilon_absolute=1e-4)
+                run_alignment(pool, ref, personas, cfg)
         assert exc.value.stage == "transport"
         assert exc.value.batch == 0
         # the raising stage logs its event too
@@ -356,24 +358,41 @@ class TestRunAlignment:
         assert all(r.levelno == logging.DEBUG for r in events)
         assert [r.args[1] for r in events] == [report.timings[s] for s in STAGES]
 
-    def test_unconverged_override_reaches_report(self):
+    def test_unconverged_batch_refused_naming_its_budget(self):
         pool, ref, personas = small_problem(n=150, m=100)
-        cfg = AlignmentConfig(n_is_candidates=80, n_final=20, seed=3,
-                              sinkhorn_iters=2)
-        ids, report = run_alignment(pool, ref, personas, cfg, allow_unconverged=True)
-        assert len(ids) == 20
-        assert report.sinkhorn_batches[0]["converged"] is False
-        assert report.sinkhorn_batches[0]["iterations"] == 2
+        cfg = AlignmentConfig(n_is_candidates=80, n_final=20, seed=3, sinkhorn_iters=1)
+        with pytest.raises(UnconvergedPlan, match=r"\bsinkhorn_iters\b.*\bsinkhorn_tol\b") as exc:
+            run_alignment(pool, ref, personas, cfg)
+        assert exc.value.stage == "transport"
+        assert exc.value.batch == 0
 
     def test_kde_subsample_still_deterministic(self):
         pool, ref, personas = small_problem()
         cfg = AlignmentConfig(n_is_candidates=150, n_final=40, seed=8)
-        a, rep_a = run_alignment(pool, ref, personas, cfg, kde_fit_subsample=128)
-        b, rep_b = run_alignment(pool, ref, personas, cfg, kde_fit_subsample=128)
-        full, _ = run_alignment(pool, ref, personas, cfg)
+        capped = dataclasses.replace(cfg, kde_fit_subsample=128)
+        a, rep_a = run_alignment(pool, ref, personas, capped)
+        b, rep_b = run_alignment(pool, ref, personas, capped)
+        full, rep_full = run_alignment(pool, ref, personas, cfg)
         assert a == b
         assert report_json(rep_a) == report_json(rep_b)
         assert a != full  # the cap genuinely changes the fit
+        assert rep_a.config != rep_full.config  # and the report says so
+
+    def test_report_config_reruns_its_report(self):
+        # every setting that changes a run is a config field, so the config
+        # a report records (in memory, or read back from its JSON) reruns it
+        pool, ref, personas = small_problem()
+        cfg = AlignmentConfig(n_is_candidates=150, n_final=40, seed=8,
+                              kde_fit_subsample=128, epsilon_absolute=0.5)
+        ids, report = run_alignment(pool, ref, personas, cfg)
+        assert (report.config["kde_fit_subsample"], report.config["epsilon_absolute"]) == (128, 0.5)
+        assert [b["effective_epsilon"] for b in report.sinkhorn_batches] == [0.5]
+        for doc in (report.config, json.loads(report_json(report))["config"]):
+            again = pio.config_from_mapping(doc)
+            assert again == cfg
+            ids_again, report_again = run_alignment(pool, ref, personas, again)
+            assert ids_again == ids
+            assert report_json(report_again) == report_json(report)
 
     @pytest.mark.parametrize("factor", [1, 10])
     def test_cap_at_or_above_pool_size_is_no_cap(self, factor):
@@ -382,9 +401,14 @@ class TestRunAlignment:
         pool, ref, personas = small_problem(n=300, m=200)
         cfg = AlignmentConfig(n_is_candidates=150, n_final=40, seed=4)
         _, uncapped = run_alignment(pool, ref, personas, cfg)
-        _, capped = run_alignment(pool, ref, personas, cfg,
-                                  kde_fit_subsample=factor * pool.n)
-        assert report_json(capped) == report_json(uncapped)
+        _, capped = run_alignment(
+            pool, ref, personas, dataclasses.replace(cfg, kde_fit_subsample=factor * pool.n)
+        )
+        # the same report but for the cap it records
+        doc, doc_capped = (json.loads(report_json(r)) for r in (uncapped, capped))
+        assert doc_capped["config"].pop("kde_fit_subsample") == factor * pool.n
+        assert doc["config"].pop("kde_fit_subsample") is None
+        assert doc_capped == doc
 
     def test_hand_built_pool_refused(self):
         # without its id maps a pool would pass validate_pool unchanged and
@@ -398,7 +422,7 @@ class TestRunAlignment:
         cfg = AlignmentConfig(n_is_candidates=60, n_final=15, seed=2)
         _, report = run_alignment(pool, ref, personas, cfg)
         doc = json.loads(report_json(report))
-        assert doc["report_version"] == 1
+        assert doc["report_version"] == 2
         assert "timings" not in doc
         with_t = json.loads(report_json(report, include_timings=True))
         assert set(with_t["timings"]) >= {"validate", "transport", "metrics"}
