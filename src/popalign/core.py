@@ -739,7 +739,7 @@ class ResponseMatrix:
 
 
 @_value_eq
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersonaRecord:
     """One candidate persona: id, narrative, optional embedding and response row.
 

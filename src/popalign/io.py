@@ -144,7 +144,7 @@ def parse_jsonl(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # iterating a file never yields ""
                 continue
             try:
                 record = json.loads(line)

@@ -117,8 +117,26 @@ def _scores(query, index):
 
 
 def _by_score(scores, rows):
-    """`rows`, given in id order, by descending score; a stable sort keeps ties by id."""
-    return rows[np.argsort(-scores[rows], kind="stable")]
+    """`rows`, given in id order, by descending score, each tie in id order.
+
+    numpy's default argsort is several times faster than its stable one but
+    leaves equal keys in no set order; only the positions inside each run of
+    equal keys are sorted back, so the result is the stable sort's for any
+    finite scores. -0.0 == 0.0, so the two zeros form one run, as they do
+    for the stable sort.
+    """
+    keys = -scores[rows]
+    order = np.argsort(keys)
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.r_[False, same] | np.r_[same, False])
+        # run number of each tied position: tied positions ascend, so runs do;
+        # run * n + position sorts by run, then by position, and the runs keep
+        # their places and sizes
+        base = np.r_[0, np.cumsum(~same)][tied] * order.size
+        order[tied] = np.sort(base + order[tied]) - base
+    return rows[order]
 
 
 def top_k_retrieve(query, index, k):

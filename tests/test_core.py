@@ -1,6 +1,9 @@
 """Response matrices, persona records, config validation, pool validation."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +252,58 @@ class TestValidatePool:
         ]
         pool = validate_pool(personas, m)
         assert pool.row_to_id == {2: "a", 0: "c"}
+
+
+class TestPersonaRecordSlots:
+    """A record keeps its fields in slots: no instance dict, same behaviour."""
+
+    def records(self):
+        return [
+            PersonaRecord(id="p", narrative="n", embedding=np.array([1.0, -0.0]),
+                          response_row=3, seed_id="s"),
+            PersonaRecord(id="q"),
+        ]
+
+    def test_no_instance_dict(self):
+        for rec in self.records():
+            assert not hasattr(rec, "__dict__")
+
+    def test_pickle_round_trip(self):
+        full, bare = self.records()
+        for rec in (full, bare):
+            back = pickle.loads(pickle.dumps(rec))
+            assert type(back) is PersonaRecord
+            assert back == rec
+        assert pickle.loads(pickle.dumps(bare)) != full
+
+    def test_deepcopy(self):
+        rec = self.records()[0]
+        dup = copy.deepcopy(rec)
+        assert dup == rec
+        assert dup.embedding is not rec.embedding
+
+    def test_replace_runs_the_checks(self):
+        rec = self.records()[0]
+        moved = dataclasses.replace(rec, id="r", embedding=[2.0, 3.0])
+        assert moved == PersonaRecord(id="r", narrative="n", embedding=np.array([2.0, 3.0]),
+                                      response_row=3, seed_id="s")
+        assert moved != rec
+        assert not moved.embedding.flags.writeable
+        with pytest.raises(InvalidConfig):
+            dataclasses.replace(rec, id="")
+
+    def test_assignment_refused(self):
+        rec = self.records()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.id = "r"
+        # for a name that is no field, the generated __setattr__ of a slotted
+        # class raises TypeError on Python 3.11, not FrozenInstanceError
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            rec.extra = 1
+        assert not hasattr(rec, "extra")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.narrative
+        assert rec.id == "p" and rec.narrative == "n"
 
 
 class TestValueEquality:

@@ -79,6 +79,17 @@ class TestResponses:
         assert ids == ["x"]
         assert m.values[0, 0] == 2.5
 
+    def test_whitespace_lines_skipped_and_counted(self, tmp_path):
+        p = tmp_path / "f.jsonl"
+        p.write_bytes(b'   \n\t\t\n\r\n\x0b\n{"a": 1}\n \t\x0b\x0c\r\n{"b": 2}\n{broken\n')
+        records = pio.parse_jsonl(p)
+        assert next(records) == (5, {"a": 1})
+        assert next(records) == (7, {"b": 2})
+        with pytest.raises(ParseError) as exc:
+            next(records)
+        assert exc.value.line == 8
+        assert str(exc.value).startswith("line 8: ")
+
     def test_garbage_line_parse_error(self, tmp_path):
         p = tmp_path / "r.jsonl"
         p.write_text('{"items": ["a"]}\n{broken\n')

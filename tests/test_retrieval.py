@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popalign import (
     EmbeddingIndex,
@@ -27,7 +29,7 @@ from popalign.errors import (
     NonFiniteValue,
     ZeroVector,
 )
-from popalign.retrieval import _unit
+from popalign.retrieval import _by_score, _unit
 from popalign.rng import derive_seed, rng_from_seed
 
 
@@ -496,6 +498,55 @@ class TestTopKOracle:
             q = rng.normal(size=8)
             for k in (1, 7, 50, 299, 300):
                 assert top_k_retrieve(q, idx, k) == _oracle_top_k(q, idx, k)
+
+
+class TestTieRepair:
+    """`_by_score` sorts unstably, then puts each run of equal keys back in order."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["grid", "signed zeros", "all equal", "normal"]),
+        n=st.integers(0, 3000),
+        extra=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_stable_sort(self, kind, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        if kind == "grid":
+            scores = rng.integers(-4, 5, size=m) / 4.0
+        elif kind == "signed zeros":
+            scores = rng.choice([0.0, -0.0, 0.25, -0.25], size=m)
+        elif kind == "all equal":
+            scores = np.full(m, rng.uniform(-1.0, 1.0))
+        else:
+            scores = rng.standard_normal(m)
+        # a subset of the rows, in an order unlike theirs, as top_k_retrieve passes
+        rows = rng.permutation(m)[:n]
+        want = rows[np.argsort(-scores[rows], kind="stable")]
+        assert np.array_equal(_by_score(scores, rows), want)
+
+    def test_orthogonal_index_matches_lexsort(self):
+        rng = np.random.default_rng(40)
+        raw = rng.integers(-2, 3, size=(600, 5)).astype(float)
+        # four rows in five are orthogonal to the query: their scores are exact zeros
+        raw[:, 0] = np.where(rng.random(600) < 0.8, rng.choice([0.0, -0.0], size=600),
+                             rng.integers(-2, 3, size=600))
+        raw[np.abs(raw).sum(axis=1) == 0, 1] = 1.0
+        idx = EmbeddingIndex.build([f"e{j}" for j in rng.permutation(600)], raw)
+        for q in (np.eye(5)[0], -np.eye(5)[0]):
+            assert (idx.vectors @ q == 0.0).sum() >= 400
+            for k in (1, 50, 400, 600):
+                assert top_k_retrieve(q, idx, k) == _oracle_top_k(q, idx, k)
+        queries = [(f"q{j}", (-1.0) ** j * np.eye(5)[0], idx.ids[j]) for j in range(6)]
+        for percent in (0, 10, 90):
+            filters = [RecordingFilter(percent) for _ in "ab"]
+            got = build_training_pairs(idx, queries, n_hard=30, n_random=30, seed=3,
+                                       false_negative_filter=filters[0])
+            want = _oracle_training_pairs(idx, queries, n_hard=30, n_random=30, seed=3,
+                                          false_negative_filter=filters[1])
+            assert got == want
+            assert filters[0].calls == filters[1].calls
 
 
 class RecordingFilter:
