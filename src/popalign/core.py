@@ -739,12 +739,20 @@ class ResponseMatrix:
 
 
 @_value_eq
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PersonaRecord:
     """One candidate persona: id, narrative, optional embedding and response row.
 
     `seed_id` records provenance when the record was produced by revising
     another persona (group-specific generation); None otherwise.
+
+    Field rules, checked at construction (InvalidConfig unless noted):
+    `id` is a nonempty str; `narrative` a str; `embedding` None or a 1-d
+    array of finite reals, stored as a read-only float64 copy
+    (DimensionMismatch for another shape, NonFiniteValue for a non-finite
+    entry); `response_row` None or an integer by the package's one rule (an
+    int or np.integer, never a bool), stored as an int; `seed_id` None or
+    a str. So every record that constructs saves and loads back equal.
     """
 
     id: str
@@ -753,16 +761,32 @@ class PersonaRecord:
     response_row: int = None
     seed_id: str = None
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidConfig(f"persona id must be a nonempty string, got {self.id!r}")
-        if self.embedding is not None:
-            emb = _frozen_array(self.embedding, ndim=1, name="embedding")
-            if not np.isfinite(emb).all():
-                raise NonFiniteValue(f"non-finite embedding entry for persona {self.id!r}")
-            object.__setattr__(self, "embedding", emb)
-        if self.response_row is not None:
-            object.__setattr__(self, "response_row", int(self.response_row))
+    def __init__(self, id, narrative="", embedding=None, response_row=None, seed_id=None):
+        # checks first, then one write per slot through its own descriptor:
+        # the frozen __setattr__ is never entered
+        if not isinstance(id, str) or not id:
+            raise InvalidConfig(f"persona id must be a nonempty string, got {id!r}")
+        if not isinstance(narrative, str):
+            raise InvalidConfig(f"persona {id!r} narrative must be a string, got {narrative!r}")
+        if embedding is not None:
+            embedding = _frozen_array(embedding, ndim=1, name="embedding")
+            if not np.isfinite(embedding).all():
+                raise NonFiniteValue(f"non-finite embedding entry for persona {id!r}")
+        if response_row is not None and type(response_row) is not int:
+            response_row = _integer(response_row, "response_row")
+        if seed_id is not None and not isinstance(seed_id, str):
+            raise InvalidConfig(f"persona {id!r} seed_id must be a string, got {seed_id!r}")
+        _set_id(self, id)
+        _set_narrative(self, narrative)
+        _set_embedding(self, embedding)
+        _set_response_row(self, response_row)
+        _set_seed_id(self, seed_id)
+
+
+_set_id, _set_narrative, _set_embedding, _set_response_row, _set_seed_id = (
+    PersonaRecord.__dict__[name].__set__
+    for name in ("id", "narrative", "embedding", "response_row", "seed_id")
+)
 
 
 @_value_eq
@@ -855,14 +879,22 @@ def validate_pool(personas, responses=None):
     """Check pool-wide invariants and return a ValidatedPool handle.
 
     Validation is idempotent: re-validating a ValidatedPool returns it
-    unchanged. One walk over the personas checks each record in list order
-    (unique id, embedding length, response row in range and unshared), so
-    the first offending record in the list is the one named; nothing is
-    repaired silently.
+    unchanged when `responses` is None or equals the pool's own matrix by
+    value; another matrix is honoured, so the pool's personas are walked
+    again against it. One walk over the personas checks each record in list
+    order (unique id, embedding length, response row in range and
+    unshared), so the first offending record in the list is the one named;
+    nothing is repaired silently.
     """
     if isinstance(personas, ValidatedPool):
-        return personas
-    if responses is None:
+        if responses is None or responses is personas.responses:
+            return personas
+        if not isinstance(responses, ResponseMatrix):
+            responses = ResponseMatrix(responses)
+        if responses == personas.responses:
+            return personas
+        personas = personas.personas
+    elif responses is None:
         raise InvalidConfig("validate_pool requires a response matrix for unvalidated input")
     personas = tuple(personas)
     if not isinstance(responses, ResponseMatrix):

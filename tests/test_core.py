@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import os
 import pickle
 import subprocess
@@ -191,6 +192,25 @@ class TestValidatePool:
         personas, m = self.make_pool()
         pool = validate_pool(personas, m)
         assert validate_pool(pool) is pool
+        assert validate_pool(pool, m) is pool
+        # a matrix equal by value keeps the pool too
+        assert validate_pool(pool, m.values.copy()) is pool
+        assert validate_pool(pool, ResponseMatrix(m.values.copy())) is pool
+
+    def test_revalidation_honours_another_matrix(self):
+        personas, m = self.make_pool()
+        pool = validate_pool(personas, m)
+        other = m.values + 1.0
+        again = validate_pool(pool, other)
+        assert again == validate_pool(personas, other)
+        assert again.responses == ResponseMatrix(other)
+        assert again.id_to_index == pool.id_to_index and again.row_to_id == pool.row_to_id
+        # the same values under other item ids are another matrix
+        named = validate_pool(pool, ResponseMatrix(m.values, tuple("abcde")))
+        assert named.responses.item_ids == tuple("abcde")
+        # the walk runs again: a matrix too short for a claimed row is refused
+        with pytest.raises(DimensionMismatch, match="'p2' response_row 2"):
+            validate_pool(pool, m.values[:2])
 
     def test_duplicate_id(self):
         personas, m = self.make_pool()
@@ -292,6 +312,16 @@ class TestPersonaRecordSlots:
         with pytest.raises(InvalidConfig):
             dataclasses.replace(rec, id="")
 
+    def test_signature_lists_the_fields(self):
+        # the hand-written __init__ takes the fields, in order, with their defaults
+        params = list(inspect.signature(PersonaRecord).parameters.values())
+        empty = inspect.Parameter.empty
+        want = [(f.name, empty if f.default is dataclasses.MISSING else f.default)
+                for f in dataclasses.fields(PersonaRecord)]
+        assert [(p.name, p.default) for p in params] == want
+        assert want[0] == ("id", empty)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
     def test_assignment_refused(self):
         rec = self.records()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -356,6 +386,14 @@ class TestPersonaRecord:
     def test_seed_id_provenance(self):
         p = PersonaRecord(id="g1", seed_id="p0")
         assert p.seed_id == "p0"
+
+    def test_embedding_checks(self):
+        rec = PersonaRecord(id="a", embedding=[1, 2])
+        assert rec.embedding.dtype == np.float64 and not rec.embedding.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            PersonaRecord(id="a", embedding=np.ones((2, 2)))
+        with pytest.raises(NonFiniteValue, match="'a'"):
+            PersonaRecord(id="a", embedding=[1.0, np.nan])
 
 
 class TestSquaredDistanceBlocks:

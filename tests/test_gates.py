@@ -8,8 +8,10 @@ real in (0, 1], never a bool or a string (core._real, core._positive_real,
 core._fraction); a seed
 is an integer in [0, 2^64) (rng._as_uint64); a probability vector is 1-d,
 finite, nonnegative (positive for transport marginals) and sums to 1
-(sampling._probabilities). Every refusal raises the site's own
-PopalignError subclass, never a bare TypeError.
+(sampling._probabilities); a string is a str, and an optional one a str
+or None (PersonaRecord); a response row is None or an integer by the
+count rule's type check, and its range is validate_pool's. Every refusal
+raises the site's own PopalignError subclass, never a bare TypeError.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import pytest
 from popalign import (
     AlignmentConfig,
     EmbeddingIndex,
+    PersonaRecord,
     TraitResponder,
     convergence_sweep,
     SamplingProbabilities,
@@ -149,6 +152,22 @@ SEEDS = [
     ("rng_from_seed.seed", InvalidConfig, lambda v: rng_from_seed(v)),
 ]
 
+# optional integers: None, or an int or np.integer of any value
+OPTIONAL_INTEGERS = [
+    ("PersonaRecord.response_row", InvalidConfig,
+     lambda v: PersonaRecord(id="p", response_row=v)),
+]
+
+STRINGS = [
+    ("PersonaRecord.id", InvalidConfig, lambda v: PersonaRecord(id=v)),
+    ("PersonaRecord.narrative", InvalidConfig, lambda v: PersonaRecord(id="p", narrative=v)),
+]
+
+# a str or None
+OPTIONAL_STRINGS = [
+    ("PersonaRecord.seed_id", InvalidConfig, lambda v: PersonaRecord(id="p", seed_id=v)),
+]
+
 # where a message names the argument otherwise than the table's site does
 NAMES = {"derive_seed.index": "stream word", "multinomial_draw.n": "draw count n"}
 
@@ -166,6 +185,12 @@ CASES = (
        for v in (True, 2.5, NAN, INF, -1, "3")]
     + [(site, error, call, v) for site, error, call in NONNEGATIVE_REALS
        for v in (True, NAN, INF, -1, "3", 10**400)]
+    + [(site, error, call, v) for site, error, call in OPTIONAL_INTEGERS
+       for v in (True, np.bool_(False), 2.9, 2.0, NAN, INF, "3", np.float64(3.0))]
+    + [(site, error, call, v) for site, error, call in STRINGS
+       for v in (None, 7, True, b"x", 2.5)]
+    + [(site, error, call, v) for site, error, call in OPTIONAL_STRINGS
+       for v in (7, True, b"x", 2.5)]
 )
 
 
@@ -235,6 +260,14 @@ def test_zero_passes_where_only_nonnegative_is_required():
     assert HttpResponder(URL, retries=0).retries == 0
     assert HttpFalseNegativeFilter(URL, retries=np.int64(0), timeout=2).timeout == 2.0
     assert TraitResponder(np.eye(2), np.zeros(2), ["a", "b"], noise_scale=0).noise_scale == 0.0
+
+
+def test_optional_record_fields_accept_none_and_integers_of_any_kind():
+    rec = PersonaRecord(id="p", response_row=None, seed_id=None)
+    assert (rec.response_row, rec.seed_id) == (None, None)
+    for row in (0, -1, 2**70, np.int64(3), np.uint8(255)):
+        got = PersonaRecord(id="p", response_row=row).response_row
+        assert got == row and type(got) is int
 
 
 def test_zero_entries_pass_where_only_nonnegative_is_required():

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from popalign import io as pio
 from popalign import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix, TrainingPair
@@ -138,6 +140,40 @@ class TestPersonas:
         assert back[1].embedding is None
         assert back[1].response_row is None
         assert back[1].seed_id is None
+
+    # each field's accepted kinds, edge values included (an empty embedding,
+    # ints and bools cast to float, unbounded and numpy rows), and beside
+    # them kinds the constructor may refuse; a refused record is left out
+    ODD = st.sampled_from([None, 7, 2.9, True, b"x", "3", np.float64(2.0)])
+    FIELDS = st.fixed_dictionaries({
+        "id": st.one_of(st.text(min_size=1), ODD),
+        "narrative": st.one_of(st.text(), ODD),
+        "embedding": st.one_of(st.none(), st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53)
+            | st.booleans(),
+            max_size=4,
+        )),
+        "response_row": st.one_of(
+            st.none(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), ODD
+        ),
+        "seed_id": st.one_of(st.none(), st.text(), ODD),
+    })
+
+    # one file, overwritten by each example
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=st.lists(FIELDS, min_size=1, max_size=8))
+    def test_every_accepted_record_loads_back(self, tmp_path, args):
+        recs = []
+        for kw in args:
+            try:
+                recs.append(PersonaRecord(**kw))
+            except PopalignError:
+                pass
+        if recs:
+            p = tmp_path / "p.jsonl"
+            save_personas(p, recs)
+            assert load_personas(p) == recs
 
     def test_unicode_narrative(self, tmp_path):
         p = tmp_path / "p.jsonl"

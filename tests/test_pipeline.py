@@ -410,6 +410,19 @@ class TestRunAlignment:
         assert doc["config"].pop("kde_fit_subsample") is None
         assert doc_capped == doc
 
+    def test_validated_pool_runs_on_the_matrix_it_is_given(self):
+        # a pool validated on one matrix, run with another, selects as the
+        # persona list run with that other matrix does
+        pool, ref, personas = small_problem(n=300, m=200)
+        other = sample_population("shifted-gaussian", 300, 2, seed=6, role="pool")
+        cfg = AlignmentConfig(n_is_candidates=150, n_final=40, seed=4)
+        validated = core.validate_pool(personas, pool)
+        want_ids, want = run_alignment(other, ref, personas, cfg)
+        ids, report = run_alignment(other, ref, validated, cfg)
+        assert ids == want_ids
+        assert report_json(report) == report_json(want)
+        assert ids != run_alignment(pool, ref, validated, cfg)[0]
+
     def test_hand_built_pool_refused(self):
         # without its id maps a pool would pass validate_pool unchanged and
         # fail later inside run_alignment
