@@ -592,14 +592,29 @@ def _median_pairwise_distance(Z):
     return float(np.mean(np.sqrt(middle)))
 
 
+def _float_array(values, name):
+    """values as a float64 array.
+
+    What numpy cannot convert raises an error naming `name`: InvalidConfig
+    for a non-numeric entry or ragged rows, NonFiniteValue for an int
+    beyond the float range (the rule of _real and of the file loaders).
+    """
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise NonFiniteValue(f"non-finite value in the {name}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"the {name} must be an array of real numbers: {exc}") from exc
+
+
 def _finite_values(X, label, ndim=2):
     """X as a float64 array of ndim dimensions whose entries are all finite.
 
     The one coercion and gate for sample arrays (a ResponseMatrix gives its
-    values): the first non-finite entry raises NonFiniteValue naming its row
-    and column.
+    values): an entry that is no real number raises InvalidConfig, the first
+    non-finite entry NonFiniteValue naming its row and column.
     """
-    A = X.values if isinstance(X, ResponseMatrix) else np.asarray(X, dtype=np.float64)
+    A = X.values if isinstance(X, ResponseMatrix) else _float_array(X, label)
     if A.ndim != ndim:
         raise DimensionMismatch(f"the {label} must be {ndim}-dimensional, got shape {A.shape}")
     bad = np.argwhere(~np.isfinite(A))
@@ -689,9 +704,9 @@ def _same_value(a, b):
     return a == b
 
 
-def _frozen_array(values, dtype=np.float64, ndim=None, name="array"):
-    arr = np.array(values, dtype=dtype, order="C")
-    if ndim is not None and arr.ndim != ndim:
+def _frozen_array(values, ndim, name):
+    arr = np.array(_float_array(values, name), order="C")
+    if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr

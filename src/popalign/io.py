@@ -3,7 +3,9 @@
 Every on-disk format is JSON lines (one record per line, explicit header
 records where needed): streamable, diffable, no binary. Floats are serialized
 with shortest round-trip formatting (Python's repr, which json uses), so
-save -> load reproduces every finite double bit-exactly. Non-finite values
+save -> load reproduces every finite double bit-exactly. Savers write with
+json, whose float text is promised; loaders parse with orjson where it gives
+what json would (parse_jsonl). Non-finite values
 are rejected at write time, never encoded, and a failed save leaves the
 target as it was (_replacing). Memory: savers stream their records to the
 file, and loaders convert vector rows to float64 in chunks of about 2**14
@@ -136,20 +138,69 @@ def _float_rows(rows, label):
     raise stop
 
 
+# a line with more opening brackets than this may nest deeper than json.loads
+# recurses (it raises RecursionError near the interpreter's recursion limit)
+# or than orjson's recursive build survives (orjson 3.8.3 crashed the
+# interpreter on a line a million levels deep); it is parsed by json alone
+_DEEP_BRACKETS = 256
+
+# orjson gives integer literals outside [-2**63, 2**64) as floats; any float
+# this large or larger is integral, so json.loads may have given an int
+_INT_FLOATS = 2.0**63
+
+
+def _json_record(line, lineno):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: {exc.msg}", line=lineno) from exc
+
+
+def _top_level_big_float(record):
+    """True if a value of dict `record` is a float that orjson may have made of
+    an integer literal that json.loads keeps as an int."""
+    for value in record.values():
+        if type(value) is float and not -_INT_FLOATS < value < _INT_FLOATS:
+            return True
+    return False
+
+
 def parse_jsonl(path):
     """Yield (1-based line number, parsed JSON object) for each nonblank line.
 
     Every format is one object per line: a line that does not parse raises
     ParseError, one that parses to anything but an object SchemaError.
+
+    Lines are parsed by orjson, imported on first use, and each loader gets
+    what json.loads gives. These lines go to json.loads instead:
+    - those orjson refuses: NaN and Infinity literals, numbers beyond the
+      float range, lone surrogate escapes, and everything json refuses
+      too, which so raises with json's message;
+    - those that are not an object, which then raise as json has them;
+    - those with a top-level float of magnitude 2**63 or more, which
+      orjson may have made of an integer literal;
+    - those with more than `_DEEP_BRACKETS` opening brackets.
+    Below the top level an integer literal outside [-2**63, 2**64) may
+    still arrive as its nearest float. Every loader converts such a value
+    to float64 or refuses it by its type alike, so no loader's result
+    differs from json's.
     """
+    from orjson import JSONDecodeError, loads
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():  # iterating a file never yields ""
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: {exc.msg}", line=lineno) from exc
+            record = None  # stays None, or is not an object: json.loads decides
+            if len(line) <= _DEEP_BRACKETS or (
+                line.count("[") + line.count("{") <= _DEEP_BRACKETS
+            ):
+                try:
+                    record = loads(line)
+                except JSONDecodeError:
+                    pass
+            if type(record) is not dict or _top_level_big_float(record):
+                record = _json_record(line, lineno)
             if not isinstance(record, dict):
                 raise SchemaError(f"line {lineno}: expected an object", line=lineno)
             yield lineno, record

@@ -15,7 +15,14 @@ import logging
 
 import numpy as np
 
-from .core import PersonaRecord, _count, _finite_values, _positive_real, _value_eq
+from .core import (
+    PersonaRecord,
+    _count,
+    _finite_values,
+    _float_array,
+    _positive_real,
+    _value_eq,
+)
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -30,7 +37,7 @@ logger = logging.getLogger(__name__)
 
 
 def _as_vector(v, name="vector"):
-    arr = _finite_values(np.ravel(v), name, ndim=1)
+    arr = _finite_values(_float_array(v, name).ravel(), name, ndim=1)
     if arr.size == 0:
         raise DimensionMismatch(f"{name} is empty")
     return arr
@@ -169,7 +176,7 @@ def contrastive_loss(query_emb, positive_emb, negative_embs, temperature=1.0):
 def contrastive_loss_from_scores(s_pos, s_negs, temperature=1.0):
     """Same loss evaluated directly on similarity scores."""
     t = _positive_real(temperature, "temperature")
-    logits = np.asarray([s_pos] + list(s_negs), dtype=np.float64) / t
+    logits = _float_array([s_pos] + list(s_negs), "scores") / t
     peak = logits.max()
     lse = peak + np.log(np.exp(logits - peak).sum())
     return float(lse - logits[0])
@@ -181,6 +188,11 @@ class TrainingPair:
 
     `exhausted` flags pairs that got fewer negatives than requested because
     the candidate pool ran out after filtering.
+
+    Field rules, checked at construction (InvalidConfig naming the field):
+    the ids are str, `negative_ids` a sequence of str (not one str), and
+    `exhausted` a bool or np.bool_, stored as a bool. So every pair that
+    constructs saves and loads back equal.
     """
 
     query_id: str
@@ -189,7 +201,26 @@ class TrainingPair:
     exhausted: bool = False
 
     def __post_init__(self):
+        for name in ("query_id", "positive_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise InvalidConfig(f"training pair {name} must be a string, got {value!r}")
+        if isinstance(self.negative_ids, str):
+            raise InvalidConfig(
+                f"training pair negative_ids must be a sequence of strings, not the string "
+                f"{self.negative_ids!r}"
+            )
         negs = tuple(self.negative_ids)
+        for neg in negs:
+            if not isinstance(neg, str):
+                raise InvalidConfig(
+                    f"training pair negative_ids must be strings, got {neg!r}"
+                )
+        if not isinstance(self.exhausted, (bool, np.bool_)):
+            raise InvalidConfig(
+                f"training pair exhausted must be a boolean, got {self.exhausted!r}"
+            )
+        object.__setattr__(self, "exhausted", bool(self.exhausted))
         if not negs:
             raise EmptyNegativePool(
                 f"pair for query {self.query_id!r} has no negatives",

@@ -718,12 +718,14 @@ class TestPivotPairs:
 
 def test_import_loads_no_scipy():
     # scipy serves only the two oracles, kde.log_density and ot.exact_ot_small,
-    # which import it when called
+    # which import it when called; orjson serves only the file loaders, which
+    # import it on first use (about 10 ms that no fresh import should pay)
     src = str(Path(core.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, popalign; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, popalign; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))"],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         capture_output=True, text=True, timeout=120,
     )

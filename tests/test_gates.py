@@ -9,9 +9,13 @@ core._fraction); a seed
 is an integer in [0, 2^64) (rng._as_uint64); a probability vector is 1-d,
 finite, nonnegative (positive for transport marginals) and sums to 1
 (sampling._probabilities); a string is a str, and an optional one a str
-or None (PersonaRecord); a response row is None or an integer by the
-count rule's type check, and its range is validate_pool's. Every refusal
-raises the site's own PopalignError subclass, never a bare TypeError.
+or None (PersonaRecord), and a training pair's ids and negative ids are
+str; a flag is a bool or np.bool_ (TrainingPair.exhausted); a response
+row is None or an integer by the count rule's type check, and its range
+is validate_pool's; an array of reals holds no entry numpy cannot make a
+float (core._float_array: InvalidConfig, or NonFiniteValue for an int
+beyond the float range). Every refusal raises the site's own
+PopalignError subclass, never a bare TypeError or ValueError.
 """
 
 import dataclasses
@@ -24,12 +28,16 @@ import pytest
 from popalign import (
     AlignmentConfig,
     EmbeddingIndex,
+    ItemWeights,
     PersonaRecord,
+    ResponseMatrix,
+    TrainingPair,
     TraitResponder,
     convergence_sweep,
     SamplingProbabilities,
     build_training_pairs,
     contrastive_loss_from_scores,
+    cosine_similarity,
     derive_seed,
     fit_kde,
     gibbs_kernel,
@@ -51,6 +59,7 @@ from popalign.errors import (
     DimensionMismatch,
     InvalidConfig,
     KOutOfRange,
+    NonFiniteValue,
     NonFiniteWeight,
     NonPositiveBandwidth,
     NonPositiveEpsilon,
@@ -161,6 +170,13 @@ OPTIONAL_INTEGERS = [
 STRINGS = [
     ("PersonaRecord.id", InvalidConfig, lambda v: PersonaRecord(id=v)),
     ("PersonaRecord.narrative", InvalidConfig, lambda v: PersonaRecord(id="p", narrative=v)),
+    ("TrainingPair.query_id", InvalidConfig, lambda v: TrainingPair(v, "p", ("n",))),
+    ("TrainingPair.positive_id", InvalidConfig, lambda v: TrainingPair("q", v, ("n",))),
+    ("TrainingPair.negative_ids", InvalidConfig, lambda v: TrainingPair("q", "p", ("n", v))),
+]
+
+FLAGS = [
+    ("TrainingPair.exhausted", InvalidConfig, lambda v: TrainingPair("q", "p", ("n",), v)),
 ]
 
 # a str or None
@@ -168,8 +184,30 @@ OPTIONAL_STRINGS = [
     ("PersonaRecord.seed_id", InvalidConfig, lambda v: PersonaRecord(id="p", seed_id=v)),
 ]
 
+# arrays of reals, each given one entry numpy cannot make a float
+ARRAYS = [
+    ("ResponseMatrix.values", lambda v: ResponseMatrix([[1.0, v]])),
+    ("PersonaRecord.embedding", lambda v: PersonaRecord(id="p", embedding=[1.0, v])),
+    ("ItemWeights.weights", lambda v: ItemWeights([1.0, v])),
+    # the gate of every metric and of the transport cost
+    ("mmd.X", lambda v: mmd([[1.0], [v]], [[1.0]])),
+    ("cosine_similarity.a", lambda v: cosine_similarity([1.0, v], [1.0, 0.0])),
+    ("top_k_retrieve.query", lambda v: top_k_retrieve([1.0, v, 0.0], INDEX, 1)),
+    ("EmbeddingIndex.build.vectors", lambda v: EmbeddingIndex.build(["a"], [[1.0, v]])),
+    ("contrastive_loss_from_scores.scores",
+     lambda v: contrastive_loss_from_scores(0.5, [0.1, v])),
+]
+
 # where a message names the argument otherwise than the table's site does
-NAMES = {"derive_seed.index": "stream word", "multinomial_draw.n": "draw count n"}
+NAMES = {
+    "derive_seed.index": "stream word",
+    "multinomial_draw.n": "draw count n",
+    "ResponseMatrix.values": "responses",
+    "ItemWeights.weights": "item weights",
+    "mmd.X": "first sample",
+    "cosine_similarity.a": "first vector",
+    "EmbeddingIndex.build.vectors": "embedding matrix",
+}
 
 NAN, INF = math.nan, math.inf
 CASES = (
@@ -191,6 +229,11 @@ CASES = (
        for v in (None, 7, True, b"x", 2.5)]
     + [(site, error, call, v) for site, error, call in OPTIONAL_STRINGS
        for v in (7, True, b"x", 2.5)]
+    + [(site, error, call, v) for site, error, call in FLAGS
+       for v in (None, 1, 0.0, "yes", np.int64(1))]
+    + [(site, InvalidConfig, call, v) for site, call in ARRAYS
+       for v in ("x", 1 + 2j, b"x", {}, [1.0, 2.0])]
+    + [(site, NonFiniteValue, call, 10**400) for site, call in ARRAYS]
 )
 
 
@@ -268,6 +311,17 @@ def test_optional_record_fields_accept_none_and_integers_of_any_kind():
     for row in (0, -1, 2**70, np.int64(3), np.uint8(255)):
         got = PersonaRecord(id="p", response_row=row).response_row
         assert got == row and type(got) is int
+
+
+def test_training_pair_stores_a_plain_bool():
+    pair = TrainingPair(np.str_("q"), "p", ["n"], np.bool_(True))
+    assert pair.exhausted is True and pair.negative_ids == ("n",)
+
+
+def test_training_pair_refuses_one_string_of_negatives():
+    # a str is a sequence of str: "abc" would be the negatives "a", "b", "c"
+    with pytest.raises(InvalidConfig, match=r"\bnegative_ids\b"):
+        TrainingPair("q", "p", "abc")
 
 
 def test_zero_entries_pass_where_only_nonnegative_is_required():

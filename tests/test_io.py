@@ -1,7 +1,14 @@
 """JSONL formats: bit-exact round-trips, schema errors, canonical JSON."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from popalign import cli
 from popalign import io as pio
 from popalign import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix, TrainingPair
 from popalign.errors import NonFiniteValue, ParseError, PopalignError, SchemaError
@@ -286,6 +294,31 @@ class TestPairs:
         p = tmp_path / "pairs.jsonl"
         p.write_text("")
         assert load_pairs(p) == []
+
+    # each field's accepted kinds (a str subclass, np.bool_) beside kinds the
+    # constructor refuses; a refused pair is left out
+    ODD = st.sampled_from([None, 7, 2.5, True, b"x", ("n",)])
+    FIELDS = st.fixed_dictionaries({
+        "query_id": st.one_of(st.text(), st.text().map(np.str_), ODD),
+        "positive_id": st.one_of(st.text(), ODD),
+        "negative_ids": st.lists(st.one_of(st.text(), ODD), max_size=4),
+        "exhausted": st.one_of(st.booleans(), st.booleans().map(np.bool_), ODD),
+    })
+
+    # one file, overwritten by each example
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=st.lists(FIELDS, min_size=1, max_size=6))
+    def test_every_accepted_pair_loads_back(self, tmp_path, args):
+        pairs = []
+        for kw in args:
+            try:
+                pairs.append(TrainingPair(**kw))
+            except PopalignError:
+                pass
+        p = tmp_path / "pairs.jsonl"
+        save_pairs(p, pairs)
+        assert load_pairs(p) == pairs
 
 
 class TestConfig:
@@ -683,3 +716,217 @@ class TestMemory:
             save_responses(p, ResponseMatrix(vals))
         peak = _traced_peak(lambda: FILE_KINDS[kind][2](p))
         assert peak < 3 * vals.nbytes
+
+
+# ---------------------------------------------------------- the parser contract
+#
+# parse_jsonl parses with orjson and falls back to json.loads; every loader
+# must give what it gave with json.loads alone, bit for bit, or raise the same
+# error class with the same message.
+
+def _json_only_parse_jsonl(path):
+    """The reader with json.loads on every line: the oracle of the contract."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {lineno}: {exc.msg}", line=lineno) from exc
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
+            yield lineno, record
+
+
+def _pairs_job(path):
+    """`popalign pairs` on the queries file at path: the bytes it writes."""
+    index = path.with_name("index.jsonl")
+    save_embeddings(index, ["a", "b", "c"], np.eye(3) + 0.25)
+    out = path.with_name("pairs.out.jsonl")
+    args = cli.build_parser().parse_args([
+        "pairs", "--embeddings", str(index), "--queries", str(path), "--out", str(out),
+        "--n-hard", "1", "--n-random", "1",
+    ])
+    with contextlib.redirect_stdout(io.StringIO()):
+        args.func(args)
+    return out.read_bytes()
+
+
+# each loader: its loader, header lines and a record line template, whose
+# {top} is a top-level id (or response_row) and whose {item} sits in a list of
+# numbers (of strings for pairs, and of nothing the loader reads for items),
+# with the values that make a good record
+PARSED_FILES = {
+    "responses": (load_response_records, ['{"items": ["a", "b"]}'],
+                  '{{"id": {top}, "responses": [0.5, {item}]}}', '"r{i}"', "1.5"),
+    "personas": (load_personas, [],
+                 '{{"id": "p", "narrative": "", "embedding": [0.5, {item}], '
+                 '"response_row": {top}}}', "{i}", "1.5"),
+    "embeddings": (load_embeddings, [],
+                   '{{"id": {top}, "embedding": [0.5, {item}]}}', '"e{i}"', "1.5"),
+    "embedding records": (load_embedding_records, [],
+                          '{{"id": {top}, "embedding": [0.5, {item}]}}', '"e{i}"', "1.5"),
+    "items": (load_items, [], '{{"item": {top}, "notes": [0.5, {item}]}}', '"t{i}"', "1.5"),
+    "pairs": (load_pairs, [],
+              '{{"query_id": {top}, "positive_id": "a", "negative_ids": ["b", {item}]}}',
+              '"q{i}"', '"c"'),
+    "queries": (_pairs_job, [],
+                '{{"query_id": {top}, "embedding": [0.5, {item}, 0.25], "positive_id": "a"}}',
+                '"q{i}"', "1.5"),
+}
+
+# values json.loads reads that orjson refuses or reads otherwise
+FRAGMENTS = {
+    "NaN": "NaN",
+    "Infinity": "Infinity",
+    "-Infinity": "-Infinity",
+    "1e400": "1e400",
+    "lone surrogate": '"\\ud800"',
+    "int below int64": "-9223372036854775809",
+    "int from 2**64": "18446744073709551616",
+}
+
+
+def _good_line(kind, i):
+    *_, template, top, item = PARSED_FILES[kind]
+    return template.format(top=top.format(i=i), item=item)
+
+
+def _named_line(kind, name):
+    """The line a named case puts between two good records of `kind`."""
+    *_, template, top, item = PARSED_FILES[kind]
+    slot, _, fragment = name.partition(" at ")
+    if fragment:
+        if slot == "list":
+            return template.format(top=top.format(i=2), item=FRAGMENTS[fragment])
+        return template.format(top=FRAGMENTS[fragment], item=item)
+    good = _good_line(kind, 2)
+    return {
+        "BOM": "﻿" + good,
+        "duplicate keys": good[0] + template.split(":")[0][2:] + ': "first", ' + good[1:],
+        "blank": "",
+        "whitespace only": " \t \x0c ",
+        "non-object": "[1, 2]",
+        "truncated": good[:len(good) // 2],
+        # beyond json's recursion limit, and nested but within it
+        "nested too deep": '{"x": ' + "[" * 1200 + "]" * 1200 + ", " + good[1:],
+        "nested deep": '{"x": ' + "[" * 300 + "]" * 300 + ", " + good[1:],
+        "nested": '{"x": ' + '[{"a": ' * 100 + "1" + "}]" * 100 + ", " + good[1:],
+    }[name]
+
+
+NAMED_LINES = (
+    [f"{slot} at {fragment}" for fragment in FRAGMENTS for slot in ("list", "top")]
+    + ["BOM", "duplicate keys", "blank", "whitespace only", "non-object", "truncated",
+       "nested too deep", "nested deep", "nested"]
+)
+
+
+def _bits(value):
+    """value as nested tuples that keep every leaf's type and every float's bits."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _bits(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__,) + tuple(map(_bits, value))
+    return (type(value).__name__, value)
+
+
+def _outcome(load, path):
+    try:
+        return "value", _bits(load(path))
+    except Exception as exc:
+        return "error", type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _both_outcomes(kind, path, lines):
+    """(reader's outcome, oracle's outcome) of loader `kind` on a file of lines."""
+    load, header, *_ = PARSED_FILES[kind]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in header + lines))
+    got = _outcome(load, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pio, "parse_jsonl", _json_only_parse_jsonl)
+        want = _outcome(load, path)
+    return got, want
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("name", NAMED_LINES)
+    @pytest.mark.parametrize("kind", PARSED_FILES)
+    def test_named_line_loads_as_json_alone_loads_it(self, tmp_path, kind, name):
+        lines = [_good_line(kind, 1), _named_line(kind, name), _good_line(kind, 3)]
+        got, want = _both_outcomes(kind, tmp_path / "f.jsonl", lines)
+        assert got == want
+
+    def test_the_named_lines_reach_both_outcomes(self, tmp_path):
+        # not all errors: a top-level big integer loads as json's int, one in a
+        # list of numbers as float64, and a line too deep for json still raises
+        def got(kind, name):
+            lines = [_good_line(kind, 1), _named_line(kind, name), _good_line(kind, 3)]
+            return _both_outcomes(kind, tmp_path / "f.jsonl", lines)[0]
+
+        for name in ("duplicate keys", "blank", "whitespace only", "top at int below int64",
+                     "list at int from 2**64", "nested deep", "nested"):
+            assert got("personas", name)[0] == "value", name
+        assert got("personas", "top at int from 2**64")[1][2][4] == ("int", 2**64)
+        assert got("personas", "nested too deep")[1] is RecursionError
+        pairs_file = got("queries", "top at int from 2**64")[1][1]
+        assert b'"query_id": "18446744073709551616"' in pairs_file
+
+    # a record line's two slots, each left good or given a fragment, and a cut
+    # with a stray character (a truncated line, or one with a character too many)
+    NUMBERS = st.one_of(
+        st.floats().map(json.dumps),
+        st.integers().map(str),
+        st.integers(-(2**65), 2**65).map(str),
+        st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][+-]?[0-9]{1,3})?",
+                      fullmatch=True),
+    )
+    STRINGS = st.one_of(
+        st.text().map(json.dumps),
+        st.text().map(lambda t: json.dumps(t, ensure_ascii=False)),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF).map(json.dumps),
+    )
+    JUNK = st.sampled_from(["true", "null", "[]", "{}", "", "01", "1.", '"', "-", "[1,]"])
+    SLOT = st.none() | NUMBERS | STRINGS | JUNK
+    CUT = st.none() | st.tuples(st.floats(0, 1), st.sampled_from(["", " ", ",", "]", "}", "\x00"]))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(top=SLOT, item=SLOT, cut=CUT)
+    def test_any_line_loads_as_json_alone_loads_it(self, tmp_path, top, item, cut):
+        for kind in PARSED_FILES:
+            *_, template, good_top, good_item = PARSED_FILES[kind]
+            text = template.format(top=good_top.format(i=2) if top is None else top,
+                                   item=good_item if item is None else item)
+            if cut is not None:
+                at, stray = cut
+                text = text[:round(at * len(text))] + stray
+            lines = [_good_line(kind, 1), text, _good_line(kind, 3)]
+            got, want = _both_outcomes(kind, tmp_path / "f.jsonl", lines)
+            assert got == want, kind
+
+    def test_a_million_levels_deep_is_json_s_recursion_error(self, tmp_path):
+        # orjson's recursive build crashed the interpreter on this line
+        p = tmp_path / "deep.jsonl"
+        p.write_text('{"id": "e", "x": ' + "[" * 10**6 + "]" * 10**6 + "}\n")
+        code = (
+            "import sys\nfrom popalign import io\n"
+            "try:\n    list(io.parse_jsonl(sys.argv[1]))\n"
+            "except RecursionError:\n    print('RecursionError')\n"
+        )
+        src = str(Path(pio.__file__).resolve().parent.parent)
+        paths = [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]
+        res = subprocess.run(
+            [sys.executable, "-c", code, str(p)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (res.returncode, res.stdout.strip()) == (0, "RecursionError"), res.stderr
