@@ -592,15 +592,32 @@ def _median_pairwise_distance(Z):
     return float(np.mean(np.sqrt(middle)))
 
 
+# what numpy makes a float of but no gate takes for a real number
+_NOT_REAL = (str, bytes, bool, np.bool_)
+
+
 def _float_array(values, name):
     """values as a float64 array.
 
-    What numpy cannot convert raises an error naming `name`: InvalidConfig
-    for a non-numeric entry or ragged rows, NonFiniteValue for an int
-    beyond the float range (the rule of _real and of the file loaders).
+    values are converted as numpy sees them first, so that strings, bytes
+    and bools, which numpy would make floats of, are refused as the file
+    loaders and the scalar gates refuse them: an array of bools, strings,
+    bytes or complex numbers, or an object array holding a str, bytes or
+    bool, raises InvalidConfig naming `name`, as do a non-numeric entry and
+    ragged rows. An int beyond the float range raises NonFiniteValue (the
+    rule of _real and of the file loaders). A bool inside a list of numbers
+    still becomes 1.0 or 0.0: numpy converts it while it builds the array,
+    before any check can see it.
     """
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iufO":
+            raise TypeError(f"{arr.dtype} entries are not real numbers")
+        if arr.dtype.kind == "O":
+            for v in arr.flat:
+                if isinstance(v, _NOT_REAL):
+                    raise TypeError(f"a {type(v).__name__} entry is not a real number")
+        return np.asarray(arr, dtype=np.float64)
     except OverflowError as exc:
         raise NonFiniteValue(f"non-finite value in the {name}: {exc}") from exc
     except (TypeError, ValueError) as exc:

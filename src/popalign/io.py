@@ -3,13 +3,15 @@
 Every on-disk format is JSON lines (one record per line, explicit header
 records where needed): streamable, diffable, no binary. Floats are serialized
 with shortest round-trip formatting (Python's repr, which json uses), so
-save -> load reproduces every finite double bit-exactly. Savers write with
-json, whose float text is promised; loaders parse with orjson where it gives
-what json would (parse_jsonl). Non-finite values
-are rejected at write time, never encoded, and a failed save leaves the
-target as it was (_replacing). Memory: savers stream their records to the
-file, and loaders convert vector rows to float64 in chunks of about 2**14
-values, so a file's numbers never all sit in memory as Python floats.
+save -> load reproduces every finite double bit-exactly. Every byte a saver
+writes is json's text, which is promised: records go through json, and float
+rows through orjson only where its text equals json's (_float_row_texts).
+Loaders parse with orjson where it gives what json would (parse_jsonl).
+Non-finite values are rejected at write time, never encoded, and a failed
+save leaves the target as it was (_replacing). Memory: savers stream their
+records to the file and format float rows in chunks of about 2**14 values,
+and loaders convert vector rows to float64 in such chunks, so a file's
+numbers never all sit in memory as Python floats or as text.
 
 Schemas
 -------
@@ -35,7 +37,7 @@ import os
 
 import numpy as np
 
-from .core import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix
+from .core import AlignmentConfig, ItemWeights, PersonaRecord, ResponseMatrix, _float_array
 from .errors import NonFiniteValue, ParseError, SchemaError
 from .retrieval import EmbeddingIndex, TrainingPair
 
@@ -225,14 +227,24 @@ def _replacing(path):
         raise
 
 
+def _write_lines(path, lines):
+    """Write each text of `lines` (a line with its newline), all or nothing."""
+    with _replacing(path) as fh:
+        for line in lines:
+            fh.write(line)
+
+
+def _jsonl(value):
+    """json's one-line text of value; a non-finite float raises NonFiniteValue."""
+    try:
+        return _JSONL_ENCODER.encode(value)
+    except ValueError as exc:
+        raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+
+
 def dump_jsonl(path, records):
     """Write records one per line, all or nothing; rejects non-finite floats."""
-    with _replacing(path) as fh:
-        for record in records:
-            try:
-                fh.write(_JSONL_ENCODER.encode(record) + "\n")
-            except ValueError as exc:
-                raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+    _write_lines(path, (_jsonl(record) + "\n" for record in records))
 
 
 def canonical_json(obj):
@@ -250,6 +262,88 @@ def canonical_json(obj):
         raise NonFiniteValue(f"canonical_json: {exc}") from exc
 
 
+def _object_line(texts):
+    """json's line for an object whose values have these JSON texts, in order."""
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in texts.items()) + "}\n"
+
+
+# orjson writes a float64 as repr, and so json, does wherever repr writes no
+# exponent: ±0.0 and magnitudes in [1e-4, 1e16) (orjson 3.8.3 matched repr on
+# 3.1M such values). Outside, only the exponent style differs: orjson writes
+# 0.00001 for 1e-05, 2.5e-7 for 2.5e-07 and 1e16 for 1e+16.
+_ORJSON_LOW, _ORJSON_HIGH = 1e-4, 1e16
+
+
+def _fast_rows(values, bounds):
+    """Per row, True if its every value is ±0.0 or of magnitude in [1e-4, 1e16).
+
+    Row i is values[bounds[i]:bounds[i + 1]]; a NaN is in no range.
+    """
+    mag = np.abs(values)
+    ok = mag >= _ORJSON_LOW
+    ok &= mag < _ORJSON_HIGH
+    ok |= mag == 0
+    fast = np.ones(len(bounds) - 1, dtype=bool)
+    fast[np.searchsorted(bounds, np.flatnonzero(~ok), side="right") - 1] = False
+    return fast
+
+
+def _joined(rows):
+    """(values, bounds) of a list of 1-d rows, as _chunks gives them."""
+    bounds = np.cumsum([0] + [len(row) for row in rows])
+    return np.concatenate(rows, dtype=np.float64), bounds
+
+
+def _chunks(rows):
+    """(values, bounds) for each run of consecutive rows of about `_CHUNK_VALUES`
+    values: values is one contiguous float64 array, and row i of the run is
+    values[bounds[i]:bounds[i + 1]].
+
+    A 2-d array is cut into blocks of whole rows, with no view of each row.
+    """
+    if isinstance(rows, np.ndarray):
+        n, width = rows.shape
+        step = max(1, _CHUNK_VALUES // max(width, 1))
+        for start in range(0, n, step):
+            block = np.ascontiguousarray(rows[start:start + step], dtype=np.float64)
+            yield block.reshape(-1), np.arange(len(block) + 1) * width
+        return
+    run, size = [], 0
+    for row in rows:
+        run.append(row)
+        size += len(row)
+        if size >= _CHUNK_VALUES:
+            yield _joined(run)
+            run, size = [], 0
+    if run:
+        yield _joined(run)
+
+
+def _float_row_texts(rows):
+    """Yield json's text of each row of floats in `rows` (a 2-d array or an
+    iterable of 1-d rows), in order.
+
+    Each text is _jsonl(row.tolist()), and a row holding a NaN or ±inf
+    raises NonFiniteValue as json has it. Rows are taken about
+    `_CHUNK_VALUES` values at a time as one contiguous float64 array
+    (_chunks) and checked by one vectorised test (_fast_rows): a row whose
+    every value is ±0.0 or of magnitude in [1e-4, 1e16) is formatted by
+    orjson, imported on first use, with its commas spaced as json spaces
+    them; every other row by json.
+    """
+    from orjson import OPT_SERIALIZE_NUMPY, dumps
+
+    for values, bounds in _chunks(rows):
+        fast = _fast_rows(values, bounds).tolist()
+        edges = bounds.tolist()
+        for i, ok in enumerate(fast):
+            row = values[edges[i]:edges[i + 1]]
+            if ok:
+                yield dumps(row, option=OPT_SERIALIZE_NUMPY).replace(b",", b", ").decode()
+            else:
+                yield _jsonl(row.tolist())
+
+
 # ---------------------------------------------------------------- responses
 
 def save_responses(path, matrix, ids=None):
@@ -260,9 +354,12 @@ def save_responses(path, matrix, ids=None):
     ids = [str(i) for i in ids]
     if len(ids) != matrix.n:
         raise SchemaError(f"{len(ids)} ids for {matrix.n} rows")
-    header = {"items": list(matrix.item_ids)}
-    rows = ({"id": i, "responses": row.tolist()} for i, row in zip(ids, matrix.values))
-    dump_jsonl(path, itertools.chain([header], rows))
+    header = _jsonl({"items": list(matrix.item_ids)}) + "\n"
+    rows = (
+        _object_line({"id": _jsonl(i), "responses": text})
+        for i, text in zip(ids, _float_row_texts(matrix.values))
+    )
+    _write_lines(path, itertools.chain([header], rows))
 
 
 def load_response_records(path):
@@ -312,19 +409,24 @@ def load_responses(path):
 
 # ----------------------------------------------------------------- personas
 
-def _persona_record(rec):
-    row = {"id": rec.id, "narrative": rec.narrative}
+def _persona_line(rec, embedding_texts):
+    """The line of `rec`; its embedding's text, if it has one, is the next of
+    `embedding_texts`."""
+    texts = {"id": _jsonl(rec.id), "narrative": _jsonl(rec.narrative)}
     if rec.embedding is not None:
-        row["embedding"] = rec.embedding.tolist()
+        texts["embedding"] = next(embedding_texts)
     if rec.response_row is not None:
-        row["response_row"] = int(rec.response_row)
+        texts["response_row"] = _jsonl(int(rec.response_row))
     if rec.seed_id is not None:
-        row["seed_id"] = rec.seed_id
-    return row
+        texts["seed_id"] = _jsonl(rec.seed_id)
+    return _object_line(texts)
 
 
 def save_personas(path, personas):
-    dump_jsonl(path, map(_persona_record, personas))
+    # the embeddings' texts run at most one chunk of records ahead of the lines
+    personas, ahead = itertools.tee(personas)
+    texts = _float_row_texts(p.embedding for p in ahead if p.embedding is not None)
+    _write_lines(path, (_persona_line(p, texts) for p in personas))
 
 
 def load_personas(path):
@@ -357,11 +459,14 @@ def load_personas(path):
 # --------------------------------------------------------------- embeddings
 
 def save_embeddings(path, ids, vectors):
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = _float_array(vectors, "embedding vectors")
     ids = [str(i) for i in ids]
     if vectors.ndim != 2 or vectors.shape[0] != len(ids):
         raise SchemaError(f"{len(ids)} ids for embedding array of shape {vectors.shape}")
-    dump_jsonl(path, ({"id": i, "embedding": row.tolist()} for i, row in zip(ids, vectors)))
+    _write_lines(path, (
+        _object_line({"id": _jsonl(i), "embedding": text})
+        for i, text in zip(ids, _float_row_texts(vectors))
+    ))
 
 
 def load_embedding_records(path):

@@ -718,8 +718,9 @@ class TestPivotPairs:
 
 def test_import_loads_no_scipy():
     # scipy serves only the two oracles, kde.log_density and ot.exact_ot_small,
-    # which import it when called; orjson serves only the file loaders, which
-    # import it on first use (about 10 ms that no fresh import should pay)
+    # which import it when called; orjson serves only the file loaders and the
+    # savers' float rows, which import it on first use (about 10 ms that no
+    # fresh import should pay)
     src = str(Path(core.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     res = subprocess.run(

@@ -13,13 +13,16 @@ or None (PersonaRecord), and a training pair's ids and negative ids are
 str; a flag is a bool or np.bool_ (TrainingPair.exhausted); a response
 row is None or an integer by the count rule's type check, and its range
 is validate_pool's; an array of reals holds no entry numpy cannot make a
-float (core._float_array: InvalidConfig, or NonFiniteValue for an int
-beyond the float range). Every refusal raises the site's own
-PopalignError subclass, never a bare TypeError or ValueError.
+float, and is no array of bools, strings or bytes, nor an object array
+holding one, which numpy would make floats of (core._float_array:
+InvalidConfig, or NonFiniteValue for an int beyond the float range).
+Every refusal raises the site's own PopalignError subclass, never a bare
+TypeError or ValueError.
 """
 
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -52,6 +55,7 @@ from popalign import (
     truncate_by_weight,
 )
 from popalign import core
+from popalign import io as pio
 from popalign.clients import HttpFalseNegativeFilter, HttpResponder
 from popalign.errors import (
     ClientProtocolError,
@@ -84,6 +88,8 @@ def sweep(**fields):
 
 
 URL = "http://localhost:1/unused"  # the gates run in the constructors, before any request
+# the gates run before the file opens; a save that got past them would fail to open it
+NEVER_WRITTEN = os.path.join(os.path.dirname(__file__), "no-such-directory", "e.jsonl")
 
 
 COUNTS = [
@@ -196,7 +202,35 @@ ARRAYS = [
     ("EmbeddingIndex.build.vectors", lambda v: EmbeddingIndex.build(["a"], [[1.0, v]])),
     ("contrastive_loss_from_scores.scores",
      lambda v: contrastive_loss_from_scores(0.5, [0.1, v])),
+    ("save_embeddings.vectors", lambda v: pio.save_embeddings(NEVER_WRITTEN, ["a"], [[1.0, v]])),
 ]
+
+# the same sites, each given a whole array of two entries (contrastive
+# scores are left out: the function lists its scores behind s_pos, so a bool
+# score is a bool inside a list of numbers)
+WHOLE_ARRAYS = [
+    ("ResponseMatrix.values", lambda a: ResponseMatrix([a])),
+    ("PersonaRecord.embedding", lambda a: PersonaRecord(id="p", embedding=a)),
+    ("ItemWeights.weights", lambda a: ItemWeights(a)),
+    ("mmd.X", lambda a: mmd(np.reshape(a, (-1, 1)), [[1.0]])),
+    ("cosine_similarity.a", lambda a: cosine_similarity(a, [1.0, 0.0])),
+    ("top_k_retrieve.query", lambda a: top_k_retrieve(np.resize(a, 3), INDEX, 1)),
+    ("EmbeddingIndex.build.vectors",
+     lambda a: EmbeddingIndex.build(["a"], np.reshape(a, (1, -1)))),
+    ("save_embeddings.vectors",
+     lambda a: pio.save_embeddings(NEVER_WRITTEN, ["a"], np.reshape(a, (1, -1)))),
+]
+# arrays numpy makes floats of, which no gate takes for reals
+NOT_REAL_ARRAYS = (
+    [True, False],
+    np.array([True, False]),
+    np.array(["1.5", "2"]),
+    np.array([b"1", b"2"]),
+    np.array([1.0, "1.5"], dtype=object),
+    np.array([1.0, b"1"], dtype=object),
+    np.array([1.0, True], dtype=object),
+    np.array([1.0, np.True_], dtype=object),
+)
 
 # where a message names the argument otherwise than the table's site does
 NAMES = {
@@ -207,6 +241,7 @@ NAMES = {
     "mmd.X": "first sample",
     "cosine_similarity.a": "first vector",
     "EmbeddingIndex.build.vectors": "embedding matrix",
+    "save_embeddings.vectors": "embedding vectors",
 }
 
 NAN, INF = math.nan, math.inf
@@ -232,8 +267,9 @@ CASES = (
     + [(site, error, call, v) for site, error, call in FLAGS
        for v in (None, 1, 0.0, "yes", np.int64(1))]
     + [(site, InvalidConfig, call, v) for site, call in ARRAYS
-       for v in ("x", 1 + 2j, b"x", {}, [1.0, 2.0])]
+       for v in ("x", 1 + 2j, b"x", {}, [1.0, 2.0], "1.5", b"1")]
     + [(site, NonFiniteValue, call, 10**400) for site, call in ARRAYS]
+    + [(site, InvalidConfig, call, a) for site, call in WHOLE_ARRAYS for a in NOT_REAL_ARRAYS]
 )
 
 
@@ -246,6 +282,12 @@ CONFIG_FIELDS = [f.name for f in dataclasses.fields(AlignmentConfig) if f.name !
 def test_every_config_field_refuses_a_bool(name):
     with pytest.raises(PopalignError, match=rf"\b{name}\b"):
         config(**{name: True})
+
+
+def test_a_bool_among_numbers_becomes_a_float():
+    # numpy converts it while building the array, before the gate sees it
+    assert ResponseMatrix([[1.5, True]]).values.tolist() == [[1.5, 1.0]]
+    assert cosine_similarity([1, False], [1.0, 0.0]) == 1.0
 
 
 def test_optional_config_fields_accept_none():
