@@ -9,7 +9,17 @@ One squared-distance kernel serves the KDE, the transport cost and MMD:
 `_sq_dist_tile` is the product for one (rows, columns) tile. Two drivers
 walk it: `_sq_dist_blocks` in full-width row strips for cross pairs, and
 `_self_tiles` in square upper-triangle tiles for a sample's own pairs.
-`_floored_exp` is the kernels' one clamp-and-exp.
+A block is left as the product rounds it, so an entry of a coincident pair
+can lie just past 0, and each consumer folds the clamp at 0 into a pass it
+makes anyway: per entry of a 256 x 256 tile the clamp costs about 0.40 ns,
+a read-only max or min 0.13 ns and the exp 0.68 ns (one thread, 2-core
+x86-64 VM), and only blocks holding an entry at or past 0 need the clamp.
+`_floored_exp` is the kernels' one clamp-and-exp: it clamps together with
+its floor where that runs, else only where K.max() >= 0 (a cross KDE strip
+reads that from the row maxima it takes anyway). `_clamp_at_zero` is the
+test-then-clamp of the transport cost fill and of the median heuristic's
+count pass, which reads its tiles unclamped while its lower pivot is above
+0.
 
 One row partition (`_row_strips`) cuts an n x m array into those strips,
 and `_striped_rows` runs a pass over it as two fixed stripes of strips on
@@ -86,14 +96,14 @@ _PAIR_CHUNK = 1 << 14
 
 
 def _sq_dist_operands(X, Y=None, w=None, scale=1.0):
-    """(A, B, clamp): the augmented operands behind every squared-distance product.
+    """(A, B): the augmented operands behind every squared-distance product.
 
     A[r] @ B[c].T is scale * D for D[i, j] = sum_k w_k (X[i, k] - Y[j, k])^2
-    over rows r of X and c of Y (Y = X without Y), and clamp(that, 0) undoes
-    the rounding below 0 (above, for scale < 0). w defaults to all ones;
-    scale is nonzero. This is the one preparation step; _sq_dist_tile is the
-    one product, which _sq_dist_blocks (cross pairs, row strips) and
-    _self_tiles (X's own pairs, square tiles) drive.
+    over rows r of X and c of Y (Y = X without Y), up to rounding that can
+    carry an entry just past 0. w defaults to all ones; scale is nonzero.
+    This is the one preparation step; _sq_dist_tile is the one product,
+    which _sq_dist_blocks (cross pairs, row strips) and _self_tiles (X's
+    own pairs, square tiles) drive.
 
     Both operands are first centred on the mean of Y, which moves no
     distance, so the expansion ||x||^2 + ||y||^2 - 2 x.y cancels only the
@@ -118,16 +128,34 @@ def _sq_dist_operands(X, Y=None, w=None, scale=1.0):
     _check_sq_norms(x2, y2)
     A = np.column_stack([Xw * (-2.0 * scale), x2 * scale, np.full(x2.size, float(scale))])
     B = np.column_stack([Yc, np.ones(y2.size), y2])
-    return A, B, np.maximum if scale > 0 else np.minimum
+    return A, B
 
 
 def _sq_dist_tile(ops, rows, cols, out=None):
     """scale * D for the rows `rows` of X against the rows `cols` of Y (two
-    slices) from _sq_dist_operands' ops, clamped in place at 0 against
-    rounding; written to, and returned as, out if given."""
-    A, B, clamp = ops
-    D = np.matmul(A[rows], B[cols].T, out=out)
-    clamp(D, 0.0, out=D)
+    slices) from _sq_dist_operands' ops, as the product rounds it: an entry
+    whose true value is 0 or nearly so may lie just past 0. Written to, and
+    returned as, out if given.
+
+    The product is left unclamped: a clamp pass over the block costs about
+    0.40 ns an entry, most of the 0.68 ns of the exp it guards, and only a
+    block holding an entry at or past 0 (a diagonal tile, a coincident
+    pair) needs it. Each consumer clamps where its own pass finds one:
+    _floored_exp (the kernel sums), _clamp_at_zero (the transport cost fill
+    and the median heuristic's count pass).
+    """
+    A, B = ops
+    return np.matmul(A[rows], B[cols].T, out=out)
+
+
+def _clamp_at_zero(D):
+    """D, a block of _sq_dist_tile's at scale > 0, clamped in place at 0
+    where its min is <= 0; returns D. The read-only min costs about 0.13 ns
+    an entry, the clamp that it spares most blocks 0.40 ns; a block holding
+    ±0.0 is clamped, so every entry comes out as a clamp of the whole block
+    gives it."""
+    if D.min(initial=math.inf) <= 0:
+        np.maximum(D, 0.0, out=D)
     return D
 
 
@@ -176,10 +204,11 @@ def _striped_rows(shape, work):
 def _sq_dist_blocks(ops, stripe=None):
     """Yield (lo, hi, D): rows lo:hi of X against every row of Y (cross pairs).
 
-    D is _sq_dist_tile's block for those rows, for each of _row_strips (with
-    stripe, of that stripe only). Every strip is written to one buffer,
-    which the next strip overwrites, so a caller is done with (or copies)
-    each strip before it asks for the next (see _self_tiles).
+    D is _sq_dist_tile's block for those rows, unclamped, for each of
+    _row_strips (with stripe, of that stripe only). Every strip is written
+    to one buffer, which the next strip overwrites, so a caller is done
+    with (or copies) each strip before it asks for the next (see
+    _self_tiles).
 
     Strips are cache-sized because every caller passes over a strip
     several times (exp and sums in the KDE and MMD), and each pass over a
@@ -188,7 +217,7 @@ def _sq_dist_blocks(ops, stripe=None):
     last bit: BLAS may round a product row differently in blocks of
     different heights (a 1-row block runs as a matrix-vector product).
     """
-    A, B, _ = ops
+    A, B = ops
     n, m = A.shape[0], B.shape[0]
     buf = None
     for lo, hi in _row_strips(n, m, stripe):
@@ -199,17 +228,19 @@ def _sq_dist_blocks(ops, stripe=None):
 
 
 def _sq_dist_fill(ops, out):
-    """out (n_X x n_Y), every row strip of _sq_dist_blocks(ops) written into it.
+    """out (n_X x n_Y), every row strip of _sq_dist_blocks(ops) written into it
+    and clamped at 0.
 
     Each strip's product goes straight into its own rows of out, on the two
-    stripes of _striped_rows. The strips are the same wherever out lies and
+    stripes of _striped_rows, and is clamped only if its min is at or below
+    0 (_clamp_at_zero). The strips are the same wherever out lies and
     whichever thread fills them, so a cost matrix that a solve overwrote is
     regenerated from its operands bit for bit.
     """
 
     def fill(strips):
         for lo, hi in strips:
-            _sq_dist_tile(ops, slice(lo, hi), slice(None), out[lo:hi])
+            _clamp_at_zero(_sq_dist_tile(ops, slice(lo, hi), slice(None), out[lo:hi]))
 
     _striped_rows(out.shape, fill)
     return out
@@ -219,13 +250,13 @@ def _self_tiles(ops, stripe=None):
     """Yield (rows, cols, D) over the upper square tiles of X's own pairs.
 
     ops are _sq_dist_operands(X, None, ...). rows and cols are slices of at
-    most _TILE rows of X, and D is _sq_dist_tile's block for them. Tile row
-    k holds the rows from k _TILE, against the columns from its own first
-    row to the end; a caller counts each pair i < j once from the tile
-    above the diagonal that holds it, and a diagonal tile (cols == rows)
-    holds both orders of its own pairs. The order is fixed: tile rows
-    ascending, and within one, columns ascending; with stripe (0 or 1),
-    only the tile rows k with _stripe(k) == stripe.
+    most _TILE rows of X, and D is _sq_dist_tile's block for them,
+    unclamped. Tile row k holds the rows from k _TILE, against the columns
+    from its own first row to the end; a caller counts each pair i < j once
+    from the tile above the diagonal that holds it, and a diagonal tile
+    (cols == rows) holds both orders of its own pairs. The order is fixed:
+    tile rows ascending, and within one, columns ascending; with stripe (0
+    or 1), only the tile rows k with _stripe(k) == stripe.
 
     The one walk over X's own pairs: the self-KDE, MMD's within-sample terms
     and the median heuristic. Square tiles stay in cache through every pass
@@ -247,10 +278,18 @@ def _self_tiles(ops, stripe=None):
                 yield rows, cols, _sq_dist_tile(ops, rows, cols, buf[:h * w].reshape(h, w))
 
 
-def _floored_exp(K):
-    """exp(K) in place for a 2-d block K, below _EXP_FLOOR as if at it; returns K.
+def _floored_exp(K, clamp=None):
+    """exp(min(K, 0)) in place for a 2-d block K of _sq_dist_tile's at scale
+    < 0, below _EXP_FLOOR as if at it; returns K.
 
     The one clamp-and-exp of the distance kernels (the dense KDE and MMD).
+    The clamp at 0 undoes the product's rounding past 0. Where the floor
+    runs, one np.clip(K, _EXP_FLOOR, 0) clamps and floors in a single pass;
+    elsewhere K is clamped only if `clamp`, which defaults to K.max() >= 0
+    (a read-only max, about 0.13 ns an entry against the clamp's 0.40 ns):
+    a caller that already holds K's row maxima passes their max >= 0. A
+    block holding ±0.0 is clamped too, and exp(-0.0) is exp(0.0).
+
     A floored entry becomes exp(_EXP_FLOOR) < 1e-304 instead of a smaller
     value or 0; every result that it enters also holds a term of at least
     e^-600 (a self term 1, a cross row's largest term, or in MMD the
@@ -265,7 +304,9 @@ def _floored_exp(K):
     """
     probe = K[::max(1, K.shape[0] // _FLOOR_PROBE), ::max(1, K.shape[1] // _FLOOR_PROBE)]
     if probe.min(initial=0.0) < _EXP_FLOOR:
-        np.maximum(K, _EXP_FLOOR, out=K)
+        np.clip(K, _EXP_FLOOR, 0.0, out=K)
+    elif clamp or (clamp is None and K.max(initial=-math.inf) >= 0):
+        np.minimum(K, 0.0, out=K)
     return np.exp(K, out=K)
 
 
@@ -500,10 +541,18 @@ def _pair_sample(Z):
     return sample
 
 
-def _upper_distances(ops):
-    """One pass over the squared distances i < j of X, from _self_tiles(ops)."""
+def _upper_distances(ops, clamped):
+    """One pass over the squared distances i < j of X, from _self_tiles(ops),
+    each tile clamped at 0 (_clamp_at_zero) if `clamped`.
+
+    A count pass whose lower pivot a is above 0 reads the tiles unclamped:
+    a value at or below 0 counts below a and stays outside the bracket
+    whether it is clamped or not.
+    """
     triangles = {}
     for rows, cols, d2 in _self_tiles(ops):
+        if clamped:
+            _clamp_at_zero(d2)
         if cols != rows:
             yield d2
             continue
@@ -588,7 +637,9 @@ def _median_pairwise_distance(Z):
         middle = _exact_median(lambda a, b: _sorted_pass(z, a, b), total, sample)
         return float(np.mean(middle))
     ops = _sq_dist_operands(Z)
-    middle = _exact_median(lambda a, b: _bracket_pass(_upper_distances(ops), a, b), total, sample)
+    middle = _exact_median(
+        lambda a, b: _bracket_pass(_upper_distances(ops, not a > 0), a, b), total, sample
+    )
     return float(np.mean(np.sqrt(middle)))
 
 

@@ -210,6 +210,8 @@ def parse_jsonl(path):
 
 # json.dumps(record, allow_nan=False) builds this same encoder on every call
 _JSONL_ENCODER = json.JSONEncoder(allow_nan=False)
+# and json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) this one
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 @contextlib.contextmanager
@@ -234,12 +236,24 @@ def _write_lines(path, lines):
             fh.write(line)
 
 
+def _finite_json(encode, value, context):
+    """encode(value), a json encoding with allow_nan=False.
+
+    json's own check is the one finiteness gate: its out-of-range error
+    becomes NonFiniteValue ("context: json's message"), and any other
+    ValueError (a circular reference, say) propagates unchanged.
+    """
+    try:
+        return encode(value)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float values"):
+            raise
+        raise NonFiniteValue(f"{context}: {exc}") from exc
+
+
 def _jsonl(value):
     """json's one-line text of value; a non-finite float raises NonFiniteValue."""
-    try:
-        return _JSONL_ENCODER.encode(value)
-    except ValueError as exc:
-        raise NonFiniteValue(f"refusing to serialize non-finite value: {exc}") from exc
+    return _finite_json(_JSONL_ENCODER.encode, value, "refusing to serialize non-finite value")
 
 
 def dump_jsonl(path, records):
@@ -248,18 +262,9 @@ def dump_jsonl(path, records):
 
 
 def canonical_json(obj):
-    """Deterministic JSON text: sorted keys, fixed separators, no NaN.
-
-    json's own allow_nan=False check is the one finiteness gate: its
-    out-of-range error becomes NonFiniteValue, any other ValueError (a
-    circular reference, say) propagates unchanged.
-    """
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        if not str(exc).startswith("Out of range float values"):
-            raise
-        raise NonFiniteValue(f"canonical_json: {exc}") from exc
+    """Deterministic JSON text: sorted keys, fixed separators, no NaN
+    (NonFiniteValue, through _finite_json)."""
+    return _finite_json(_CANONICAL_ENCODER.encode, obj, "canonical_json")
 
 
 def _object_line(texts):

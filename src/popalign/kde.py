@@ -266,8 +266,9 @@ def _dense_stripes(S, Q, bandwidth):
     shared output, so they may run on two threads; each one's work is
     fixed, so the bits do not depend on whether they do. The operands are
     prepared (and their overflow gate checked) here, on the calling thread.
-    The distance blocks come already scaled by -1 / (2 h^2), so each needs
-    only a clamp-and-exp in place (core._floored_exp) and sums.
+    The distance blocks come already scaled by -1 / (2 h^2) and unclamped,
+    so each needs only a clamp-and-exp in place (core._floored_exp) and
+    sums.
 
     At a self-query (Q is S: an unsubsampled persona density, MMD's
     within-sample means) the pairs are walked in core._self_tiles' square
@@ -288,6 +289,12 @@ def _dense_stripes(S, Q, bandwidth):
     normal double that the floored terms cannot move. That is logsumexp's
     guarantee without scipy's temporaries; log_density keeps scipy's
     logsumexp as the independent oracle.
+
+    The row maxima are taken from the unclamped strip, so their max also
+    tells _floored_exp whether the strip holds an entry at or past 0 and
+    needs the clamp. They are clamped at 0 before a shift: a row with an
+    entry past 0 shifts by 0, and the clamp after the shift gives its
+    entries the bits a clamp before it would.
     """
     scale = -1.0 / (2.0 * bandwidth * bandwidth)
     # row and column sums are products with a vector of ones: one
@@ -314,11 +321,13 @@ def _dense_stripes(S, Q, bandwidth):
     def work(stripe):
         for lo, hi, k in _sq_dist_blocks(ops, stripe=stripe):
             kmax = k.max(axis=1)
+            clamp = kmax.max() >= 0
             if kmax.min() < _NEAR_LOG_TERM:
+                np.minimum(kmax, 0.0, out=kmax)  # the clamped strip's row maxima
                 k -= kmax[:, None]
             else:
                 kmax[:] = 0.0
-            _floored_exp(k)
+            _floored_exp(k, clamp)
             out[lo:hi] = np.log(k @ ones) + kmax
 
     return work, lambda first, second: out

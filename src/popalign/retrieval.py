@@ -174,9 +174,22 @@ def contrastive_loss(query_emb, positive_emb, negative_embs, temperature=1.0):
 
 
 def contrastive_loss_from_scores(s_pos, s_negs, temperature=1.0):
-    """Same loss evaluated directly on similarity scores."""
+    """Same loss evaluated directly on similarity scores.
+
+    s_pos is one real score and s_negs a 1-d array of them. Each is gated
+    on its own before they are joined (core._float_array), so a bool or
+    string score raises InvalidConfig as it does for cosine_similarity.
+    """
     t = _positive_real(temperature, "temperature")
-    logits = _float_array([s_pos] + list(s_negs), "scores") / t
+    pos = _float_array(s_pos, "positive score")
+    if pos.ndim != 0:
+        raise InvalidConfig(f"the positive score must be one real number, got shape {pos.shape}")
+    negs = _float_array(s_negs, "negative scores")
+    if negs.ndim != 1:
+        raise DimensionMismatch(
+            f"the negative scores must be 1-dimensional, got shape {negs.shape}"
+        )
+    logits = np.concatenate([pos[None], negs]) / t
     peak = logits.max()
     lse = peak + np.log(np.exp(logits - peak).sum())
     return float(lse - logits[0])

@@ -202,12 +202,12 @@ ARRAYS = [
     ("EmbeddingIndex.build.vectors", lambda v: EmbeddingIndex.build(["a"], [[1.0, v]])),
     ("contrastive_loss_from_scores.scores",
      lambda v: contrastive_loss_from_scores(0.5, [0.1, v])),
+    # one real, gated as an array of no dimensions
+    ("contrastive_loss_from_scores.s_pos", lambda v: contrastive_loss_from_scores(v, [0.1])),
     ("save_embeddings.vectors", lambda v: pio.save_embeddings(NEVER_WRITTEN, ["a"], [[1.0, v]])),
 ]
 
-# the same sites, each given a whole array of two entries (contrastive
-# scores are left out: the function lists its scores behind s_pos, so a bool
-# score is a bool inside a list of numbers)
+# the same sites, each given a whole array of two entries
 WHOLE_ARRAYS = [
     ("ResponseMatrix.values", lambda a: ResponseMatrix([a])),
     ("PersonaRecord.embedding", lambda a: PersonaRecord(id="p", embedding=a)),
@@ -217,6 +217,7 @@ WHOLE_ARRAYS = [
     ("top_k_retrieve.query", lambda a: top_k_retrieve(np.resize(a, 3), INDEX, 1)),
     ("EmbeddingIndex.build.vectors",
      lambda a: EmbeddingIndex.build(["a"], np.reshape(a, (1, -1)))),
+    ("contrastive_loss_from_scores.scores", lambda a: contrastive_loss_from_scores(0.5, a)),
     ("save_embeddings.vectors",
      lambda a: pio.save_embeddings(NEVER_WRITTEN, ["a"], np.reshape(a, (1, -1)))),
 ]
@@ -242,6 +243,7 @@ NAMES = {
     "cosine_similarity.a": "first vector",
     "EmbeddingIndex.build.vectors": "embedding matrix",
     "save_embeddings.vectors": "embedding vectors",
+    "contrastive_loss_from_scores.s_pos": "positive score",
 }
 
 NAN, INF = math.nan, math.inf

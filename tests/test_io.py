@@ -463,6 +463,20 @@ class TestDumpJsonl:
         assert p.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["e.jsonl"]
 
+    def test_other_value_errors_propagate_unchanged(self, tmp_path):
+        # json's circular-reference error is no non-finite value: it is
+        # raised as json has it, as canonical_json raises it, and the old
+        # file stays as it was
+        p = tmp_path / "x.jsonl"
+        p.write_text('{"v": 1.5}\n')
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference") as exc:
+            pio.dump_jsonl(p, [{"v": 2.5}, {"v": loop}])
+        assert not isinstance(exc.value, NonFiniteValue)
+        assert p.read_text() == '{"v": 1.5}\n'
+        assert [q.name for q in tmp_path.iterdir()] == ["x.jsonl"]
+
     def test_failed_save_of_a_new_file_leaves_nothing(self, tmp_path):
         def records():
             yield {"id": "a"}

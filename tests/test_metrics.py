@@ -83,12 +83,12 @@ def full_list_median(Z):
 
 def block_list_median(Z):
     """np.median of the sqrt of every squared distance i < j in the sample's own
-    tiles (the values the selection reads), at any d."""
+    tiles, clamped at 0 (the values the selection reads), at any d."""
     upper = [
         d2[np.arange(rows.start, rows.stop)[:, None] < np.arange(cols.start, cols.stop)[None, :]]
         for rows, cols, d2 in core._self_tiles(core._sq_dist_operands(Z))
     ]
-    return float(np.median(np.sqrt(np.concatenate(upper))))
+    return float(np.median(np.sqrt(np.maximum(np.concatenate(upper), 0.0))))
 
 
 class TestWasserstein1d:

@@ -227,6 +227,27 @@ class TestContrastiveLoss:
         with pytest.raises(InvalidConfig):
             contrastive_loss_from_scores(0.5, [0.1], temperature=0.0)
 
+    @pytest.mark.parametrize("s_pos, s_negs", [
+        (0.5, np.array([True, False])),  # was the loss of scores 1.0 and 0.0
+        (0.5, np.array(["0.1", "0.2"])),
+        (True, [0.1]),
+        ("0.5", [0.1]),
+        (np.array([0.5]), [0.1]),
+    ])
+    def test_bool_and_string_scores_are_refused(self, s_pos, s_negs):
+        with pytest.raises(InvalidConfig, match="score"):
+            contrastive_loss_from_scores(s_pos, s_negs)
+
+    def test_negative_scores_are_one_dimensional(self):
+        with pytest.raises(DimensionMismatch, match="negative scores"):
+            contrastive_loss_from_scores(0.5, [[0.1, 0.2]])
+
+    def test_arrays_and_lists_of_scores_agree(self):
+        want = contrastive_loss_from_scores(0.5, [0.1, -0.3])
+        assert contrastive_loss_from_scores(np.float64(0.5), np.array([0.1, -0.3])) == want
+        assert contrastive_loss_from_scores(np.array(0.5), (0.1, -0.3)) == want
+        assert contrastive_loss_from_scores(0.5, []) == 0.0
+
 
 class TestTrainingPair:
     def test_positive_never_among_negatives(self):
