@@ -90,7 +90,7 @@ def _parse_vector(args):
         payload = payload.get("embedding")
     if not isinstance(payload, list):
         raise InvalidConfig("query vector must be a flat JSON array of numbers")
-    return pio._float_rows([(None, payload)], "query")[0]
+    return pio._float_rows([(None, payload, False)], "query")[0]
 
 
 def _cmd_retrieve(args):
@@ -115,10 +115,13 @@ def _cmd_pairs(args):
             )
         except KeyError as exc:
             raise InvalidConfig(f"queries line {lineno}: {exc}") from exc
+        # build_training_pairs would make a string of any other id
+        for key in ("query_id", "positive_id"):
+            pio._require(record, key, str, lineno, "query")
         if not isinstance(embedding, list):
             raise SchemaError(f"line {lineno}: query embedding must be a JSON array", line=lineno)
         # the row gate of embedding files: typed errors for bools, strings and NaN
-        vector = pio._float_rows([(lineno, embedding)], "query embedding")[0]
+        vector = pio._float_rows([(lineno, embedding, False)], "query embedding")[0]
         queries.append((query_id, vector, positive_id))
     fn_filter = None
     if args.filter_endpoint:

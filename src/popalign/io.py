@@ -91,48 +91,91 @@ def _check_rows(linenos, rows, label, width):
             )
 
 
-def _append_block(blocks, lists):
-    """Append `lists` to `blocks` as one float64 array; True if every value is finite."""
-    # OverflowError here means an int beyond the float range
-    block = np.array(lists, dtype=np.float64)
+def _numbers_only(vals):
+    """True if every value of the list `vals` is an int or a float (a bool is neither)."""
+    return set(map(type, vals)) <= _NUMBER_TYPES
+
+
+def _inferred_block(lists):
+    """`lists` as one float64 array if numpy infers a 2-d int or float array
+    from them, else None (a non-number in a row, a row of lists, or an int
+    that numpy keeps as object or uint64)."""
+    try:
+        block = np.array(lists)
+    except ValueError:  # rows holding lists of unequal shapes
+        return None
+    if block.ndim != 2 or block.dtype.kind not in "if":
+        return None
+    return block.astype(np.float64, copy=False)
+
+
+def _append_block(blocks, lists, infer):
+    """Append `lists` to `blocks` as one float64 array; True if every value is
+    finite, False if one is not or if a row holds a non-number.
+
+    `infer` says some row skipped the type walk: the block is then numpy's
+    inference from `lists` where that is a 2-d int or float array, and
+    otherwise every row is walked before the float64 conversion.
+    """
+    block = _inferred_block(lists) if infer else None
+    if block is None:
+        if infer and not all(map(_numbers_only, lists)):
+            return False
+        # OverflowError here means an int beyond the float range
+        block = np.array(lists, dtype=np.float64)
     blocks.append(block)
     return bool(np.isfinite(block).all())
 
 
 def _float_rows(rows, label):
-    """(n, width) float64 array from (line number, list of JSON numbers) pairs.
+    """(n, width) float64 array from (line number, list of JSON numbers,
+    literal-free) triples.
 
-    A line number of None leaves the line out of the error messages.
+    A line number of None leaves the line out of the error messages. A row
+    is literal-free when its line holds neither a "u" nor an "l"
+    (_read_jsonl): each of true, false and null holds one, and neither
+    parser makes a bool or None of anything else, so such a row holds none.
 
-    Each row gets a C-level type and length check against the file's first
-    row as it arrives. Every `_CHUNK_VALUES` values or so the chunk of rows
-    becomes one float64 block with one finiteness check, and its lists are
-    dropped; the blocks are joined at the end. Anything amiss (a non-number,
-    a row longer or shorter than the first, a non-finite or unconvertible
-    value, or an error that `rows` itself raises on a later line) sends the
-    current chunk through `_float_list` in file order (rows in earlier blocks
-    are known good), so the first bad line raises exactly as a row-by-row
-    load would.
+    Each row gets a length check against the file's first row as it
+    arrives, and each row that is not literal-free a C-level type walk.
+    Every `_CHUNK_VALUES` values or so the chunk of rows becomes one
+    float64 block with one finiteness check, and its lists are dropped; the
+    blocks are joined at the end. A chunk holding a literal-free row takes
+    numpy's dtype inference in place of the walk (_append_block). That is
+    exact because the screen leaves no bool, which numpy would make 1.0 of
+    beside a float: an inferred 2-d int or float array then holds only
+    numbers, and numpy rounds each int to float64 as float() does, whether
+    it fills a float array or casts an int64 one. Any other inference walks
+    the chunk. Anything amiss (a non-number, a row longer or shorter than
+    the first, a non-finite or unconvertible value, or an error that `rows`
+    itself raises on a later line) sends the current chunk through
+    `_check_rows` in file order (rows in earlier blocks are known good), so
+    the first bad line raises exactly as a row-by-row load would.
     """
     blocks, linenos, lists = [], [], []
     width = None
+    infer = False  # a row of the current chunk skipped the type walk
     stop = None
     try:
-        for lineno, vals in rows:
+        for lineno, vals, literal_free in rows:
             if width is None:
                 width = len(vals)
                 chunk = max(1, _CHUNK_VALUES // max(width, 1))
             linenos.append(lineno)
             lists.append(vals)
-            if not set(map(type, vals)) <= _NUMBER_TYPES or len(vals) != width:
+            if len(vals) != width:
+                break
+            if literal_free:
+                infer = True
+            elif not _numbers_only(vals):
                 break
             if len(lists) == chunk:
-                if not _append_block(blocks, lists):
+                if not _append_block(blocks, lists, infer):
                     break
-                linenos, lists = [], []
+                linenos, lists, infer = [], [], False
         else:
             # an empty file still yields one empty block, for its caller to refuse
-            if (blocks and not lists) or _append_block(blocks, lists):
+            if (blocks and not lists) or _append_block(blocks, lists, infer):
                 return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     except Exception as exc:  # raised below, unless an earlier row is bad
         stop = exc
@@ -167,6 +210,39 @@ def _top_level_big_float(record):
     return False
 
 
+def _bracket_count(line):
+    """The opening brackets of `line`, which json alone parses past `_DEEP_BRACKETS`."""
+    return line.count("[") + line.count("{")
+
+
+def _read_jsonl(path):
+    """Yield (line number, record, literal-free) for each nonblank line, where
+    (line number, record) is what parse_jsonl yields and literal-free is
+    True if the line holds neither a "u" nor an "l" (see _float_rows)."""
+    from orjson import JSONDecodeError, loads
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():  # iterating a file never yields ""
+                continue
+            record = None  # stays None, or is not an object: json.loads decides
+            if (
+                len(line) <= _DEEP_BRACKETS
+                # no "{" past the first character and at most one "["
+                or (line.find("{", 1) < 0 and line.find("[", line.find("[") + 1) < 0)
+                or _bracket_count(line) <= _DEEP_BRACKETS
+            ):
+                try:
+                    record = loads(line)
+                except JSONDecodeError:
+                    pass
+            if type(record) is not dict or _top_level_big_float(record):
+                record = _json_record(line, lineno)
+            if not isinstance(record, dict):
+                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
+            yield lineno, record, "u" not in line and "l" not in line
+
+
 def parse_jsonl(path):
     """Yield (1-based line number, parsed JSON object) for each nonblank line.
 
@@ -186,26 +262,23 @@ def parse_jsonl(path):
     still arrive as its nearest float. Every loader converts such a value
     to float64 or refuses it by its type alike, so no loader's result
     differs from json's.
-    """
-    from orjson import JSONDecodeError, loads
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():  # iterating a file never yields ""
-                continue
-            record = None  # stays None, or is not an object: json.loads decides
-            if len(line) <= _DEEP_BRACKETS or (
-                line.count("[") + line.count("{") <= _DEEP_BRACKETS
-            ):
-                try:
-                    record = loads(line)
-                except JSONDecodeError:
-                    pass
-            if type(record) is not dict or _top_level_big_float(record):
-                record = _json_record(line, lineno)
-            if not isinstance(record, dict):
-                raise SchemaError(f"line {lineno}: expected an object", line=lineno)
-            yield lineno, record
+    Two screens run at memchr speed (str.find and `in`) before any
+    per-character count:
+    - Nesting. A line of at most `_DEEP_BRACKETS` characters cannot hold
+      more opening brackets, and neither can one with no "{" past its first
+      character and at most one "[" (three finds prove it), since it holds
+      at most two. Only other lines have their brackets counted, so exactly
+      the lines the count alone would send go to json. Every record the
+      savers write is such a flat line; a string holding a bracket pays for
+      the count.
+    - Literals. A line holding neither a "u" nor an "l" parses to no bool
+      and no None, since each of true, false and null has one of them.
+      The loaders read that fact from _read_jsonl, and _float_rows skips the
+      per-row type walk for such rows.
+    """
+    for lineno, record, _ in _read_jsonl(path):
+        yield lineno, record
 
 
 # json.dumps(record, allow_nan=False) builds this same encoder on every call
@@ -374,7 +447,7 @@ def load_response_records(path):
 
     def rows():
         nonlocal items
-        for lineno, record in parse_jsonl(path):
+        for lineno, record, literal_free in _read_jsonl(path):
             if items is None:
                 if "items" not in record:
                     raise SchemaError(
@@ -396,7 +469,7 @@ def load_response_records(path):
                     line=lineno,
                 )
             ids.append(rid)
-            yield lineno, vals
+            yield lineno, vals, literal_free
 
     values = _float_rows(rows(), "responses")
     if items is None:
@@ -436,7 +509,7 @@ def save_personas(path, personas):
 
 def load_personas(path):
     out = []
-    for lineno, record in parse_jsonl(path):
+    for lineno, record, literal_free in _read_jsonl(path):
         pid = _require(record, "id", str, lineno, "persona")
         narrative = record.get("narrative", "")
         if not isinstance(narrative, str):
@@ -444,7 +517,7 @@ def load_personas(path):
         emb = record.get("embedding")
         if emb is not None:
             emb = _require(record, "embedding", list, lineno, "persona")
-            emb = _float_rows([(lineno, emb)], "embedding")[0]
+            emb = _float_rows([(lineno, emb, literal_free)], "embedding")[0]
         row = record.get("response_row")
         if row is not None and (isinstance(row, bool) or not isinstance(row, int)):
             raise SchemaError(f"line {lineno}: response_row must be an integer", line=lineno)
@@ -479,9 +552,9 @@ def load_embedding_records(path):
     ids = []
 
     def rows():
-        for lineno, record in parse_jsonl(path):
+        for lineno, record, literal_free in _read_jsonl(path):
             ids.append(_require(record, "id", str, lineno, "embedding"))
-            yield lineno, _require(record, "embedding", list, lineno, "embedding")
+            yield lineno, _require(record, "embedding", list, lineno, "embedding"), literal_free
 
     vectors = _float_rows(rows(), "embedding")
     if not ids:
@@ -573,10 +646,16 @@ def config_from_mapping(doc, overrides=None):
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    if merged.get("item_weights") is not None and not isinstance(
-        merged["item_weights"], ItemWeights
-    ):
-        merged["item_weights"] = ItemWeights(np.asarray(merged["item_weights"], dtype=np.float64))
+    weights = merged.get("item_weights")
+    if weights is not None and not isinstance(weights, ItemWeights):
+        if not isinstance(weights, list):
+            raise SchemaError(
+                f"config item_weights must be a list of numbers, not {type(weights).__name__}"
+            )
+        # the loaders' row gate: typed errors for bools, strings, null and NaN
+        merged["item_weights"] = ItemWeights(
+            _float_rows([(None, weights, False)], "config item_weights")[0]
+        )
     try:
         return AlignmentConfig(**merged)
     except TypeError as exc:

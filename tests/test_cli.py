@@ -166,6 +166,38 @@ class TestSimulateAlignMetrics:
         assert doc["config"]["seed"] == 9      # file value kept
         assert len(read_jsonl(tmp_path / "s.jsonl")) == 25
 
+    @pytest.mark.parametrize("weights, error", [
+        ([1.0, True], "SchemaError"),
+        (["1.5", 2.0], "SchemaError"),
+        ([1.0, None], "SchemaError"),
+        ("abc", "SchemaError"),
+        ({"a": 1}, "SchemaError"),
+    ], ids=["bool", "numeric string", "null", "string", "object"])
+    def test_align_refuses_config_item_weights_it_cannot_read(
+        self, tmp_path, capsys, weights, error
+    ):
+        pool, ref, personas = (tmp_path / f for f in ("pool.jsonl", "ref.jsonl", "p.jsonl"))
+        main(["simulate", "--n", "50", "--m", "30", "--d", "2", "--seed", "0",
+              "--out-pool", str(pool), "--out-reference", str(ref),
+              "--out-personas", str(personas)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n_is_candidates": 40, "n_final": 20, "seed": 0, "item_weights": weights,
+        }))
+        capsys.readouterr()
+        code = main([
+            "align", "--pool", str(pool), "--reference", str(ref),
+            "--personas", str(personas), "--config", str(cfg),
+            "--out-selected", str(tmp_path / "s.jsonl"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+        assert "config item_weights" in json.loads(err)["message"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_unconverged_batch_exits_2_naming_the_stage(self, tmp_path, capsys):
         pool, ref, personas = (tmp_path / f for f in ("pool.jsonl", "ref.jsonl", "p.jsonl"))
         main(["simulate", "--n", "200", "--m", "100", "--d", "2", "--seed", "1",
@@ -329,6 +361,29 @@ class TestPairs:
         assert main(["pairs", "--embeddings", str(emb), "--queries", str(queries),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("key, value", [
+        ("positive_id", 5), ("positive_id", None), ("positive_id", True),
+        ("query_id", 7), ("query_id", None), ("query_id", ["q1"]),
+    ], ids=["positive int", "positive null", "positive bool",
+            "query int", "query null", "query list"])
+    def test_non_string_query_ids_are_refused(self, tmp_path, capsys, key, value):
+        # an index id "5" that a positive_id 5 would have been turned into
+        emb = tmp_path / "emb.jsonl"
+        pio.save_embeddings(emb, ["5", "b", "c"], np.eye(3) + 0.25)
+        queries = tmp_path / "q.jsonl"
+        good = {"query_id": "q0", "embedding": [1.0, 0.5, 0.0], "positive_id": "b"}
+        bad = {"query_id": "q1", "embedding": [0.5, 1.0, 0.0], "positive_id": "5"}
+        bad[key] = value
+        queries.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["pairs", "--embeddings", str(emb), "--queries", str(queries),
+                     "--n-hard", "1", "--n-random", "0", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["message"]) == (
+            "SchemaError", f"line 2: query field {key!r} has type {type(value).__name__}"
+        )
+        assert not out.exists()
 
     def test_non_object_query_line(self, tmp_path, capsys):
         emb = tmp_path / "emb.jsonl"

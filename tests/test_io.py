@@ -389,6 +389,36 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(p)
 
+    # item_weights values the loaders' row gate refuses, with the error and message
+    BAD_WEIGHTS = {
+        "bool": ([1.0, True, 2.0], SchemaError, "config item_weights contains a non-number"),
+        "numeric string": (["1.5", 2.0], SchemaError, "config item_weights contains a non-number"),
+        "null": ([1.0, None], SchemaError, "config item_weights contains a non-number"),
+        "nested": ([[1.0], 2.0], SchemaError, "config item_weights contains a non-number"),
+        "nan": ([1.0, math.nan], NonFiniteValue, "config item_weights contains a non-finite value"),
+        "string": ("abc", SchemaError, "config item_weights must be a list of numbers, not str"),
+        "object": ({"a": 1}, SchemaError, "config item_weights must be a list of numbers, not dict"),
+        "number": (2.0, SchemaError, "config item_weights must be a list of numbers, not float"),
+    }
+
+    @pytest.mark.parametrize("name", BAD_WEIGHTS)
+    def test_item_weights_go_through_the_row_gate(self, tmp_path, name):
+        weights, error, message = self.BAD_WEIGHTS[name]
+        doc = {"n_is_candidates": 10, "n_final": 5, "seed": 0, "item_weights": weights}
+        with pytest.raises(error) as exc:
+            config_from_mapping(doc)
+        assert str(exc.value) == message
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error, match=f"^{message}$"):
+            load_config(p)
+
+    def test_item_weights_ints_load_as_floats(self):
+        doc = {"n_is_candidates": 10, "n_final": 5, "seed": 0, "item_weights": [1, 2.5, 2**60]}
+        weights = config_from_mapping(doc).item_weights.weights
+        assert weights.dtype == np.float64
+        assert weights.tolist() == [1.0, 2.5, float(2**60)]
+
 
 class TestCanonicalJson:
     def test_key_order_fixed(self):
@@ -866,7 +896,10 @@ def _both_outcomes(kind, path, lines):
         fh.write("".join(line + "\n" for line in header + lines))
     got = _outcome(load, path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pio, "parse_jsonl", _json_only_parse_jsonl)
+        # every loader reads through _read_jsonl; a False literal-free flag
+        # walks every row's types, as every row was walked before the screen
+        mp.setattr(pio, "_read_jsonl",
+                   lambda p: ((n, rec, False) for n, rec in _json_only_parse_jsonl(p)))
         want = _outcome(load, path)
     return got, want
 
@@ -891,8 +924,10 @@ class TestParserContract:
             assert got("personas", name)[0] == "value", name
         assert got("personas", "top at int from 2**64")[1][2][4] == ("int", 2**64)
         assert got("personas", "nested too deep")[1] is RecursionError
-        pairs_file = got("queries", "top at int from 2**64")[1][1]
-        assert b'"query_id": "18446744073709551616"' in pairs_file
+        # json's int, not orjson's float, reaches the queries reader's id gate
+        assert got("queries", "top at int from 2**64")[1:3] == (
+            SchemaError, "line 2: query field 'query_id' has type int"
+        )
 
     # a record line's two slots, each left good or given a fragment, and a cut
     # with a stray character (a truncated line, or one with a character too many)
